@@ -23,7 +23,7 @@ fn main() {
             let s = build_systematic_at(pad, &seq, &[l], threads, 40);
             let spec = inst.launch(s.groups, s.init, false);
             let r = gpu.run(&spec, rng.gen());
-            total_byp += r.bypasses;
+            total_byp += r.channels.window();
             app_turns += r.app_turns;
             let obs = inst.observe(&r);
             let weak = inst.is_weak(&obs);

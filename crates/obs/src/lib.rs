@@ -39,8 +39,7 @@ use std::time::{Duration, Instant};
 /// Each field is incremented at exactly one pre-existing decision point
 /// in the executor — no new randomness is drawn — so the counts are as
 /// deterministic as the run itself. `window_global + window_shared`
-/// always equals the executor's legacy `bypasses` aggregate
-/// ([`ChannelCounts::window`]).
+/// ([`ChannelCounts::window`]) counts every out-of-order completion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelCounts {
     /// Global-space in-flight-window bypasses (out-of-order completions).
@@ -78,8 +77,8 @@ impl ChannelCounts {
         ]
     }
 
-    /// Total in-flight-window bypasses — the executor's legacy
-    /// `bypasses` aggregate, now split by space.
+    /// Total in-flight-window bypasses (out-of-order completions) in
+    /// both spaces.
     pub fn window(&self) -> u64 {
         self.window_global + self.window_shared
     }

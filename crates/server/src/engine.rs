@@ -338,6 +338,30 @@ mod tests {
     }
 
     #[test]
+    fn out_of_layout_distance_is_refused_and_the_batch_still_drains() {
+        // These distances push MP's second location past the result
+        // region; once admitted, such a job panicked its worker and left
+        // `drain` waiting forever.
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            job_parallelism: 1,
+        });
+        let valid = litmus_job(Shape::Mp, EnvKind::SysStrPlus, 1);
+        for distance in [8192, u32::MAX] {
+            let mut bad = litmus_job(Shape::Mp, EnvKind::SysStrPlus, 1);
+            bad.workload = WorkloadSpec::Litmus {
+                shape: Shape::Mp,
+                distance,
+            };
+            assert!(engine.submit(bad).is_err(), "distance {distance}");
+        }
+        engine.submit(valid.clone()).unwrap();
+        let results = engine.drain().unwrap();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].spec, valid);
+    }
+
+    #[test]
     fn drain_can_be_repeated_across_batches() {
         let engine = Engine::start(EngineConfig {
             workers: 2,

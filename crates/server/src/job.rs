@@ -173,9 +173,24 @@ impl JobSpec {
             return Err(format!("{self}: execution count must be positive"));
         }
         match &self.workload {
-            WorkloadSpec::Litmus { distance, .. } => {
+            WorkloadSpec::Litmus { shape, distance } => {
                 if *distance == 0 {
                     return Err(format!("{self}: distance must be positive"));
+                }
+                // The shape's last location must sit below the result
+                // region, or emitting the kernel would panic a worker.
+                let layout = LitmusLayout::standard(*distance, litmus_pad().required_words());
+                let last = shape.events().num_locs() - 1;
+                let fits = last
+                    .checked_mul(*distance)
+                    .and_then(|offset| offset.checked_add(layout.comm_base))
+                    .is_some_and(|addr| addr < layout.result_base);
+                if !fits {
+                    return Err(format!(
+                        "{self}: distance {distance} puts {shape}'s location {last} \
+                         past the result region at word {}",
+                        layout.result_base
+                    ));
                 }
             }
             WorkloadSpec::App { name } => {
@@ -285,21 +300,21 @@ impl FromStr for JobSpec {
         let fields: Vec<&str> = s.split_whitespace().collect();
         let usage = "expected `litmus <chip> <env> <shape> <distance> <execs> <seed>` \
                      or `app <chip> <env> <name> <runs> <seed>`";
-        let num = |field: &str, what: &str| -> Result<u64, String> {
+        fn num<T: FromStr>(field: &str, what: &str, job: &str) -> Result<T, String> {
             field
-                .parse::<u64>()
-                .map_err(|_| format!("bad {what} {field:?} in job {s:?}"))
-        };
+                .parse()
+                .map_err(|_| format!("bad {what} {field:?} in job {job:?}"))
+        }
         let spec = match fields.as_slice() {
             ["litmus", chip, env, shape, distance, execs, seed] => JobSpec {
                 chip: (*chip).to_string(),
                 env: env.parse()?,
                 workload: WorkloadSpec::Litmus {
                     shape: shape.parse()?,
-                    distance: num(distance, "distance")? as u32,
+                    distance: num(distance, "distance", s)?,
                 },
-                execs: num(execs, "execution count")? as u32,
-                seed: num(seed, "seed")?,
+                execs: num(execs, "execution count", s)?,
+                seed: num(seed, "seed", s)?,
             },
             ["app", chip, env, name, runs, seed] => JobSpec {
                 chip: (*chip).to_string(),
@@ -307,8 +322,8 @@ impl FromStr for JobSpec {
                 workload: WorkloadSpec::App {
                     name: (*name).to_string(),
                 },
-                execs: num(runs, "run count")? as u32,
-                seed: num(seed, "seed")?,
+                execs: num(runs, "run count", s)?,
+                seed: num(seed, "seed", s)?,
             },
             _ => return Err(format!("cannot parse job {s:?}: {usage}")),
         };
@@ -389,8 +404,36 @@ mod tests {
             "app Titan sys-str+ no-such-app 4 1",
             "serve Titan sys-str+ MP 64 8 1",
             "litmus Titan sys-str+ MP sixty-four 8 1",
+            "litmus Titan sys-str+ MP 8192 2 1",
+            "litmus Titan sys-str+ MP 4294967295 2 1",
+            "litmus Titan sys-str+ MP 4294967297 2 1",
+            "litmus Titan sys-str+ MP 64 4294967297 1",
         ] {
             assert!(bad.parse::<JobSpec>().is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn validation_admits_exactly_the_distances_that_emit() {
+        // At the largest distance `validate` admits, every shape's
+        // instance builds; one word further, `validate` refuses it.
+        let result_base = LitmusLayout::standard(1, 0).result_base;
+        let words = litmus_pad().required_words();
+        for shape in Shape::ALL {
+            let last = shape.events().num_locs() - 1;
+            let max = (result_base - 1).checked_div(last).unwrap_or(u32::MAX);
+            let job = |distance| JobSpec {
+                chip: "Titan".into(),
+                env: EnvKind::Native,
+                workload: WorkloadSpec::Litmus { shape, distance },
+                execs: 1,
+                seed: 0,
+            };
+            assert_eq!(job(max).validate(), Ok(()), "{shape} at {max}");
+            let _ = shape.instance(LitmusLayout::standard(max, words));
+            if max < u32::MAX {
+                assert!(job(max + 1).validate().is_err(), "{shape} at {}", max + 1);
+            }
         }
     }
 

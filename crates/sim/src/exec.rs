@@ -190,14 +190,12 @@ pub struct RunResult {
     pub total_turns: u64,
     /// Instructions executed across all threads.
     pub instructions: u64,
-    /// Out-of-order completions that occurred (weak-memory events).
-    /// Always equals `channels.window()` — kept as the coarse aggregate
-    /// the per-channel split refines.
-    pub bypasses: u64,
     /// Per-channel provenance counters: which weakness (and
     /// strengthening) channels fired during this run, and how often.
     /// Pure counts at existing decision points — no extra RNG draws —
     /// so they are exactly as deterministic as the run itself.
+    /// [`ChannelCounts::window`] is the number of out-of-order
+    /// completions (weak-memory events) in the in-flight windows.
     pub channels: ChannelCounts,
     /// Simulated kernel runtime in milliseconds (cycles / clock).
     pub runtime_ms: f64,
@@ -292,6 +290,8 @@ enum TState {
 struct ThreadCtx {
     group: u32,
     block: u32,
+    /// The thread's warp; its lane is `t - warps[warp].first`.
+    warp: u32,
     pc: u32,
     state: TState,
     regs_at: u32,
@@ -305,7 +305,8 @@ struct ThreadCtx {
     has_last: bool,
     stalled: bool,
     stalled_reg: Reg,
-    win: [Slot; MAX_WINDOW],
+    /// Occupied slots of the thread's in-flight window (see
+    /// [`Arena::windows`]).
     win_len: u8,
 }
 
@@ -314,9 +315,12 @@ struct BlockState {
     group: u32,
     threads: std::ops::Range<u32>,
     shared_at: u32,
+    /// Threads that have not halted yet.
     alive: u32,
     waiting: u32,
-    retired: bool,
+    /// Threads that halted and drained their window; the block retires
+    /// when this reaches its size.
+    dead: u32,
     /// The SM this block is resident on (deterministic round-robin over
     /// the launch order, see [`crate::topology::Topology::home_sm`]);
     /// selects which private L1 the block's global loads consult.
@@ -373,9 +377,61 @@ impl BlockState {
     }
 }
 
-#[derive(Debug, Clone)]
+/// Up to [`WARP_SIZE`] consecutive threads: lane `l` is thread
+/// `first + l`, and bit `l` of `live` is set until that lane dies.
+#[derive(Debug, Clone, Copy)]
 struct Warp {
-    threads: std::ops::Range<u32>,
+    first: u32,
+    live: u32,
+}
+
+/// Every per-run buffer, kept by a [`Gpu`] between launches so that the
+/// runs of a warm campaign allocate nothing but the memory image they
+/// return. [`Run::new`] clears and refills it; [`Run::into_result`]
+/// hands it back.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    threads: Vec<ThreadCtx>,
+    /// In-flight windows, [`MAX_WINDOW`] slots per thread (thread `t`'s
+    /// start at `t * MAX_WINDOW`). The store only grows and is never
+    /// cleared or re-initialised: `ThreadCtx::win_len` guards every
+    /// read, so slots left over from an earlier run are never observed.
+    windows: Vec<Slot>,
+    regs: Vec<Word>,
+    pending: Vec<u32>,
+    shared: Vec<Word>,
+    blocks: Vec<BlockState>,
+    warps: Vec<Warp>,
+    live_warps: Vec<u32>,
+    queue: VecDeque<(u32, u32)>,
+    /// Per-group logical block-id permutations, concatenated: group
+    /// `g`'s starts at `bid_at[g]`.
+    bid_maps: Vec<u32>,
+    bid_at: Vec<u32>,
+    /// One block's warp permutation, rebuilt at each block launch.
+    warp_map: Vec<u32>,
+    /// Incoherent-L1 state, kept only on chips that have one.
+    l1: Option<L1System>,
+}
+
+impl Arena {
+    /// Empty every per-run buffer, keeping its capacity (the window
+    /// store is left as it is, see [`Arena::windows`]).
+    fn clear(&mut self) {
+        self.threads.clear();
+        self.regs.clear();
+        self.pending.clear();
+        self.shared.clear();
+        self.blocks.clear();
+        self.warps.clear();
+        self.live_warps.clear();
+        self.queue.clear();
+        self.bid_maps.clear();
+        self.bid_at.clear();
+        if let Some(l1) = &mut self.l1 {
+            l1.reset();
+        }
+    }
 }
 
 /// A simulated GPU: construct once per chip, run many launches.
@@ -402,12 +458,27 @@ struct Warp {
 #[derive(Debug, Clone)]
 pub struct Gpu {
     chip: Chip,
+    /// Buffers reused by every run; their contents never outlive a run.
+    arena: Arena,
 }
 
 impl Gpu {
     /// Create a GPU for the given chip profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip's window is deeper than [`MAX_WINDOW`].
     pub fn new(chip: Chip) -> Self {
-        Gpu { chip }
+        assert!(
+            chip.window <= MAX_WINDOW,
+            "{}: window {} exceeds MAX_WINDOW",
+            chip.short,
+            chip.window
+        );
+        Gpu {
+            chip,
+            arena: Arena::default(),
+        }
     }
 
     /// The chip profile.
@@ -418,10 +489,17 @@ impl Gpu {
     /// Execute a launch to completion (or timeout/fault) with the given
     /// seed. All scheduling and reordering randomness derives from the
     /// seed, so identical `(spec, seed)` pairs produce identical results.
+    ///
+    /// Every per-run buffer is reused from the previous call, so once a
+    /// `Gpu` has run its largest launch, a run allocates only the memory
+    /// image it returns.
     pub fn run(&mut self, spec: &LaunchSpec, seed: u64) -> RunResult {
-        let mut run = Run::new(&self.chip, spec, seed);
+        let arena = std::mem::take(&mut self.arena);
+        let mut run = Run::new(&self.chip, spec, seed, arena);
         run.execute();
-        run.into_result()
+        let (result, arena) = run.into_result();
+        self.arena = arena;
+        result
     }
 }
 
@@ -433,11 +511,14 @@ struct Run<'a> {
     regs: Vec<Word>,
     pending: Vec<u32>,
     threads: Vec<ThreadCtx>,
+    windows: Vec<Slot>,
     blocks: Vec<BlockState>,
     warps: Vec<Warp>,
     live_warps: Vec<u32>,
     queue: VecDeque<(u32, u32)>,
-    bid_maps: Vec<Vec<u32>>,
+    bid_maps: Vec<u32>,
+    bid_at: Vec<u32>,
+    warp_map: Vec<u32>,
     resident_threads: u32,
     app_blocks_left: u32,
     /// Whether this chip routes shared-space accesses through the
@@ -451,7 +532,6 @@ struct Run<'a> {
     rng: SmallRng,
     turn: u64,
     instructions: u64,
-    bypasses: u64,
     channels: ChannelCounts,
     next_op_id: u32,
     status: Option<RunStatus>,
@@ -459,21 +539,43 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new(chip: &'a Chip, spec: &'a LaunchSpec, seed: u64) -> Self {
+    fn new(chip: &'a Chip, spec: &'a LaunchSpec, seed: u64, mut arena: Arena) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut mem = if spec.init_image.is_empty() {
             MemSystem::new(spec.global_words)
         } else {
-            MemSystem::from_image(spec.init_image.clone(), spec.global_words)
+            // Sized for the whole memory up front, so zero-extending it
+            // does not reallocate.
+            let words = spec.global_words as usize;
+            let mut image = Vec::with_capacity(words);
+            image.extend_from_slice(&spec.init_image[..spec.init_image.len().min(words)]);
+            MemSystem::from_image(image, spec.global_words)
         };
-        for &(addr, value) in &spec.init {
-            mem.write(addr, value)
-                .expect("LaunchSpec.init address out of range");
-        }
+        // A bad init address faults the run before it starts.
+        let status = spec
+            .init
+            .iter()
+            .find_map(|&(addr, value)| mem.write(addr, value).err())
+            .map(RunStatus::OutOfBounds);
+        arena.clear();
+        let Arena {
+            threads,
+            windows,
+            regs,
+            pending,
+            shared,
+            blocks,
+            warps,
+            live_warps,
+            mut queue,
+            mut bid_maps,
+            mut bid_at,
+            warp_map,
+            l1,
+        } = arena;
         // Interleave the launch queue application-first so stressing
         // blocks can never starve the application.
         let max_blocks = spec.groups.iter().map(|g| g.blocks).max().unwrap_or(0);
-        let mut queue = VecDeque::new();
         for b in 0..max_blocks {
             for (gi, g) in spec.groups.iter().enumerate() {
                 if b < g.blocks {
@@ -482,17 +584,14 @@ impl<'a> Run<'a> {
             }
         }
         // Per-group logical block-id permutations (thread randomisation).
-        let bid_maps = spec
-            .groups
-            .iter()
-            .map(|g| {
-                let mut ids: Vec<u32> = (0..g.blocks).collect();
-                if spec.randomize_ids {
-                    shuffle(&mut ids, &mut rng);
-                }
-                ids
-            })
-            .collect();
+        for g in &spec.groups {
+            let at = bid_maps.len();
+            bid_at.push(at as u32);
+            bid_maps.extend(0..g.blocks);
+            if spec.randomize_ids {
+                shuffle(&mut bid_maps[at..], &mut rng);
+            }
+        }
         let app_blocks_left = spec
             .groups
             .iter()
@@ -503,34 +602,38 @@ impl<'a> Run<'a> {
             chip,
             spec,
             mem,
-            shared: Vec::new(),
-            regs: Vec::new(),
-            pending: Vec::new(),
-            threads: Vec::new(),
-            blocks: Vec::new(),
-            warps: Vec::new(),
-            live_warps: Vec::new(),
+            shared,
+            regs,
+            pending,
+            threads,
+            windows,
+            blocks,
+            warps,
+            live_warps,
             queue,
             bid_maps,
+            bid_at,
+            warp_map,
             resident_threads: 0,
             app_blocks_left,
             shared_weak: chip.shared_weak(),
             l1: chip
                 .l1_weak()
-                .then(|| L1System::new(chip.topology.total_sms(), chip.l1)),
+                .then(|| l1.unwrap_or_else(|| L1System::new(chip.topology.total_sms(), chip.l1))),
             rng,
             turn: 0,
             instructions: 0,
-            bypasses: 0,
             channels: ChannelCounts::default(),
             next_op_id: 1,
-            status: None,
+            status,
             app_turns: 0,
         }
     }
 
     fn execute(&mut self) {
-        self.try_launch();
+        if self.status.is_none() {
+            self.try_launch();
+        }
         loop {
             if self.status.is_some() {
                 break;
@@ -554,12 +657,16 @@ impl<'a> Run<'a> {
                 }
                 continue;
             };
-            let range = self.warps[w as usize].threads.clone();
-            for t in range {
-                self.step_thread(t);
+            // Step the live lanes in lane order. Skipping dead lanes
+            // changes nothing but the cost: a dead lane's step is a
+            // no-op, and a lane dies only during its own step.
+            let Warp { first, mut live } = self.warps[w as usize];
+            while live != 0 {
+                self.step_thread(first + live.trailing_zeros());
                 if self.status.is_some() {
                     break;
                 }
+                live &= live - 1;
             }
             // Advance the clock in *time* units: the machine executes all
             // resident warps concurrently, so with fewer live warps each
@@ -576,25 +683,40 @@ impl<'a> Run<'a> {
         }
     }
 
-    fn into_result(mut self) -> RunResult {
-        debug_assert_eq!(self.bypasses, self.channels.window());
-        let status = self.status.clone().unwrap_or(RunStatus::TimedOut);
+    /// The run's result, and the buffers to hand back to the [`Gpu`].
+    fn into_result(mut self) -> (RunResult, Arena) {
+        let status = self.status.take().unwrap_or(RunStatus::TimedOut);
         let runtime_ms = self.app_turns as f64 / (self.chip.clock_ghz * 1e6);
         let energy_j = self
             .chip
             .supports_power
             .then(|| self.chip.power_watts * runtime_ms / 1e3);
-        RunResult {
+        let result = RunResult {
             status,
             memory: self.mem.take_image(),
             app_turns: self.app_turns,
             total_turns: self.turn,
             instructions: self.instructions,
-            bypasses: self.bypasses,
             channels: self.channels,
             runtime_ms,
             energy_j,
-        }
+        };
+        let arena = Arena {
+            threads: self.threads,
+            windows: self.windows,
+            regs: self.regs,
+            pending: self.pending,
+            shared: self.shared,
+            blocks: self.blocks,
+            warps: self.warps,
+            live_warps: self.live_warps,
+            queue: self.queue,
+            bid_maps: self.bid_maps,
+            bid_at: self.bid_at,
+            warp_map: self.warp_map,
+            l1: self.l1,
+        };
+        (result, arena)
     }
 
     // -- scheduling --------------------------------------------------------
@@ -613,10 +735,7 @@ impl<'a> Run<'a> {
     }
 
     fn warp_dead(&self, w: u32) -> bool {
-        self.warps[w as usize]
-            .threads
-            .clone()
-            .all(|t| self.threads[t as usize].state == TState::Dead)
+        self.warps[w as usize].live == 0
     }
 
     fn try_launch(&mut self) {
@@ -636,7 +755,7 @@ impl<'a> Run<'a> {
         let g = &self.spec.groups[gi as usize];
         let tpb = g.threads_per_block;
         let num_regs = g.program.num_regs as u32;
-        let logical_bid = self.bid_maps[gi as usize][bid_phys as usize];
+        let logical_bid = self.bid_maps[(self.bid_at[gi as usize] + bid_phys) as usize];
         let block_index = self.blocks.len() as u32;
         // Home-SM assignment is total: launch indices past the chip's
         // block capacity wrap onto earlier SMs deterministically, so
@@ -644,22 +763,28 @@ impl<'a> Run<'a> {
         let home_sm = self.chip.topology.home_sm(block_index);
         debug_assert!(home_sm < self.chip.topology.total_sms());
         let t0 = self.threads.len() as u32;
+        let w0 = self.warps.len() as u32;
         let shared_at = self.shared.len() as u32;
         self.shared
             .extend(std::iter::repeat_n(0, self.spec.shared_words as usize));
+        let windows = (t0 + tpb) as usize * MAX_WINDOW;
+        if self.windows.len() < windows {
+            self.windows.resize(windows, Slot::default());
+        }
 
         // Warp/lane randomisation respecting warp membership: full warps
         // are permuted among themselves; lanes permute within each warp.
         let full_warps = tpb / WARP_SIZE;
-        let mut warp_map: Vec<u32> = (0..full_warps).collect();
+        self.warp_map.clear();
+        self.warp_map.extend(0..full_warps);
         if self.spec.randomize_ids {
-            shuffle(&mut warp_map, &mut self.rng);
+            shuffle(&mut self.warp_map, &mut self.rng);
         }
 
         for i in 0..tpb {
             let (w, l) = (i / WARP_SIZE, i % WARP_SIZE);
             let logical_tid = if w < full_warps {
-                let lw = warp_map[w as usize];
+                let lw = self.warp_map[w as usize];
                 lw * WARP_SIZE + l
             } else {
                 i // partial trailing warp keeps its ids
@@ -671,6 +796,7 @@ impl<'a> Run<'a> {
             self.threads.push(ThreadCtx {
                 group: gi,
                 block: block_index,
+                warp: w0 + w,
                 pc: 0,
                 state: TState::Running,
                 regs_at,
@@ -684,7 +810,6 @@ impl<'a> Run<'a> {
                 has_last: false,
                 stalled: false,
                 stalled_reg: 0,
-                win: [Slot::default(); MAX_WINDOW],
                 win_len: 0,
             });
         }
@@ -694,7 +819,7 @@ impl<'a> Run<'a> {
             shared_at,
             alive: tpb,
             waiting: 0,
-            retired: false,
+            dead: 0,
             home_sm,
             sh_r: 0.0,
             sh_w: 0.0,
@@ -703,7 +828,10 @@ impl<'a> Run<'a> {
         let mut i = t0;
         while i < t0 + tpb {
             let end = (i + WARP_SIZE).min(t0 + tpb);
-            self.warps.push(Warp { threads: i..end });
+            self.warps.push(Warp {
+                first: i,
+                live: u32::MAX >> (WARP_SIZE - (end - i)),
+            });
             self.live_warps.push(self.warps.len() as u32 - 1);
             i = end;
         }
@@ -753,15 +881,16 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Called exactly once per thread, in its own step, when it dies.
     fn on_thread_dead(&mut self, t: u32) {
-        let b = self.threads[t as usize].block as usize;
-        let all_dead = self.blocks[b]
-            .threads
-            .clone()
-            .all(|i| self.threads[i as usize].state == TState::Dead);
-        if all_dead && !self.blocks[b].retired {
-            self.blocks[b].retired = true;
-            let gi = self.blocks[b].group as usize;
+        let th = &self.threads[t as usize];
+        let (b, w) = (th.block as usize, th.warp as usize);
+        let warp = &mut self.warps[w];
+        warp.live &= !(1 << (t - warp.first));
+        let blk = &mut self.blocks[b];
+        blk.dead += 1;
+        if blk.dead == blk.threads.end - blk.threads.start {
+            let gi = blk.group as usize;
             let g = &self.spec.groups[gi];
             self.resident_threads -= g.threads_per_block;
             if g.role == Role::App {
@@ -796,19 +925,31 @@ impl<'a> Run<'a> {
 
     // -- window drain ------------------------------------------------------
 
+    /// Thread `t`'s in-flight operations, oldest first.
+    #[inline]
+    fn window(&self, t: u32) -> &[Slot] {
+        let at = t as usize * MAX_WINDOW;
+        &self.windows[at..at + usize::from(self.threads[t as usize].win_len)]
+    }
+
+    #[inline]
+    fn window_mut(&mut self, t: u32) -> &mut [Slot] {
+        let at = t as usize * MAX_WINDOW;
+        &mut self.windows[at..at + usize::from(self.threads[t as usize].win_len)]
+    }
+
     /// True if window slot `j` may complete before every older in-flight
     /// op: no fence of its scope in the way and no same-space same-line
     /// older op. A device fence holds everything; a block fence holds
     /// only shared-space operations (its visibility guarantee is
     /// intra-block, and global completion is modelled device-wide).
     fn can_bypass(&self, t: u32, j: usize) -> bool {
-        let th = &self.threads[t as usize];
-        let sj = th.win[j];
+        let win = self.window(t);
+        let sj = win[j];
         if matches!(sj.kind, SlotKind::Fence | SlotKind::FenceBlock) {
             return false;
         }
-        for i in 0..j {
-            let si = th.win[i];
+        for si in &win[..j] {
             match si.kind {
                 SlotKind::Fence => return false,
                 SlotKind::FenceBlock => {
@@ -865,20 +1006,16 @@ impl<'a> Run<'a> {
     /// this is exactly the reordering that breaks `sdk-red-nf`'s
     /// partial/counter protocol). Otherwise the head drains in order.
     fn demand_drain_step(&mut self, t: u32, demanded: u32) {
-        let len = self.threads[t as usize].win_len as usize;
-        if len == 0 {
+        if self.threads[t as usize].win_len == 0 {
             return;
         }
-        let pos = (0..len).find(|&j| self.threads[t as usize].win[j].id == demanded);
+        let pos = self.window(t).iter().position(|s| s.id == demanded);
         if let Some(j) = pos {
             if j > 0 && self.can_bypass(t, j) {
-                let head = self.threads[t as usize].win[0];
-                let sj = self.threads[t as usize].win[j];
+                let (head, sj) = (self.window(t)[0], self.window(t)[j]);
                 let p = self.bypass_prob(t, head, sj);
                 if self.rng.gen::<f64>() < p {
-                    for i in 0..j {
-                        self.threads[t as usize].win[i].stall += BYPASS_DELAY_TURNS;
-                    }
+                    self.delay_bypassed(t, j);
                     self.complete_slot(t, j);
                     self.note_bypass(sj.space);
                     return;
@@ -887,9 +1024,9 @@ impl<'a> Run<'a> {
         }
         // Otherwise resolve in order: complete the head (respecting its
         // stall delay).
-        let head = self.threads[t as usize].win[0];
+        let head = &mut self.window_mut(t)[0];
         if head.stall > 0 {
-            self.threads[t as usize].win[0].stall -= 1;
+            head.stall -= 1;
             return;
         }
         self.complete_slot(t, 0);
@@ -900,7 +1037,7 @@ impl<'a> Run<'a> {
     /// `in_order` forces head-only completion (used while the thread is
     /// draining for a barrier or halt in program order).
     fn drain_step(&mut self, t: u32, in_order: bool) {
-        let len = self.threads[t as usize].win_len as usize;
+        let len = usize::from(self.threads[t as usize].win_len);
         if len == 0 {
             return;
         }
@@ -908,17 +1045,10 @@ impl<'a> Run<'a> {
             // One bypass attempt per turn, by the youngest candidate that
             // may pass every older in-flight op.
             if let Some(j) = (1..len.min(4)).find(|&j| self.can_bypass(t, j)) {
-                let head = self.threads[t as usize].win[0];
-                let sj = self.threads[t as usize].win[j];
+                let (head, sj) = (self.window(t)[0], self.window(t)[j]);
                 let p = self.bypass_prob(t, head, sj);
                 if self.rng.gen::<f64>() < p {
-                    // The bypassed-over operations are the ones the
-                    // congested memory system is sitting on: delay them,
-                    // widening the visibility inversion (this is what
-                    // makes a stale value observable by other threads).
-                    for i in 0..j {
-                        self.threads[t as usize].win[i].stall += BYPASS_DELAY_TURNS;
-                    }
+                    self.delay_bypassed(t, j);
                     self.complete_slot(t, j);
                     self.note_bypass(sj.space);
                     return;
@@ -927,9 +1057,9 @@ impl<'a> Run<'a> {
         }
         // Head completion. `stall` covers both fence latency and the
         // contention delay applied to bypassed-over operations.
-        let head = self.threads[t as usize].win[0];
+        let head = &mut self.window_mut(t)[0];
         if head.stall > 0 {
-            self.threads[t as usize].win[0].stall -= 1;
+            head.stall -= 1;
             return;
         }
         let full = len == self.chip.window;
@@ -938,10 +1068,19 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Count one in-flight-window bypass, split by the completing
-    /// slot's space — the per-channel refinement of `bypasses`.
+    /// The operations slot `j` bypassed are the ones the congested
+    /// memory system is sitting on: delay them, widening the visibility
+    /// inversion (this is what makes a stale value observable by other
+    /// threads).
+    fn delay_bypassed(&mut self, t: u32, j: usize) {
+        for s in &mut self.window_mut(t)[..j] {
+            s.stall += BYPASS_DELAY_TURNS;
+        }
+    }
+
+    /// Count one in-flight-window bypass in the channel of the
+    /// completing slot's space.
     fn note_bypass(&mut self, space: Space) {
-        self.bypasses += 1;
         match space {
             Space::Global => self.channels.window_global += 1,
             Space::Shared => self.channels.window_shared += 1,
@@ -952,7 +1091,7 @@ impl<'a> Run<'a> {
     /// shifting younger entries down. Shared-space slots land in the
     /// owning block's shared array (bounds were checked at issue).
     fn complete_slot(&mut self, t: u32, j: usize) {
-        let slot = self.threads[t as usize].win[j];
+        let slot = self.window(t)[j];
         let result: Result<Option<Word>, OobError> = if slot.space == Space::Shared
             && !matches!(slot.kind, SlotKind::Fence | SlotKind::FenceBlock)
         {
@@ -1003,12 +1142,11 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        let th = &mut self.threads[t as usize];
-        let len = th.win_len as usize;
-        for k in j..len - 1 {
-            th.win[k] = th.win[k + 1];
+        let win = self.window_mut(t);
+        for k in j..win.len() - 1 {
+            win[k] = win[k + 1];
         }
-        th.win_len -= 1;
+        self.threads[t as usize].win_len -= 1;
     }
 
     /// Complete a global-space slot against memory and, on chips with an
@@ -1137,13 +1275,12 @@ impl<'a> Run<'a> {
     }
 
     fn push_slot(&mut self, t: u32, slot: Slot) -> bool {
-        let len = self.threads[t as usize].win_len as usize;
-        if len == self.chip.window {
+        if usize::from(self.threads[t as usize].win_len) == self.chip.window {
             // Window full: force the head out first. A stalling fence at
             // the head blocks issue this turn.
-            let head = self.threads[t as usize].win[0];
+            let head = &mut self.window_mut(t)[0];
             if head.stall > 0 {
-                self.threads[t as usize].win[0].stall -= 1;
+                head.stall -= 1;
                 return false;
             }
             self.complete_slot(t, 0);
@@ -1151,9 +1288,10 @@ impl<'a> Run<'a> {
                 return false;
             }
         }
+        // `Gpu::new` checked `chip.window <= MAX_WINDOW`, so the new slot
+        // stays inside this thread's part of the store.
         let th = &mut self.threads[t as usize];
-        let len = th.win_len as usize;
-        th.win[len] = slot;
+        self.windows[t as usize * MAX_WINDOW + usize::from(th.win_len)] = slot;
         th.win_len += 1;
         true
     }
@@ -1902,7 +2040,6 @@ mod tests {
         let b2 = gpu.run(&spec, 1234);
         assert_eq!(a.memory, b2.memory);
         assert_eq!(a.total_turns, b2.total_turns);
-        assert_eq!(a.bypasses, b2.bypasses);
         assert_eq!(a.channels, b2.channels);
     }
 
@@ -1918,6 +2055,31 @@ mod tests {
         let mut spec = LaunchSpec::app(p, 1, 1, 4);
         spec.init = vec![(0, 77)];
         let r = gpu.run(&spec, 0);
+        assert_eq!(r.word(1), 77);
+    }
+
+    #[test]
+    fn bad_init_address_is_a_run_fault() {
+        let mut b = KernelBuilder::new("copy");
+        let src = b.const_(0);
+        let dst = b.const_(1);
+        let v = b.load_global(src);
+        b.store_global(dst, v);
+        let p = b.finish().unwrap();
+        let chip = Chip::by_short("Titan").unwrap();
+        let mut gpu = Gpu::new(chip.clone());
+        let mut spec = LaunchSpec::app(p, 1, 1, 4);
+        spec.init = vec![(0, 77), (4, 1)];
+        let r = gpu.run(&spec, 0);
+        assert_eq!(
+            r.status,
+            RunStatus::OutOfBounds(OobError { addr: 4, len: 4 })
+        );
+        assert_eq!((r.instructions, r.total_turns), (0, 0));
+        // The same GPU then runs a valid launch exactly like a fresh one.
+        spec.init.pop();
+        let r = gpu.run(&spec, 0);
+        assert_same_run(&r, &Gpu::new(chip).run(&spec, 0), "valid launch");
         assert_eq!(r.word(1), 77);
     }
 
@@ -2289,7 +2451,7 @@ mod tests {
         let mut gpu = Gpu::new(sc_chip());
         for seed in 0..50 {
             let r = gpu.run(&LaunchSpec::app(p.clone(), 2, 32, 128), seed);
-            assert_eq!(r.bypasses, 0, "seed {seed}");
+            assert_eq!(r.channels.window(), 0, "seed {seed}");
             assert!(r.channels.is_zero(), "seed {seed}: {}", r.channels);
         }
     }
@@ -2466,7 +2628,6 @@ mod tests {
             let rb = gpu_b.run(&spec, seed);
             assert_eq!(ra.memory, rb.memory, "seed {seed}");
             assert_eq!(ra.total_turns, rb.total_turns, "seed {seed}");
-            assert_eq!(ra.bypasses, rb.bypasses, "seed {seed}");
             assert_eq!(ra.channels, rb.channels, "seed {seed}");
             // The coherent (rate-zeroed) path never consults the L1, so
             // every L1-specific channel must stay exactly zero.
@@ -2477,11 +2638,10 @@ mod tests {
     }
 
     #[test]
-    fn channels_refine_the_bypass_aggregate() {
+    fn channels_count_the_l1_events() {
         // On an incoherent-L1 chip under cross-SM write stress the CoRR
-        // kernel exercises both the window and the structural channel;
-        // the per-channel split must always partition `bypasses`, and
-        // the stale-hit counter must light up over enough seeds.
+        // kernel exercises the structural channel: over enough seeds the
+        // stale-hit counter must light up.
         let spec = LaunchSpec {
             groups: vec![
                 KernelGroup {
@@ -2507,13 +2667,7 @@ mod tests {
         let mut gpu = Gpu::new(Chip::by_short("C2075").unwrap());
         let mut total = ChannelCounts::default();
         for seed in 0..200 {
-            let r = gpu.run(&spec, seed);
-            assert_eq!(
-                r.bypasses,
-                r.channels.window(),
-                "seed {seed}: the split must partition the aggregate"
-            );
-            total.add(&r.channels);
+            total.add(&gpu.run(&spec, seed).channels);
         }
         assert!(total.l1_stale > 0, "stale hits never fired: {total}");
         // The fenced variant exercises the invalidation channel.
@@ -2521,5 +2675,112 @@ mod tests {
         fence_spec.groups[0].program = Arc::new(corr_kernel(true));
         let r = gpu.run(&fence_spec, 7);
         assert!(r.channels.fence_inval > 0, "device fence not counted");
+    }
+
+    fn assert_same_run(a: &RunResult, b: &RunResult, what: &str) {
+        assert_eq!(a.status, b.status, "{what}: status");
+        assert_eq!(a.memory, b.memory, "{what}: memory");
+        assert_eq!(a.instructions, b.instructions, "{what}: instructions");
+        assert_eq!(a.app_turns, b.app_turns, "{what}: app turns");
+        assert_eq!(a.total_turns, b.total_turns, "{what}: total turns");
+        assert_eq!(a.channels, b.channels, "{what}: channels");
+    }
+
+    /// Every thread loads and stores across a scratchpad region for
+    /// `iters` iterations — the mixed traffic that feeds the channel χ.
+    fn mixed_stress_kernel(iters: u32) -> Program {
+        let mut b = KernelBuilder::new("mstress");
+        let g = b.global_tid();
+        let base = b.const_(256);
+        let m = b.const_(512);
+        let off = b.rem_u(g, m);
+        let addr = b.add(base, off);
+        let i = b.reg();
+        b.assign_const(i, 0);
+        let n = b.const_(iters);
+        let one = b.const_(1);
+        b.while_(
+            |b| b.lt_u(i, n),
+            |b| {
+                let v = b.load_global(addr);
+                let v = b.add(v, one);
+                b.store_global(addr, v);
+                b.bin_into(i, BinOp::Add, i, one);
+            },
+        );
+        b.finish().unwrap()
+    }
+
+    /// Every thread stores its id twice, then thread 37 stores far out
+    /// of bounds — a fault with other windows still in flight.
+    fn faulting_kernel() -> Program {
+        let mut b = KernelBuilder::new("fault");
+        let g = b.global_tid();
+        b.store_global(g, g);
+        let far = b.const_(1 << 20);
+        let off = b.add(g, far);
+        b.store_global(g, off);
+        let bad = b.const_(37);
+        let is_bad = b.eq(g, bad);
+        b.if_(is_bad, |b| {
+            b.store_global(far, g);
+        });
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn reused_buffers_never_leak_between_runs() {
+        // One GPU runs launches of every shape in turn — inter- and
+        // intra-block, growing, shrinking, faulting mid-run, on both
+        // relaxation windows and the incoherent L1 — twice over. Each
+        // result must equal a fresh GPU's, field by field.
+        let chip = Chip::by_short("C2075").unwrap();
+        let with_stress = |app: Program, stress: Program, blocks: u32, randomize: bool| {
+            let mut spec = LaunchSpec::app(app, 2, 32, 1024);
+            spec.groups.push(KernelGroup {
+                program: Arc::new(stress),
+                blocks,
+                threads_per_block: 64,
+                role: Role::Stress,
+            });
+            spec.randomize_ids = randomize;
+            spec
+        };
+        let mut intra = LaunchSpec::app(scoped_mp_kernel(None), 1, 64, 16);
+        intra.shared_words = 192;
+        let launches = [
+            (
+                "inter-block",
+                LaunchSpec::app(corr_kernel(false), 2, 32, 256),
+            ),
+            ("intra-block, shared stress", intra),
+            (
+                "large, stressed",
+                with_stress(corr_kernel(false), mixed_stress_kernel(24), 24, true),
+            ),
+            (
+                "mid-run fault",
+                LaunchSpec::app(faulting_kernel(), 2, 64, 256),
+            ),
+            (
+                "small, partial warp",
+                LaunchSpec::app(faulting_kernel(), 1, 7, 64),
+            ),
+            (
+                "L1 stress",
+                with_stress(corr_kernel(false), write_stress_kernel(), 2, true),
+            ),
+        ];
+        let mut gpu = Gpu::new(chip.clone());
+        for pass in 0..2 {
+            for (seed, (what, spec)) in launches.iter().enumerate() {
+                let seed = seed as u64 + 10 * pass;
+                let reused = gpu.run(spec, seed);
+                let fresh = Gpu::new(chip.clone()).run(spec, seed);
+                assert_same_run(&reused, &fresh, &format!("pass {pass}, {what}"));
+            }
+        }
+        let fault = gpu.run(&launches[3].1, 0);
+        assert!(matches!(fault.status, RunStatus::OutOfBounds(_)));
     }
 }

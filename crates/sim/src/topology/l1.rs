@@ -103,6 +103,18 @@ impl L1System {
         }
     }
 
+    /// Empty the state for a new run, keeping the allocations: behaves
+    /// exactly like a fresh [`L1System::new`] with the same SM count and
+    /// parameters.
+    pub fn reset(&mut self) {
+        self.entries.clear();
+        self.fifo.clear();
+        self.cleared_at.fill(0);
+        self.write_pressure.fill(0.0);
+        self.pressure_turn = 0;
+        self.seq = 0;
+    }
+
     /// Decay all per-SM pressure counters to `turn`.
     fn decay_to(&mut self, turn: u64) {
         if turn <= self.pressure_turn {
@@ -160,7 +172,8 @@ impl L1System {
         self.fifo.push_back((addr, seq));
         // Capacity eviction, oldest first; superseded FIFO pairs are
         // dropped without touching the live entry.
-        while self.entries.len() > self.params.words as usize {
+        let words = self.params.words as usize;
+        while self.entries.len() > words {
             match self.fifo.pop_front() {
                 Some((a, s)) => {
                     if self.entries.get(&a).is_some_and(|e| e.seq == s) {
@@ -169,6 +182,19 @@ impl L1System {
                 }
                 None => break,
             }
+        }
+        // Rewrites of resident addresses leave superseded pairs behind
+        // that eviction would only skip. Dropping them early changes no
+        // eviction order and bounds the FIFO. Every live entry has
+        // exactly one pair, pushed in `seq` order, so the pairs that
+        // survive are the entries sorted by `seq` (at most `words`).
+        if self.fifo.len() > 2 * words {
+            self.fifo.clear();
+            self.fifo
+                .extend(self.entries.iter().map(|(&a, e)| (a, e.seq)));
+            self.fifo
+                .make_contiguous()
+                .sort_unstable_by_key(|&(_, s)| s);
         }
     }
 
@@ -314,6 +340,44 @@ mod tests {
         l1.record_write(5, 15, 1, 10);
         assert_eq!(l1.stale_candidate(1, 0, 11), None, "addr 1 evicted");
         assert!(l1.stale_candidate(5, 0, 11).is_some(), "addr 5 resident");
+    }
+
+    #[test]
+    fn rewrites_keep_the_fifo_bounded() {
+        let mut l1 = L1System::new(4, params());
+        for i in 0..1000 {
+            l1.record_write(7 + i % 3, i, 1, 10);
+            assert!(l1.fifo.len() <= 2 * 4 + 1, "fifo {}", l1.fifo.len());
+        }
+        // Eviction order is unchanged: the six writes below push out
+        // the three rewritten addresses first, oldest first.
+        for a in 100..106 {
+            l1.record_write(a, 0, 1, 10);
+        }
+        assert_eq!(l1.entries.len(), 4);
+        assert!((7..10)
+            .chain(100..102)
+            .all(|a| !l1.entries.contains_key(&a)));
+    }
+
+    #[test]
+    fn reset_behaves_like_a_fresh_system() {
+        let mut used = L1System::new(4, params());
+        pressurize(&mut used, 10);
+        used.record_write(7, 5, 1, 10);
+        used.note_fence(2);
+        used.reset();
+        let mut fresh = L1System::new(4, params());
+        for l1 in [&mut used, &mut fresh] {
+            assert_eq!(l1.stale_candidate(7, 0, 11), None);
+            pressurize(l1, 20);
+            l1.record_write(8, 6, 1, 20);
+        }
+        assert_eq!(
+            used.stale_candidate(8, 2, 21),
+            fresh.stale_candidate(8, 2, 21)
+        );
+        assert!(used.stale_candidate(8, 2, 21).is_some());
     }
 
     #[test]

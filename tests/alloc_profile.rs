@@ -1,15 +1,21 @@
-//! Per-run allocation accounting for the campaign hot path.
+//! Allocation accounting for the campaign hot path, by count rather
+//! than by timing. A counting global allocator tallies heap
+//! allocations for two claims:
 //!
-//! The redesign's perf claim is that stress artifacts (compiled stress
-//! `Program`s, location tables) are built **once per environment**
-//! instead of once per run. This test measures it directly: a counting
-//! global allocator tallies heap allocations for (a) the historic
-//! rebuild-`build_stress`-every-run loop and (b) the same campaign
-//! through cached `StressArtifacts` — both sequential, both producing
-//! bit-identical histograms — and asserts the cached path allocates
-//! measurably less.
+//! * stress artifacts (compiled stress `Program`s, location tables) are
+//!   built **once per environment** instead of once per run: the
+//!   historic rebuild-`build_stress`-every-run loop and the same
+//!   campaign through cached `StressArtifacts` produce bit-identical
+//!   histograms, and the cached path allocates measurably less;
+//! * a warmed-up `Gpu` reuses every per-run buffer: repeating one
+//!   `(spec, seed)` allocates exactly once per run, for the memory image
+//!   the `RunResult` returns.
+//!
+//! The allocator is process-global, so the binary holds a single
+//! `#[test]`: a second one running in parallel would be counted too.
 
 use gpu_wmm::core::campaign::CampaignBuilder;
+use gpu_wmm::core::env::Environment;
 use gpu_wmm::core::stress::{
     build_stress, litmus_stress_threads, Scratchpad, StressArtifacts, StressStrategy,
     SystematicParams,
@@ -18,7 +24,7 @@ use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::runner::{mix_seed, run_instance};
 use gpu_wmm::litmus::{Histogram, LitmusLayout};
 use gpu_wmm::sim::chip::Chip;
-use gpu_wmm::sim::exec::Gpu;
+use gpu_wmm::sim::exec::{Gpu, LaunchSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -58,6 +64,11 @@ const COUNT: u32 = 48;
 const SEED: u64 = 2016;
 
 #[test]
+fn hot_path_allocations() {
+    cached_artifacts_allocate_measurably_less_than_per_run_builds();
+    warm_gpu_allocates_only_the_returned_image();
+}
+
 fn cached_artifacts_allocate_measurably_less_than_per_run_builds() {
     let chip = Chip::by_short("Titan").unwrap();
     let pad = Scratchpad::new(2048, 2048);
@@ -120,4 +131,43 @@ fn cached_artifacts_allocate_measurably_less_than_per_run_builds() {
         "expected a >=10% drop in total allocations: \
          cached {cached_allocs} vs legacy {legacy_allocs}"
     );
+}
+
+/// An IRIW launch on `chip`, native or under `sys-str+` (tuned
+/// systematic stress and randomised thread ids).
+fn iriw_launch(chip: &Chip, stressed: bool) -> LaunchSpec {
+    let pad = Scratchpad::new(2048, 6144);
+    let inst = Shape::Iriw.instance(LitmusLayout::standard(64, pad.required_words()));
+    if !stressed {
+        return inst.launch(Vec::new(), Vec::new(), false);
+    }
+    let env = Environment::sys_str_plus(chip);
+    let artifacts = StressArtifacts::for_strategy(chip, &env.stress, pad, 40);
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let threads = litmus_stress_threads(chip, &mut rng);
+    let s = artifacts.make(threads, &mut rng);
+    inst.launch(s.groups, s.init, env.randomize)
+}
+
+fn warm_gpu_allocates_only_the_returned_image() {
+    const RUNS: u64 = 4;
+    for chip in ["Titan", "C2075"] {
+        let chip = Chip::by_short(chip).unwrap();
+        for stressed in [false, true] {
+            let spec = iriw_launch(&chip, stressed);
+            let mut gpu = Gpu::new(chip.clone());
+            let first = gpu.run(&spec, SEED);
+            let ((), allocs) = allocations_during(|| {
+                for _ in 0..RUNS {
+                    assert_eq!(gpu.run(&spec, SEED).memory, first.memory);
+                }
+            });
+            assert_eq!(
+                allocs, RUNS,
+                "IRIW on {} (stressed: {stressed}): a warm run must allocate \
+                 only its memory image",
+                chip.short
+            );
+        }
+    }
 }
