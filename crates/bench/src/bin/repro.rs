@@ -14,11 +14,10 @@
 //!   table6          empirical fence insertion
 //!   fig5            fence runtime/energy cost
 //!   running-example cbe-dot on the K20 (Sec. 1)
-//!   speedup         parallel campaign-layer scaling measurement
 //!   suite           generated litmus suite (shapes x chips x strategies;
 //!                   --provenance adds the weakness-channel breakdown
 //!                   column and JSON fields)
-//!   trace SHAPE     replay one campaign with a bounded event log
+//!   trace SHAPE     replay one suite cell with a bounded event log
 //!                   (--chips C picks the chip, default Titan; --env NAME
 //!                   picks the suite environment, default by placement;
 //!                   --json PATH writes the buffered events)
@@ -26,38 +25,68 @@
 //!                   (TARGET: shape short name, app name, shapes, apps, all;
 //!                   --chips A,B re-runs the analysis per chip, adding the
 //!                   incoherent-L1 read-read channel where the chip has one)
-//!   bench           campaign-throughput baseline (BENCH_campaign.json)
 //!   serve           batch campaign jobs through the engine
 //!                   (--jobs FILE-or-inline-spec; jobs separated by
 //!                   newlines or `;`)
 //!   soak            deterministic soak/throughput harness
 //!                   (--quick|--extended|--stress; seed from --seed,
-//!                   else SOAK_SEED, else 2016; exits nonzero when a
+//!                   else SOAK_SEED, else 2016; exits 1 when a
 //!                   throughput/cache/determinism gate fails)
-//!   all             everything above, in order (except bench/serve/soak)
+//!   all             everything above, in order (except serve/soak)
 //!
 //! `--seed N` sets the base seed every subcommand derives its
 //! per-campaign seeds from (default 2016) — one flag reseeds the entire
 //! reproduction. `--workers N` sets the campaign worker-thread count
 //! (0 = all cores; default from the WMM_WORKERS env var). Results are
-//! bit-identical for every worker count. `--json PATH` (suite and
-//! analyze) writes the result as JSON. `--placement inter|intra`
+//! bit-identical for every worker count. `--json PATH` (suite, trace
+//! and analyze) writes the result as JSON. `--placement inter|intra`
 //! (suite only) restricts the catalogue to one thread placement —
 //! `intra` runs just the scoped shared-memory shapes.
+//!
+//! A bad command line — an unknown subcommand, flag, chip, placement,
+//! target or environment, or a missing or unparsable value — prints the
+//! offending token and the usage, and exits 2.
 //! ```
 
+use std::process::ExitCode;
+use std::str::FromStr;
+
 use wmm_bench::{
-    analyze, bench, fig3, fig4, fig5, running, serve, soak, speedup, suite, table2, table3, table5,
-    table6, trace, Scale,
+    analyze, fig3, fig4, fig5, running, serve, soak, suite, table2, table3, table5, table6, trace,
+    Scale,
 };
 use wmm_server::SoakProfile;
+use wmm_sim::chip::Chip;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
         usage();
-        return;
-    };
+        ExitCode::from(2)
+    })
+}
+
+/// The value following `flag`.
+fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<&'a str, String> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} wants a value"))
+}
+
+/// The value following `flag`, parsed.
+fn parsed<'a, T: FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = value(it, flag)?;
+    v.parse().map_err(|_| format!("{flag}: cannot parse `{v}`"))
+}
+
+/// Parse the command line and run it. `Err` is a usage error; every
+/// other outcome is the exit code.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let cmd = args.first().ok_or("no experiment given")?;
     let mut scale = if args.iter().any(|a| a == "--full") {
         Scale::full()
     } else {
@@ -69,7 +98,7 @@ fn main() {
             scale.workers = w;
         }
     }
-    let mut chips: Option<Vec<String>> = None;
+    let mut chips: Option<Vec<Chip>> = None;
     let mut json_path: Option<String> = None;
     let mut placement: Option<wmm_gen::Placement> = None;
     let mut jobs_spec: Option<String> = None;
@@ -78,99 +107,59 @@ fn main() {
     let mut provenance = false;
     let mut env_name: Option<String> = None;
     // `analyze` and `trace` take one positional target before the flags.
-    let mut analyze_target: Option<String> = None;
+    let mut target = "";
     let mut flag_start = 1;
     if cmd == "analyze" || cmd == "trace" {
         match args.get(1) {
             Some(t) if !t.starts_with("--") => {
-                analyze_target = Some(t.clone());
+                target = t;
                 flag_start = 2;
             }
-            _ => {
-                if cmd == "analyze" {
-                    eprintln!("analyze wants a target (shape, app, shapes, apps, or all)");
-                } else {
-                    eprintln!("trace wants a shape short name (e.g. MP, CoRR, MP.shared)");
-                }
-                usage();
-                return;
+            _ if cmd == "analyze" => {
+                return Err("analyze wants a target (shape, app, shapes, apps, or all)".into())
             }
+            _ => return Err("trace wants a shape short name (e.g. MP, CoRR, MP.shared)".into()),
         }
     }
     let mut it = args.iter().skip(flag_start);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--chips" => {
-                chips = it
-                    .next()
-                    .map(|v| v.split(',').map(str::to_string).collect());
+                let names = value(&mut it, a)?;
+                chips = Some(
+                    names
+                        .split(',')
+                        .map(|n| Chip::by_short(n).ok_or_else(|| format!("unknown chip `{n}`")))
+                        .collect::<Result<_, _>>()?,
+                );
             }
-            "--execs" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    scale.execs = v;
-                }
-            }
-            "--runs" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    scale.app_runs = v;
-                }
-            }
+            "--execs" => scale.execs = parsed(&mut it, a)?,
+            "--runs" => scale.app_runs = parsed(&mut it, a)?,
             "--seed" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    scale.seed = v;
-                    seed_flag = Some(v);
-                }
+                scale.seed = parsed(&mut it, a)?;
+                seed_flag = Some(scale.seed);
             }
-            "--jobs" => {
-                jobs_spec = it.next().cloned();
-            }
+            "--jobs" => jobs_spec = Some(value(&mut it, a)?.to_string()),
             "--provenance" => provenance = true,
-            "--env" => {
-                env_name = it.next().cloned();
-            }
+            "--env" => env_name = Some(value(&mut it, a)?.to_string()),
             "--quick" => soak_profile = SoakProfile::Quick,
             "--extended" => soak_profile = SoakProfile::Extended,
             "--stress" => soak_profile = SoakProfile::Stress,
-            "--workers" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    scale.workers = v;
-                }
-            }
-            "--json" => {
-                json_path = it.next().cloned();
-            }
-            "--placement" => match it.next() {
-                Some(v) => match v.parse() {
-                    Ok(p) => placement = Some(p),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        usage();
-                        return;
-                    }
-                },
-                None => {
-                    eprintln!("--placement wants a value (inter|intra)");
-                    usage();
-                    return;
-                }
-            },
+            "--workers" => scale.workers = parsed(&mut it, a)?,
+            "--json" => json_path = Some(value(&mut it, a)?.to_string()),
+            "--placement" => placement = Some(value(&mut it, a)?.parse()?),
             "--full" => {}
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-                return;
-            }
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let run_suite = |chips: Option<Vec<String>>, json_path: &Option<String>| {
+    let run_suite = |chips: Option<Vec<Chip>>| -> Result<(), String> {
         let cells = suite::run(chips, placement, scale, provenance);
-        if let Some(path) = json_path {
+        if let Some(path) = &json_path {
             let json = suite::to_json(&cells, scale.execs, scale.seed, provenance);
-            match std::fs::write(path, json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
+            std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
+            println!("wrote {path}");
         }
+        Ok(())
     };
     match cmd.as_str() {
         "fig3" => fig3::run(scale),
@@ -191,42 +180,20 @@ fn main() {
         "running-example" => {
             running::run(scale);
         }
-        "speedup" => {
-            speedup::run(scale);
-        }
-        "suite" => run_suite(chips, &json_path),
-        "trace" => {
-            let target = analyze_target.as_deref().unwrap_or_default();
-            if let Err(e) = trace::run(
-                target,
-                chips,
-                env_name.as_deref(),
-                scale,
-                json_path.as_deref(),
-            ) {
-                eprintln!("{e}");
-                usage();
-            }
-        }
-        "analyze" => {
-            let target = analyze_target.as_deref().unwrap_or_default();
-            if let Err(e) = analyze::run(target, chips, json_path.as_deref()) {
-                eprintln!("{e}");
-                usage();
-            }
-        }
-        "bench" => {
-            bench::run(scale, json_path.as_deref());
-        }
+        "suite" => run_suite(chips)?,
+        "trace" => trace::run(
+            target,
+            chips,
+            env_name.as_deref(),
+            scale,
+            json_path.as_deref(),
+        )?,
+        "analyze" => analyze::run(target, chips, json_path.as_deref())?,
         "serve" => {
-            let Some(spec) = jobs_spec else {
-                eprintln!("serve wants --jobs FILE-or-inline-spec");
-                usage();
-                return;
-            };
+            let spec = jobs_spec.ok_or("serve wants --jobs FILE-or-inline-spec")?;
             if let Err(e) = serve::run(&spec, scale.workers) {
                 eprintln!("{e}");
-                std::process::exit(1);
+                return Ok(ExitCode::FAILURE);
             }
         }
         "soak" => {
@@ -237,8 +204,15 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(scale.seed)
             });
-            if !soak::run(soak_profile, seed, scale.workers) {
-                std::process::exit(1);
+            // The soak-harness convention: 1 for a failed gate, 2 for a
+            // run that could not finish.
+            match soak::run(soak_profile, seed, scale.workers) {
+                Ok(true) => {}
+                Ok(false) => return Ok(ExitCode::FAILURE),
+                Err(e) => {
+                    eprintln!("{e}");
+                    return Ok(ExitCode::from(2));
+                }
             }
         }
         "all" => {
@@ -258,18 +232,17 @@ fn main() {
             println!("\n{}\n", "=".repeat(76));
             fig5::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
-            speedup::run(scale);
-            println!("\n{}\n", "=".repeat(76));
-            run_suite(chips, &json_path);
+            run_suite(chips)?;
         }
-        _ => usage(),
+        other => return Err(format!("unknown experiment `{other}`")),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn usage() {
     eprintln!(
-        "usage: repro <fig3|table2|table3|fig4|table5|table6|fig5|running-example|speedup|suite|\
-         analyze TARGET|trace SHAPE|bench|serve|soak|all> \
+        "usage: repro <fig3|table2|table3|fig4|table5|table6|fig5|running-example|suite|\
+         analyze TARGET|trace SHAPE|serve|soak|all> \
          [--chips A,B] [--execs N] [--runs N] [--seed N] [--workers N] [--json PATH] \
          [--placement inter|intra] [--provenance] [--env NAME] [--jobs SPEC] \
          [--quick|--extended|--stress] [--full]\n\
@@ -280,7 +253,7 @@ fn usage() {
          --placement P  (suite) restrict the catalogue to inter- or intra-block shapes\n\
          --provenance   (suite) add the weakness-channel breakdown column; with --json,\n\
          \x20              per-cell channel counters and per-weak-outcome attribution\n\
-         trace SHAPE    replay one campaign with a bounded structured event log;\n\
+         trace SHAPE    replay one suite cell with a bounded structured event log;\n\
          \x20              --chips C picks the chip (default Titan), --env NAME the suite\n\
          \x20              environment (default by placement), --json PATH the event dump\n\
          analyze TARGET static delay-set analysis; TARGET is a shape short name\n\
@@ -288,13 +261,14 @@ fn usage() {
          \x20              shapes, apps, or all; --json PATH writes the report;\n\
          \x20              --chips A,B analyzes per chip (adds the incoherent-L1\n\
          \x20              read-read channel on chips that have one)\n\
-         bench          campaign-throughput baseline; writes BENCH_campaign.json\n\
-         \x20              (or --json PATH) and appends a summary to BENCH_soak.json\n\
          serve          batch campaign jobs through the engine; --jobs is a file\n\
-         \x20              of job lines or an inline `;`-separated spec\n\
+         \x20              of job lines or an inline `;`-separated spec; exits 1 on a bad job\n\
          soak           deterministic soak harness; --quick/--extended/--stress\n\
          \x20              pick the mix, seed from --seed else SOAK_SEED else 2016;\n\
          \x20              writes tests/artifacts/soak/<profile>-seed<seed>/report.json,\n\
-         \x20              appends to BENCH_soak.json, exits nonzero on gate failure"
+         \x20              appends to BENCH_soak.json; exits 1 on a failed gate, 2 on a\n\
+         \x20              run that could not finish\n\
+         \n\
+         A bad command line exits 2."
     );
 }

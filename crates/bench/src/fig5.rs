@@ -61,14 +61,8 @@ fn measure(
 }
 
 /// Produce the scatter data for the requested chips.
-pub fn run(chips: Option<Vec<String>>, scale: Scale) -> Vec<Point> {
-    let chips: Vec<Chip> = match chips {
-        Some(names) => names
-            .iter()
-            .map(|n| Chip::by_short(n).unwrap_or_else(|| panic!("unknown chip {n}")))
-            .collect(),
-        None => Chip::all(),
-    };
+pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<Point> {
+    let chips = chips.unwrap_or_else(Chip::all);
     let runs = (scale.app_runs / 2).max(20);
     println!("Fig. 5: cost of fences ({runs} native runs per point; emp fences from");
     println!("empirical insertion on each chip, as in Sec. 6)\n");

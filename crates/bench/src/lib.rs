@@ -12,27 +12,24 @@
 //! | [`table6`] | Tab. 6 — empirical fence insertion results |
 //! | [`fig5`] | Fig. 5 — fence runtime/energy cost scatter |
 //! | [`running`] | Sec. 1 — the cbe-dot running example |
-//! | [`speedup`] | parallel campaign-layer scaling measurement |
 //! | [`suite`] | generated litmus suite: shapes × chips × strategies |
 //! | [`analyze`] | static delay-set analyzer over shapes and app kernels |
-//! | [`bench`](mod@bench) | campaign-throughput baseline (`BENCH_campaign.json`) |
 //! | [`serve`] | `repro serve` — batch jobs through the campaign engine |
 //! | [`soak`] | `repro soak` — deterministic soak/throughput harness (`BENCH_soak.json`) |
 //! | [`trace`] | `repro trace` — replay one campaign with a bounded event log |
 //!
 //! Every generator takes a [`Scale`] so the half-billion-execution grids
 //! of the paper shrink to laptop scale while preserving the shapes; the
-//! `repro` binary exposes them as subcommands.
+//! `repro` binary exposes them as subcommands. None of them is a perf
+//! harness: speed is measured by `perfbench/` alone.
 
 pub mod analyze;
-pub mod bench;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod running;
 pub mod serve;
 pub mod soak;
-pub mod speedup;
 pub mod suite;
 pub mod table2;
 pub mod table3;

@@ -7,20 +7,21 @@
 //! and appends a trajectory point to `BENCH_soak.json`. The base seed
 //! comes from `--seed`, else the `SOAK_SEED` env var, else 2016.
 //!
-//! Returns whether every gate passed; the `repro` binary exits
-//! nonzero otherwise.
+//! Returns whether every gate passed, or the error that stopped the
+//! run; the `repro` binary exits 1 on a failed gate and 2 on an error.
 
 use crate::serve::effective_workers;
 use std::path::Path;
 use wmm_server::soak::append_trajectory_point;
 use wmm_server::{run_soak, SoakConfig, SoakProfile};
 
-/// The trajectory file `repro soak` and `repro bench` both append to.
+/// The trajectory file each `repro soak` run appends a point to.
 pub const TRAJECTORY_PATH: &str = "BENCH_soak.json";
 
 /// Run a soak profile end to end. Prints the report, writes the
-/// artifacts, and returns `true` iff every gate passed.
-pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> bool {
+/// artifacts, and returns `Ok(true)` iff every gate passed, or `Err`
+/// when the soak run itself fails.
+pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> Result<bool, String> {
     let mut cfg = SoakConfig::new(profile);
     cfg.seed = seed;
     cfg.workers = effective_workers(workers);
@@ -28,13 +29,7 @@ pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> bool {
         "soak --{}: seed {}, {} workers",
         profile, cfg.seed, cfg.workers
     );
-    let report = match run_soak(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("soak run failed: {e}");
-            return false;
-        }
-    };
+    let report = run_soak(&cfg).map_err(|e| format!("soak run failed: {e}"))?;
     println!(
         "\n{} jobs ({} litmus, {} app) in {:.2}s — {:.1} jobs/sec",
         report.jobs, report.litmus_jobs, report.app_jobs, report.elapsed_sec, report.jobs_per_sec
@@ -79,7 +74,7 @@ pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> bool {
     } else {
         eprintln!("soak: FAIL (see gate lines in the report)");
     }
-    report.gates.pass
+    Ok(report.gates.pass)
 }
 
 fn ok(b: bool) -> &'static str {

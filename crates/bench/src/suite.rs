@@ -19,7 +19,7 @@ use wmm_sim::chip::Chip;
 
 /// The scratchpad suite campaigns stress (after the litmus layout,
 /// covering the chip's scaled L2 like the tuning stages do).
-fn suite_scratchpad(chips: &[Chip]) -> Scratchpad {
+pub(crate) fn suite_scratchpad(chips: &[Chip]) -> Scratchpad {
     let words = chips
         .iter()
         .map(|c| c.l2_scaled_words)
@@ -56,21 +56,17 @@ pub fn default_strategies() -> Vec<SuiteStrategy> {
 /// (`repro suite --provenance`). Returns the cells for JSON
 /// serialisation and tests.
 pub fn run(
-    chips: Option<Vec<String>>,
+    chips: Option<Vec<Chip>>,
     placement: Option<Placement>,
     scale: Scale,
     provenance: bool,
 ) -> Vec<SuiteCell> {
-    let chips: Vec<Chip> = match chips {
-        Some(names) => names
-            .iter()
-            .map(|n| Chip::by_short(n).unwrap_or_else(|| panic!("unknown chip {n}")))
-            .collect(),
-        None => vec![
+    let chips = chips.unwrap_or_else(|| {
+        vec![
             Chip::by_short("Titan").expect("chip"),
             Chip::by_short("K20").expect("chip"),
-        ],
-    };
+        ]
+    });
     let shapes: Vec<Shape> = Shape::ALL
         .into_iter()
         .filter(|s| placement.is_none_or(|p| s.placement() == p))
@@ -255,7 +251,12 @@ mod tests {
             execs: 24,
             ..Scale::quick()
         };
-        let cells = run(Some(vec!["Titan".to_string()]), None, scale, true);
+        let cells = run(
+            Some(vec![Chip::by_short("Titan").unwrap()]),
+            None,
+            scale,
+            true,
+        );
         // Every shape × 1 chip × the default strategy columns.
         assert_eq!(cells.len(), Shape::ALL.len() * default_strategies().len());
         // Under sys-str+, the relaxed two-thread shapes show weak
@@ -321,7 +322,7 @@ mod tests {
             ..Scale::quick()
         };
         let cells = run(
-            Some(vec!["K20".to_string()]),
+            Some(vec![Chip::by_short("K20").unwrap()]),
             Some(Placement::IntraBlock),
             scale,
             false,

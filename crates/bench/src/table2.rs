@@ -15,14 +15,8 @@ pub fn tune_one(chip: &Chip, scale: Scale) -> ChipTuning {
 
 /// Run the full pipeline for the requested chips (paper order when
 /// `None`) and print the table next to the paper's values.
-pub fn run(chips: Option<Vec<String>>, scale: Scale) -> Vec<ChipTuning> {
-    let chips: Vec<Chip> = match chips {
-        Some(names) => names
-            .iter()
-            .map(|n| Chip::by_short(n).unwrap_or_else(|| panic!("unknown chip {n}")))
-            .collect(),
-        None => Chip::all(),
-    };
+pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<ChipTuning> {
+    let chips = chips.unwrap_or_else(Chip::all);
     println!("Tab. 2: stressing parameters and time spent tuning\n");
     println!(
         "{:8} {:>8} {:>8} {:12} {:12} {:>7} {:>7}  {:>10} {:>9}",

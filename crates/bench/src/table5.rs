@@ -45,14 +45,8 @@ pub fn run_chip(chip: &Chip, scale: Scale) -> Row {
 }
 
 /// Run the whole table and print it in the paper's layout.
-pub fn run(chips: Option<Vec<String>>, scale: Scale) -> Vec<Row> {
-    let chips: Vec<Chip> = match chips {
-        Some(names) => names
-            .iter()
-            .map(|n| Chip::by_short(n).unwrap_or_else(|| panic!("unknown chip {n}")))
-            .collect(),
-        None => Chip::all(),
-    };
+pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<Row> {
+    let chips = chips.unwrap_or_else(Chip::all);
     println!(
         "Tab. 5: environment effectiveness (cells are a/b: errors in >5% of runs for a\napps, any error for b apps; {} runs per cell; 10 applications)\n",
         scale.app_runs

@@ -45,14 +45,8 @@ pub fn harden_one(app: &dyn Application, chip: &Chip, scale: Scale) -> HardenRes
 /// Run the table: insertion on every fence-free app, on a reference chip
 /// (Titan, which the paper uses as the comparison baseline) plus the
 /// other requested chips for the agreement count.
-pub fn run(chips: Option<Vec<String>>, scale: Scale) -> Vec<Entry> {
-    let chips: Vec<Chip> = match chips {
-        Some(names) => names
-            .iter()
-            .map(|n| Chip::by_short(n).unwrap_or_else(|| panic!("unknown chip {n}")))
-            .collect(),
-        None => Chip::all(),
-    };
+pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<Entry> {
+    let chips = chips.unwrap_or_else(Chip::all);
     println!("Tab. 6: empirical fence insertion (testing environment: sys-str+)\n");
     println!(
         "{:12} {:>6} {:>12} {:>9} {:>10} {:>9}",

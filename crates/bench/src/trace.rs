@@ -4,12 +4,15 @@
 //! Replays a single `(shape, chip, environment)` campaign sequentially
 //! through [`wmm_core::campaign::Campaign::run_litmus_observed`] — the
 //! observed replay is bit-identical to the parallel campaign at any
-//! worker count — and records one [`TraceEvent`] per execution into a
-//! fixed-capacity ring buffer ([`wmm_obs::EventLog`], 256 events): the
-//! run index, the observed register values, the weak verdict, and the
-//! weakness channels that fired during that run. The printed table
-//! shows the buffered weak runs (the ones the provenance column
-//! explains); `--json PATH` writes every buffered event.
+//! worker count — at the seed of the matching `repro suite --chips
+//! CHIP` cell ([`wmm_core::suite::cell_seed`]: the shape's position in
+//! the catalogue, chip 0, and the environment's column among the
+//! default strategies), and records one [`TraceEvent`] per execution
+//! into a fixed-capacity ring buffer ([`wmm_obs::EventLog`], 256
+//! events): the run index, the observed register values, the weak
+//! verdict, and the weakness channels that fired during that run. The
+//! printed table shows the buffered weak runs (the ones the provenance
+//! column explains); `--json PATH` writes every buffered event.
 //!
 //! Everything this subcommand prints is deterministic in
 //! `(shape, chip, env, execs, seed)` — there is no wall-clock anywhere
@@ -17,11 +20,10 @@
 
 use std::fmt::Write as _;
 
-use crate::suite::default_strategies;
+use crate::suite::{default_strategies, suite_scratchpad};
 use crate::Scale;
 use wmm_core::campaign::CampaignBuilder;
-use wmm_core::stress::Scratchpad;
-use wmm_core::suite::SuiteStrategy;
+use wmm_core::suite::cell_seed;
 use wmm_gen::{Placement, Shape};
 use wmm_litmus::LitmusLayout;
 use wmm_obs::{ChannelCounts, EventLog};
@@ -58,48 +60,48 @@ pub struct TraceReport {
     pub chip: String,
     /// Environment (suite strategy) name.
     pub env: String,
-    /// The campaign histogram, bit-identical to `repro suite`'s cell
-    /// for the same coordinates and seed.
+    /// The campaign histogram, bit-identical to the cell of `repro suite
+    /// --chips CHIP` (without `--placement`) for the same shape,
+    /// environment, execs and seed.
     pub hist: wmm_litmus::Histogram,
     /// The bounded event log (most recent `EVENT_CAPACITY` runs).
     pub events: EventLog<TraceEvent>,
     /// Executions and base seed the replay ran at.
     pub execs: u32,
-    /// Base seed.
+    /// Base seed (the suite's `--seed`; the replay runs at the cell's
+    /// seed derived from it).
     pub seed: u64,
 }
 
-/// Resolve the environment column: an explicit `--env NAME` must match
-/// one of the default suite strategies; otherwise the default is the
-/// column under which the shape's placement actually relaxes
-/// (`shm+sys-str+` for intra-block rows, `sys-str+` for the rest).
-fn resolve_env(shape: Shape, env: Option<&str>) -> Result<SuiteStrategy, String> {
+/// Resolve the environment column's index among the default suite
+/// strategies: an explicit `--env NAME` must name one of them;
+/// otherwise the default is the column under which the shape's
+/// placement actually relaxes (`shm+sys-str+` for intra-block rows,
+/// `sys-str+` for the rest).
+fn resolve_env(shape: Shape, env: Option<&str>) -> Result<usize, String> {
     let strategies = default_strategies();
-    match env {
-        Some(name) => strategies
-            .iter()
-            .find(|s| s.name == name)
-            .cloned()
-            .ok_or_else(|| {
-                let names: Vec<&str> = strategies.iter().map(|s| s.name.as_str()).collect();
-                format!("unknown env `{name}` (want one of: {})", names.join(", "))
-            }),
-        None => {
-            let default = match shape.placement() {
-                Placement::IntraBlock => "shm+sys-str+",
-                Placement::InterBlock => "sys-str+",
-            };
-            Ok(strategies
-                .into_iter()
-                .find(|s| s.name == default)
-                .expect("default strategy present"))
-        }
-    }
+    let name = env.unwrap_or(match shape.placement() {
+        Placement::IntraBlock => "shm+sys-str+",
+        Placement::InterBlock => "sys-str+",
+    });
+    strategies
+        .iter()
+        .position(|s| s.name == name)
+        .ok_or_else(|| {
+            let names: Vec<&str> = strategies.iter().map(|s| s.name.as_str()).collect();
+            format!("unknown env `{name}` (want one of: {})", names.join(", "))
+        })
 }
 
-/// Replay the campaign and collect the trace.
-pub fn trace(shape: Shape, chip: &Chip, strategy: &SuiteStrategy, scale: Scale) -> TraceReport {
-    let pad = Scratchpad::new(2048, chip.l2_scaled_words.max(2048));
+/// Replay the suite cell of `shape` on `chip` under default column
+/// `column` and collect the trace.
+pub fn trace(shape: Shape, chip: &Chip, column: usize, scale: Scale) -> TraceReport {
+    let strategy = &default_strategies()[column];
+    let row = Shape::ALL
+        .iter()
+        .position(|&s| s == shape)
+        .expect("every shape is in the catalogue");
+    let pad = suite_scratchpad(std::slice::from_ref(chip));
     let inst = shape.instance(LitmusLayout::standard(DISTANCE, pad.required_words()));
     let artifacts = strategy.artifacts(chip, pad);
     let mut events = EventLog::new(EVENT_CAPACITY);
@@ -107,7 +109,7 @@ pub fn trace(shape: Shape, chip: &Chip, strategy: &SuiteStrategy, scale: Scale) 
         .stress(artifacts)
         .randomize_ids(strategy.randomize)
         .count(scale.execs)
-        .base_seed(scale.seed)
+        .base_seed(cell_seed(scale.seed, row, DISTANCE, 0, column))
         .build()
         .run_litmus_observed(&inst, |run, outcome| {
             events.push(TraceEvent {
@@ -205,12 +207,12 @@ fn print_report(r: &TraceReport) {
 }
 
 /// `repro trace <shape>` entry point: resolve the shape (short name,
-/// as in `repro analyze`), the chip (`--chips`, first name; default
+/// as in `repro analyze`), the chip (`--chips`, first chip; default
 /// Titan), and the environment (`--env`, default by placement), replay,
 /// print, and optionally write JSON.
 pub fn run(
     target: &str,
-    chips: Option<Vec<String>>,
+    chips: Option<Vec<Chip>>,
     env: Option<&str>,
     scale: Scale,
     json_path: Option<&str>,
@@ -218,13 +220,11 @@ pub fn run(
     let shape: Shape = target
         .parse()
         .map_err(|_| format!("unknown trace target `{target}` (want a shape short name)"))?;
-    let chip_name = chips
-        .as_ref()
-        .and_then(|c| c.first().cloned())
-        .unwrap_or_else(|| "Titan".to_string());
-    let chip = Chip::by_short(&chip_name).ok_or_else(|| format!("unknown chip {chip_name}"))?;
-    let strategy = resolve_env(shape, env)?;
-    let report = trace(shape, &chip, &strategy, scale);
+    let chip = chips
+        .and_then(|c| c.into_iter().next())
+        .unwrap_or_else(|| Chip::by_short("Titan").expect("chip"));
+    let column = resolve_env(shape, env)?;
+    let report = trace(shape, &chip, column, scale);
     print_report(&report);
     if let Some(path) = json_path {
         let json = to_json(&report);
@@ -237,6 +237,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmm_core::suite::{run_suite, SuiteConfig};
 
     fn quick(execs: u32, seed: u64) -> Scale {
         Scale {
@@ -246,25 +247,68 @@ mod tests {
         }
     }
 
+    /// The default column named `env`.
+    fn column(env: &str) -> usize {
+        resolve_env(Shape::Mp, Some(env)).unwrap()
+    }
+
     #[test]
-    fn trace_matches_the_suite_cell_and_logs_every_run() {
+    fn trace_replays_the_suite_cell() {
+        for (shape, chip, env) in [
+            (Shape::Mp, "Titan", "sys-str+"),
+            (Shape::CoRR, "C2075", "l1-str+"),
+        ] {
+            let chip = Chip::by_short(chip).unwrap();
+            let r = trace(shape, &chip, column(env), quick(24, 2016));
+            // The catalogue up to `shape` keeps its row index, and the
+            // default columns keep theirs: the matching suite cell.
+            let row = Shape::ALL.iter().position(|&s| s == shape).unwrap();
+            let cfg = SuiteConfig {
+                distances: vec![DISTANCE],
+                execs: 24,
+                pad: suite_scratchpad(std::slice::from_ref(&chip)),
+                base_seed: 2016,
+                workers: 0,
+            };
+            let cells = run_suite(
+                &Shape::ALL[..=row],
+                std::slice::from_ref(&chip),
+                &default_strategies(),
+                &cfg,
+            );
+            let cell = cells
+                .iter()
+                .find(|c| c.shape == shape && c.strategy == env)
+                .unwrap();
+            assert_eq!(r.hist, cell.hist, "{shape}@{} {env}", chip.short);
+            assert!(
+                r.hist.weak() > 0,
+                "{shape}@{} {env}: {}",
+                chip.short,
+                r.hist
+            );
+        }
+    }
+
+    #[test]
+    fn trace_logs_every_run() {
         let chip = Chip::by_short("Titan").unwrap();
-        let strategy = resolve_env(Shape::Mp, None).unwrap();
-        assert_eq!(strategy.name, "sys-str+");
-        let r = trace(Shape::Mp, &chip, &strategy, quick(40, 42));
-        assert_eq!(r.hist.total(), 40);
+        let column = resolve_env(Shape::Mp, None).unwrap();
+        assert_eq!(default_strategies()[column].name, "sys-str+");
+        let r = trace(Shape::Mp, &chip, column, quick(24, 2016));
+        assert_eq!(r.hist.total(), 24);
         assert!(
             r.hist.weak() > 0,
             "MP under sys-str+ must go weak: {}",
             r.hist
         );
-        assert_eq!(r.events.len(), 40, "every run under capacity is kept");
+        assert_eq!(r.events.len(), 24, "every run under capacity is kept");
         assert_eq!(r.events.dropped(), 0);
         // The buffered weak events agree with the histogram's count.
         let weak_events = r.events.iter().filter(|e| e.weak).count() as u64;
         assert_eq!(weak_events, r.hist.weak());
         // Replays are deterministic.
-        let again = trace(Shape::Mp, &chip, &strategy, quick(40, 42));
+        let again = trace(Shape::Mp, &chip, column, quick(24, 2016));
         assert_eq!(r.hist, again.hist);
         let runs: Vec<u64> = r.events.iter().map(|e| e.run).collect();
         let runs2: Vec<u64> = again.events.iter().map(|e| e.run).collect();
@@ -274,9 +318,8 @@ mod tests {
     #[test]
     fn trace_ring_drops_the_oldest_runs() {
         let chip = Chip::by_short("Titan").unwrap();
-        let strategy = resolve_env(Shape::Mp, Some("no-str-")).unwrap();
         let execs = (EVENT_CAPACITY + 10) as u32;
-        let r = trace(Shape::Mp, &chip, &strategy, quick(execs, 1));
+        let r = trace(Shape::Mp, &chip, column("no-str-"), quick(execs, 1));
         assert_eq!(r.events.len(), EVENT_CAPACITY);
         assert_eq!(r.events.dropped(), 10);
         // The ring keeps the most recent runs.
@@ -285,18 +328,15 @@ mod tests {
 
     #[test]
     fn scoped_shapes_default_to_the_shared_stress_column() {
-        assert_eq!(
-            resolve_env(Shape::MpShared, None).unwrap().name,
-            "shm+sys-str+"
-        );
+        let column = resolve_env(Shape::MpShared, None).unwrap();
+        assert_eq!(default_strategies()[column].name, "shm+sys-str+");
         assert!(resolve_env(Shape::Mp, Some("nope")).is_err());
     }
 
     #[test]
     fn trace_json_carries_channels_and_events() {
         let chip = Chip::by_short("C2075").unwrap();
-        let strategy = resolve_env(Shape::CoRR, Some("l1-str+")).unwrap();
-        let r = trace(Shape::CoRR, &chip, &strategy, quick(32, 2016));
+        let r = trace(Shape::CoRR, &chip, column("l1-str+"), quick(24, 2016));
         assert!(r.hist.weak() > 0, "CoRR@C2075 under l1-str+: {}", r.hist);
         // The structural channel is what fired.
         assert!(r.hist.channels().l1_stale > 0);
@@ -306,16 +346,15 @@ mod tests {
         assert!(j.contains("\"channels\": {\"window_global\":"));
         assert!(j.contains("\"provenance\""));
         assert!(j.contains("\"events\""));
-        assert_eq!(j.matches("\"run\":").count(), 32);
+        assert_eq!(j.matches("\"run\":").count(), 24);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 
     #[test]
-    fn run_rejects_unknown_targets_and_chips() {
+    fn run_rejects_unknown_targets_and_envs() {
         let scale = quick(4, 1);
         assert!(run("nope", None, None, scale, None).is_err());
-        assert!(run("MP", Some(vec!["NotAChip".into()]), None, scale, None).is_err());
         assert!(run("MP", None, Some("bogus"), scale, None).is_err());
     }
 }

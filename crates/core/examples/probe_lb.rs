@@ -1,7 +1,7 @@
 //! Diagnostic: LB outcome histogram and bypass counts under pinned stress.
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wmm_core::stress::{build_systematic_at, litmus_stress_threads, Scratchpad};
+use wmm_core::stress::{litmus_stress_threads, Scratchpad, StressArtifacts};
 use wmm_gen::Shape;
 use wmm_litmus::{LitmusLayout, LitmusOutcome};
 use wmm_sim::chip::Chip;
@@ -13,6 +13,7 @@ fn main() {
     let seq = chip.preferred_seq.clone();
     for (t, l) in [(Shape::Lb, 64u32), (Shape::Mp, 64), (Shape::Sb, 64)] {
         let inst = t.instance(LitmusLayout::standard(64, pad.required_words()));
+        let artifacts = StressArtifacts::pinned(pad, &seq, &[l], 40);
         let mut gpu = Gpu::new(chip.clone());
         let mut hist = wmm_litmus::Histogram::new();
         let mut total_byp = 0u64;
@@ -20,7 +21,7 @@ fn main() {
         for i in 0..300u64 {
             let mut rng = SmallRng::seed_from_u64(i * 77 + 1);
             let threads = litmus_stress_threads(&chip, &mut rng);
-            let s = build_systematic_at(pad, &seq, &[l], threads, 40);
+            let s = artifacts.make(threads, &mut rng);
             let spec = inst.launch(s.groups, s.init, false);
             let r = gpu.run(&spec, rng.gen());
             total_byp += r.channels.window();

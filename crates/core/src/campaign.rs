@@ -59,7 +59,6 @@ use crate::env::Environment;
 use crate::stress::{litmus_stress_threads, StressArtifacts};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU32, Ordering};
 use wmm_litmus::runner::{mix_seed, run_instance};
 use wmm_litmus::{Histogram, LitmusInstance, LitmusOutcome};
 use wmm_sim::chip::Chip;
@@ -382,19 +381,28 @@ impl<'a> Campaign<'a> {
 
     /// Execute the workload `count` times and return the folded summary.
     pub fn run<W: Workload>(&self, workload: &W) -> W::Summary {
-        self.run_impl(workload, None)
-    }
-
-    /// Like [`Campaign::run`], with a progress callback invoked after
-    /// every completed run with the number of runs finished so far (from
-    /// worker threads; keep it cheap and `Sync`). Completion order is
-    /// scheduling-dependent — only the final summary is deterministic.
-    pub fn run_with_progress<W: Workload>(
-        &self,
-        workload: &W,
-        progress: &(dyn Fn(u32) + Sync),
-    ) -> W::Summary {
-        self.run_impl(workload, Some(progress))
+        let jobs = self.count as usize;
+        let workers = wmm_litmus::parallel::resolve_workers(self.parallelism, jobs);
+        let ctx = RunCtx {
+            chip: self.chip,
+            stress: &self.stress,
+            randomize_ids: self.randomize_ids,
+        };
+        let shards = wmm_litmus::parallel::parallel_fold(
+            workers,
+            jobs,
+            || (Gpu::new(self.chip.clone()), workload.summary()),
+            |(gpu, acc), i| {
+                let mut rng = SmallRng::seed_from_u64(mix_seed(self.base_seed, i as u64));
+                let verdict = workload.run_once(gpu, &ctx, &mut rng);
+                workload.fold(acc, verdict);
+            },
+        );
+        let mut out = workload.summary();
+        for (_, shard) in shards {
+            workload.merge(&mut out, shard);
+        }
+        out
     }
 
     /// The instance this campaign actually executes for `inst`: when the
@@ -403,10 +411,9 @@ impl<'a> Campaign<'a> {
     /// the kernel once per campaign (shared memory is per-block, so the
     /// stress must ride inside the test's own block); inter-block
     /// instances ignore the shared axis. Callers constructing a
-    /// [`LitmusWorkload`] by hand for [`Campaign::run`] /
-    /// [`Campaign::run_with_progress`] should route through this (or use
-    /// [`Campaign::run_litmus`] / [`Campaign::run_litmus_with_progress`],
-    /// which do) so the shared-stress axis is never silently dropped.
+    /// [`LitmusWorkload`] by hand for [`Campaign::run`] should route
+    /// through this (or use [`Campaign::run_litmus`], which does) so the
+    /// shared-stress axis is never silently dropped.
     pub fn litmus_instance(&self, inst: &LitmusInstance) -> Option<LitmusInstance> {
         match (self.stress.shared_stress(), inst.placement) {
             (Some(s), wmm_litmus::Placement::IntraBlock) => {
@@ -423,20 +430,6 @@ impl<'a> Campaign<'a> {
         match self.litmus_instance(inst) {
             Some(stressed) => self.run(&LitmusWorkload(&stressed)),
             None => self.run(&LitmusWorkload(inst)),
-        }
-    }
-
-    /// [`Campaign::run_litmus`] with a per-run progress callback — the
-    /// litmus analogue of [`Campaign::run_with_progress`], with the same
-    /// shared-stress injection as [`Campaign::run_litmus`].
-    pub fn run_litmus_with_progress(
-        &self,
-        inst: &LitmusInstance,
-        progress: &(dyn Fn(u32) + Sync),
-    ) -> Histogram {
-        match self.litmus_instance(inst) {
-            Some(stressed) => self.run_with_progress(&LitmusWorkload(&stressed), progress),
-            None => self.run_with_progress(&LitmusWorkload(inst), progress),
         }
     }
 
@@ -468,39 +461,6 @@ impl<'a> Campaign<'a> {
             workload.fold(&mut hist, outcome);
         }
         hist
-    }
-
-    fn run_impl<W: Workload>(
-        &self,
-        workload: &W,
-        progress: Option<&(dyn Fn(u32) + Sync)>,
-    ) -> W::Summary {
-        let jobs = self.count as usize;
-        let workers = wmm_litmus::parallel::resolve_workers(self.parallelism, jobs);
-        let done = AtomicU32::new(0);
-        let ctx = RunCtx {
-            chip: self.chip,
-            stress: &self.stress,
-            randomize_ids: self.randomize_ids,
-        };
-        let shards = wmm_litmus::parallel::parallel_fold(
-            workers,
-            jobs,
-            || (Gpu::new(self.chip.clone()), workload.summary()),
-            |(gpu, acc), i| {
-                let mut rng = SmallRng::seed_from_u64(mix_seed(self.base_seed, i as u64));
-                let verdict = workload.run_once(gpu, &ctx, &mut rng);
-                workload.fold(acc, verdict);
-                if let Some(cb) = progress {
-                    cb(done.fetch_add(1, Ordering::Relaxed) + 1);
-                }
-            },
-        );
-        let mut out = workload.summary();
-        for (_, shard) in shards {
-            workload.merge(&mut out, shard);
-        }
-        out
     }
 }
 
@@ -632,50 +592,5 @@ mod tests {
         );
         assert_eq!(a, run(2));
         assert_eq!(a, run(8));
-    }
-
-    #[test]
-    fn progress_route_applies_shared_stress_too() {
-        // run_litmus_with_progress must inject the shared-stress lanes
-        // exactly like run_litmus: same histogram, every run reported.
-        let chip = Chip::by_short("Titan").unwrap();
-        let pad = Scratchpad::new(2048, 2048);
-        let env = crate::env::Environment::shared_sys_str_plus(&chip);
-        let inst = Shape::MpShared.instance(LitmusLayout::standard(64, pad.required_words()));
-        let campaign = CampaignBuilder::new(&chip)
-            .environment(&env, pad, 40)
-            .count(60)
-            .base_seed(7)
-            .build();
-        let plain = campaign.run_litmus(&inst);
-        let seen = AtomicU32::new(0);
-        let with_progress = campaign.run_litmus_with_progress(&inst, &|_| {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(with_progress, plain);
-        assert_eq!(seen.load(Ordering::Relaxed), 60);
-        assert!(
-            plain.weak() > 0,
-            "comparison is vacuous without weak outcomes: {plain}"
-        );
-    }
-
-    #[test]
-    fn progress_callback_sees_every_run() {
-        let chip = strong_chip();
-        let inst = Shape::Sb.instance(LitmusLayout::standard(64, 4096));
-        let seen = AtomicU32::new(0);
-        let max = AtomicU32::new(0);
-        let h = CampaignBuilder::new(&chip)
-            .count(37)
-            .parallelism(2)
-            .build()
-            .run_with_progress(&LitmusWorkload(&inst), &|n| {
-                seen.fetch_add(1, Ordering::Relaxed);
-                max.fetch_max(n, Ordering::Relaxed);
-            });
-        assert_eq!(h.total(), 37);
-        assert_eq!(seen.load(Ordering::Relaxed), 37);
-        assert_eq!(max.load(Ordering::Relaxed), 37);
     }
 }

@@ -42,7 +42,7 @@
 //! and the single-location `CoRR.shared` stay forbidden-outcome-free.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::sync::Arc;
 use wmm_sim::chip::Chip;
 use wmm_sim::exec::{KernelGroup, Role};
@@ -208,9 +208,9 @@ pub struct StressSetup {
 /// the cheap per-run parts — the location table drawn from the run's RNG
 /// and the kernel-group thread count.
 ///
-/// `make` draws exactly the values (in exactly the order) the one-shot
-/// [`build_stress`] draws — in fact `build_stress` now delegates here —
-/// so cached and uncached campaigns are bit-for-bit identical.
+/// `make` draws exactly the values (in exactly the order) a fresh set of
+/// artifacts built for every run would draw, so cached and uncached
+/// campaigns are bit-for-bit identical.
 ///
 /// The `rand-str` kernel bakes a fresh in-kernel PRNG seed into the
 /// program every run, so it is the one strategy whose kernel cannot be
@@ -392,11 +392,18 @@ impl StressArtifacts {
         self.shared
     }
 
-    /// Instantiate one run's stressing blocks. Draws from `rng` exactly
-    /// what the one-shot [`build_stress`] would (nothing for `no-str`,
-    /// `cache-str` and pinned; the kernel seed for `rand-str`; the
-    /// location picks for `sys-str`), so a campaign over cached
-    /// artifacts is bit-identical to one rebuilding per run.
+    /// Instantiate one run's stressing blocks.
+    ///
+    /// * `threads` — total stressing threads to launch (the paper
+    ///   randomises this per run; see [`litmus_stress_threads`] and
+    ///   [`app_stress_blocks`]). Systematic and pinned stress launch at
+    ///   least 32 threads per location, distributed round-robin.
+    ///
+    /// Draws from `rng` only what the strategy needs per run (nothing
+    /// for `no-str`, `cache-str` and pinned; the kernel seed for
+    /// `rand-str`; the location picks for `sys-str`), so a campaign
+    /// over cached artifacts is bit-identical to one rebuilding them
+    /// per run.
     pub fn make(&self, threads: u32, rng: &mut SmallRng) -> StressSetup {
         match &self.kind {
             ArtifactKind::None => StressSetup::default(),
@@ -452,50 +459,6 @@ impl StressArtifacts {
             .map(|(i, &l)| (pad.table_base + i as u32, pad.base + l))
             .collect()
     }
-}
-
-/// Build the stressing blocks for one run — the one-shot form, now a
-/// thin delegate to [`StressArtifacts`] (campaign loops should build the
-/// artifacts once instead of calling this per run).
-///
-/// * `threads` — total stressing threads to launch (the paper randomises
-///   this per run; see [`litmus_stress_threads`] and
-///   [`app_stress_blocks`]).
-/// * `iters` — stressing loop iterations (sized so stress outlives the
-///   kernel under test, Sec. 4.2).
-pub fn build_stress(
-    chip: &Chip,
-    strategy: &StressStrategy,
-    pad: Scratchpad,
-    threads: u32,
-    iters: u32,
-    rng: &mut SmallRng,
-) -> StressSetup {
-    StressArtifacts::for_strategy(chip, strategy, pad, iters).make(threads, rng)
-}
-
-/// Systematic stress pinned to explicit scratchpad locations (word
-/// offsets within the pad) — the form the tuning micro-benchmarks use,
-/// where `⟨T_d, σ@L⟩` stresses a *specific* location set `L`. One-shot
-/// delegate to [`StressArtifacts::pinned`].
-///
-/// At least 32 threads per location are used so every location receives
-/// stress; threads distribute round-robin over the locations.
-///
-/// # Panics
-///
-/// Panics if `rel_locations` is empty or any location exceeds the pad.
-pub fn build_systematic_at(
-    pad: Scratchpad,
-    seq: &AccessSeq,
-    rel_locations: &[u32],
-    threads: u32,
-    iters: u32,
-) -> StressSetup {
-    // Pinned artifacts draw nothing from an RNG; a throwaway stream
-    // keeps `make`'s signature uniform.
-    let mut rng = SmallRng::seed_from_u64(0);
-    StressArtifacts::pinned(pad, seq, rel_locations, iters).make(threads, &mut rng)
 }
 
 fn groups_for(program: Arc<Program>, threads: u32) -> Vec<KernelGroup> {
@@ -683,14 +646,13 @@ mod tests {
 
     #[test]
     fn none_strategy_is_empty() {
-        let s = build_stress(
+        let s = StressArtifacts::for_strategy(
             &chip(),
             &StressStrategy::None,
             Scratchpad::new(2048, 2048),
-            256,
             100,
-            &mut rng(),
-        );
+        )
+        .make(256, &mut rng());
         assert!(s.groups.is_empty());
         assert!(s.init.is_empty());
     }
@@ -700,14 +662,8 @@ mod tests {
         let c = chip();
         let pad = Scratchpad::new(2048, 2048);
         let p = SystematicParams::from_paper(&c);
-        let s = build_stress(
-            &c,
-            &StressStrategy::Systematic(p.clone()),
-            pad,
-            256,
-            100,
-            &mut rng(),
-        );
+        let s = StressArtifacts::for_strategy(&c, &StressStrategy::Systematic(p.clone()), pad, 100)
+            .make(256, &mut rng());
         assert_eq!(s.init.len(), p.spread as usize);
         for &(addr, loc) in &s.init {
             assert!(addr >= pad.table_base && addr < pad.base);
@@ -734,7 +690,7 @@ mod tests {
             StressStrategy::Systematic(SystematicParams::from_paper(&c)),
             StressStrategy::L1,
         ] {
-            let s = build_stress(&c, &strat, pad, 128, 20, &mut rng());
+            let s = StressArtifacts::for_strategy(&c, &strat, pad, 20).make(128, &mut rng());
             assert_eq!(s.groups.len(), 1, "{}", strat.short());
             // Run the stress kernel *as an app* so the run completes.
             let mut groups = s.groups.clone();
@@ -778,8 +734,7 @@ mod tests {
     #[test]
     fn reused_artifacts_match_fresh_artifacts_run_by_run() {
         // Instantiating runs off one cached artifact set must equal
-        // building fresh artifacts for every run (what the historic
-        // per-run `build_stress` path did).
+        // building fresh artifacts for every run.
         let c = chip();
         let pad = Scratchpad::new(2048, 2048);
         for strat in [
@@ -794,7 +749,7 @@ mod tests {
                 let mut r1 = SmallRng::seed_from_u64(run * 7 + 1);
                 let mut r2 = r1.clone();
                 let a = cached.make(300, &mut r1);
-                let b = build_stress(&c, &strat, pad, 300, 30, &mut r2);
+                let b = StressArtifacts::for_strategy(&c, &strat, pad, 30).make(300, &mut r2);
                 assert_eq!(a.init, b.init, "{} run {run}", strat.short());
                 assert_eq!(a.groups.len(), b.groups.len());
                 for (ga, gb) in a.groups.iter().zip(&b.groups) {
@@ -841,7 +796,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a.groups[0].program, &b.groups[0].program));
         assert_eq!(b.init, vec![(pad.table_base, pad.base + 96)]);
         // ...and matches a directly pinned build.
-        let direct = build_systematic_at(pad, &seq, &[96], 128, 40);
+        let direct = StressArtifacts::pinned(pad, &seq, &[96], 40).make(128, &mut rng());
         assert_eq!(b.init, direct.init);
         assert_eq!(b.groups[0].blocks, direct.groups[0].blocks);
     }

@@ -254,6 +254,22 @@ impl SuiteCell {
     }
 }
 
+/// The campaign seed of one suite cell: `base_seed` mixed with the
+/// cell's coordinates, i.e. the shape's index in the suite's shape list,
+/// the distance, the chip's index and the column's index. Chaining one
+/// [`mix_seed`] per coordinate cannot collide for any in-range values,
+/// unlike a polynomial pack.
+pub fn cell_seed(base_seed: u64, shape: usize, distance: u32, chip: usize, column: usize) -> u64 {
+    [
+        shape as u64,
+        u64::from(distance),
+        chip as u64,
+        column as u64,
+    ]
+    .into_iter()
+    .fold(base_seed, mix_seed)
+}
+
 /// Campaign every `shape × distance × chip × strategy` cell and return
 /// the matrix in that (row-major) order.
 ///
@@ -261,8 +277,8 @@ impl SuiteCell {
 /// shared across all of that column's cells and runs.
 ///
 /// Deterministic in `(shapes, cfg, chips, strategies)`: each cell's
-/// campaign seed is [`mix_seed`]-derived from the cell's coordinates
-/// alone and campaigns are worker-count-independent, so the result is
+/// campaign seed is [`cell_seed`], derived from the cell's coordinates
+/// alone, and campaigns are worker-count-independent, so the result is
 /// bit-identical for every `cfg.workers`.
 pub fn run_suite(
     shapes: &[Shape],
@@ -319,17 +335,12 @@ pub fn run_suite_observed(
                 let static_verdict = StaticVerdict::of_chip(&inst, chip);
                 for (ki, strat) in strategies.iter().enumerate() {
                     let artifacts = cache.get(chip, &strat.environment(chip), cfg.pad, strat.iters);
-                    // Chain one mix per coordinate: unlike a polynomial
-                    // pack, this cannot collide for any in-range values.
-                    let cell_seed = [si as u64, u64::from(d), ci as u64, ki as u64]
-                        .into_iter()
-                        .fold(cfg.base_seed, mix_seed);
                     let span = SpanTimer::start();
                     let hist = CampaignBuilder::new(chip)
                         .stress((*artifacts).clone())
                         .randomize_ids(strat.randomize)
                         .count(cfg.execs)
-                        .base_seed(cell_seed)
+                        .base_seed(cell_seed(cfg.base_seed, si, d, ci, ki))
                         .parallelism(cfg.workers)
                         .build()
                         .run_litmus(&inst);

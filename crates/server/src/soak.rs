@@ -59,10 +59,10 @@ impl SoakProfile {
     }
 
     /// Default gate thresholds. Throughput floors are calibrated far
-    /// below the measured `BENCH_campaign.json` baselines (a quick-mix
-    /// job is a 6-execution campaign that sustains hundreds of jobs/sec
-    /// on one core), so only a collapse — not a slow CI box — trips
-    /// them. The cache floor is the tentpole's contract: five-ish
+    /// below the measured soak points in `BENCH_soak.json` (the quick
+    /// mix sustains about 160 jobs/sec on one worker, against a floor
+    /// of 2), so only a collapse — not a slow CI box — trips them. The
+    /// cache floor is the artifact cache's contract: five-ish
     /// environments shared across hundreds of jobs.
     pub fn gates(self) -> SoakGates {
         match self {
@@ -568,9 +568,8 @@ impl SoakReport {
 }
 
 /// Append one single-line JSON `point` to a `{"points": [...]}`
-/// trajectory file, creating the file if missing — the shared appender
-/// behind `BENCH_soak.json` (used by both `repro soak` and
-/// `repro bench`).
+/// trajectory file, creating the file if missing — the appender
+/// behind `repro soak`'s `BENCH_soak.json`.
 pub fn append_trajectory_point(path: &Path, point: &str) -> io::Result<()> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,

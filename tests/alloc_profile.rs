@@ -3,8 +3,8 @@
 //! allocations for two claims:
 //!
 //! * stress artifacts (compiled stress `Program`s, location tables) are
-//!   built **once per environment** instead of once per run: the
-//!   historic rebuild-`build_stress`-every-run loop and the same
+//!   built **once per environment** instead of once per run: a loop
+//!   that rebuilds the `StressArtifacts` every run and the same
 //!   campaign through cached `StressArtifacts` produce bit-identical
 //!   histograms, and the cached path allocates measurably less;
 //! * a warmed-up `Gpu` reuses every per-run buffer: repeating one
@@ -17,8 +17,7 @@
 use gpu_wmm::core::campaign::CampaignBuilder;
 use gpu_wmm::core::env::Environment;
 use gpu_wmm::core::stress::{
-    build_stress, litmus_stress_threads, Scratchpad, StressArtifacts, StressStrategy,
-    SystematicParams,
+    litmus_stress_threads, Scratchpad, StressArtifacts, StressStrategy, SystematicParams,
 };
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::runner::{mix_seed, run_instance};
@@ -75,15 +74,16 @@ fn cached_artifacts_allocate_measurably_less_than_per_run_builds() {
     let inst = Shape::Mp.instance(LitmusLayout::standard(64, pad.required_words()));
     let strategy = StressStrategy::Systematic(SystematicParams::from_paper(&chip));
 
-    // (a) The historic hot path: one `build_stress` (kernel emission
-    // included) per run.
+    // (a) The historic hot path: artifacts rebuilt (kernel emission
+    // included) for every run.
     let (legacy, legacy_allocs) = allocations_during(|| {
         let mut gpu = Gpu::new(chip.clone());
         let mut h = Histogram::new();
         for i in 0..u64::from(COUNT) {
             let mut rng = SmallRng::seed_from_u64(mix_seed(SEED, i));
             let threads = litmus_stress_threads(&chip, &mut rng);
-            let s = build_stress(&chip, &strategy, pad, threads, 40, &mut rng);
+            let s =
+                StressArtifacts::for_strategy(&chip, &strategy, pad, 40).make(threads, &mut rng);
             let seed = rng.gen();
             h.record(run_instance(
                 &mut gpu,
@@ -116,7 +116,7 @@ fn cached_artifacts_allocate_measurably_less_than_per_run_builds() {
     // least 10 per run and at least 10% overall (measured: ~22 saved
     // per run, ~28% of the campaign's total).
     eprintln!(
-        "allocations over {COUNT} runs: per-run build_stress = {legacy_allocs}, \
+        "allocations over {COUNT} runs: per-run artifacts = {legacy_allocs}, \
          cached artifacts = {cached_allocs} \
          ({:.1}% of the legacy count)",
         100.0 * cached_allocs as f64 / legacy_allocs as f64

@@ -4,15 +4,16 @@
 //! The legacy paths (the deleted `wmm_litmus::run_many` and the
 //! `AppHarness::campaign` that rebuilt stress kernels per run) are
 //! restated here as plain sequential loops over exactly the primitives
-//! they used — `mix_seed`-derived per-run RNGs, one-shot `build_stress`
-//! per run, `run_instance`/`run_once` — and compared against the new
-//! facade at 1, 2 and 8 workers. Any drift in per-run seeding, RNG draw
-//! order or artifact caching shows up as a histogram mismatch.
+//! they used — `mix_seed`-derived per-run RNGs, stress artifacts built
+//! afresh for every run, `run_instance`/`run_once` — and compared
+//! against the new facade at 1, 2 and 8 workers. Any drift in per-run
+//! seeding, RNG draw order or artifact caching shows up as a histogram
+//! mismatch.
 
 use gpu_wmm::core::app::{AppSpec, Application, Phase};
 use gpu_wmm::core::campaign::CampaignBuilder;
 use gpu_wmm::core::env::{AppHarness, CampaignResult, Environment, RunVerdict};
-use gpu_wmm::core::stress::{build_stress, litmus_stress_threads, Scratchpad, StressStrategy};
+use gpu_wmm::core::stress::{litmus_stress_threads, Scratchpad, StressArtifacts, StressStrategy};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::runner::{mix_seed, run_instance};
 use gpu_wmm::litmus::{Histogram, LitmusInstance, LitmusLayout, StressParts};
@@ -91,7 +92,8 @@ fn litmus_campaigns_match_the_legacy_path_bit_for_bit() {
                         (Vec::new(), Vec::new())
                     } else {
                         let threads = litmus_stress_threads(&chip, rng);
-                        let s = build_stress(&chip, &env.stress, pad, threads, 40, rng);
+                        let s = StressArtifacts::for_strategy(&chip, &env.stress, pad, 40)
+                            .make(threads, rng);
                         (s.groups, s.init)
                     }
                 },
@@ -139,7 +141,8 @@ fn shared_stress_campaigns_match_the_legacy_path_bit_for_bit() {
             &derived,
             |rng| {
                 let threads = litmus_stress_threads(&chip, rng);
-                let s = build_stress(&chip, &env.stress, pad, threads, 40, rng);
+                let s =
+                    StressArtifacts::for_strategy(&chip, &env.stress, pad, 40).make(threads, rng);
                 (s.groups, s.init)
             },
             32,
@@ -190,7 +193,8 @@ fn l1_stress_campaigns_match_the_legacy_path_bit_for_bit() {
                 &inst,
                 |rng| {
                     let threads = litmus_stress_threads(&chip, rng);
-                    let s = build_stress(&chip, &env.stress, pad, threads, 40, rng);
+                    let s = StressArtifacts::for_strategy(&chip, &env.stress, pad, 40)
+                        .make(threads, rng);
                     (s.groups, s.init)
                 },
                 32,

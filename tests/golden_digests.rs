@@ -5,16 +5,22 @@
 //! hot-path rewrite that shifts a single RNG draw would pass every one
 //! of them. This file pins results absolutely instead: it campaigns a
 //! fixed grid through `run_suite_with_cache` (seed 2016, distance 64,
-//! one worker) plus one application job, and compares each cell's
-//! `SummaryValue::digest` with the committed [`GOLDEN`] table.
+//! all cores, since results do not depend on the worker count) plus one
+//! application job, and compares each cell's `SummaryValue::digest`
+//! with the committed [`GOLDEN`] table.
 //!
 //! The grid covers every relaxation channel:
 //!
-//! * all 28 shapes × {Titan, C2075} under `no-str-` and `sys-str+`;
-//! * the 28 shapes on C2075 under `l1-str+` (incoherent L1);
+//! * all 28 shapes × {Titan, C2075, 980} under `no-str-`, `sys-str+`,
+//!   `l1-str+` (incoherent L1) and `rand-str+` (the one environment
+//!   that compiles a stress kernel per run);
 //! * the 7 intra-block shapes on Titan under `shm+sys-str+` (shared
 //!   window);
 //! * `app K20 sys-str+ cbe-dot 2 7` through `JobSpec::execute`.
+//!
+//! A cell's seed derives from its index in its block's chip list, so a
+//! chip joins a block at the end of the list: the cells already in the
+//! table keep their digests.
 //!
 //! A change that alters the model on purpose regenerates the table: the
 //! failure message prints the recomputed one, ready to paste over
@@ -52,20 +58,26 @@ fn blocks() -> Vec<Block> {
     vec![
         Block {
             shapes: Shape::ALL.to_vec(),
-            chips: &["Titan", "C2075"],
+            chips: &["Titan", "C2075", "980"],
             column: SuiteStrategy::native(),
             execs: 64,
         },
         Block {
             shapes: Shape::ALL.to_vec(),
-            chips: &["Titan", "C2075"],
+            chips: &["Titan", "C2075", "980"],
             column: SuiteStrategy::sys_str_plus(ITERS),
             execs: 8,
         },
         Block {
             shapes: Shape::ALL.to_vec(),
-            chips: &["C2075"],
+            chips: &["C2075", "Titan", "980"],
             column: SuiteStrategy::l1_str_plus(ITERS),
+            execs: 8,
+        },
+        Block {
+            shapes: Shape::ALL.to_vec(),
+            chips: &["Titan", "C2075", "980"],
+            column: SuiteStrategy::rand_str_plus(ITERS),
             execs: 8,
         },
         Block {
@@ -91,7 +103,7 @@ fn recompute() -> Vec<(String, u64)> {
             distances: vec![DISTANCE],
             execs: block.execs,
             base_seed: SEED,
-            workers: 1,
+            workers: 0,
             ..SuiteConfig::default()
         };
         let cells = run_suite_with_cache(
@@ -148,150 +160,349 @@ fn grid_digests_match_the_committed_table() {
     );
 }
 
-/// Recorded before the allocation-free executor landed; every later
-/// change must reproduce it bit for bit.
+/// The Titan/C2075 rows of `no-str-`/`sys-str+`, the C2075 `l1-str+` rows,
+/// the `shm+sys-str+` rows and the app job were recorded before the
+/// allocation-free executor landed; the 980, Titan `l1-str+` and
+/// `rand-str+` rows joined later on an unchanged model. Every later
+/// change must reproduce the table bit for bit.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("MP@Titan no-str-", 0x6831327bf4cbf280),
     ("MP@C2075 no-str-", 0x63b2e56d18dbe3d4),
+    ("MP@980 no-str-", 0x7ac0089b9ae1049c),
     ("LB@Titan no-str-", 0xb5f0e063fa1b0bd3),
     ("LB@C2075 no-str-", 0x105a6886bab0e599),
+    ("LB@980 no-str-", 0xf5324239d7efded3),
     ("SB@Titan no-str-", 0xa7ab546d2ecef2d1),
     ("SB@C2075 no-str-", 0x8a0dd80c30fd8f9b),
+    ("SB@980 no-str-", 0xd75d39931b954691),
     ("S@Titan no-str-", 0xe5d14066c6d63c90),
     ("S@C2075 no-str-", 0xd929f9a6053f0410),
+    ("S@980 no-str-", 0x71e42c9f35217e90),
     ("R@Titan no-str-", 0x35baf543bbd348b3),
     ("R@C2075 no-str-", 0x931478631140b4ff),
+    ("R@980 no-str-", 0x898e3013ec462723),
     ("2+2W@Titan no-str-", 0x27fffd75198b8919),
     ("2+2W@C2075 no-str-", 0x3f002e0376d9ba51),
+    ("2+2W@980 no-str-", 0x4ba0c0a8a2087219),
     ("WRC@Titan no-str-", 0x85c7440bd79dae84),
     ("WRC@C2075 no-str-", 0xe53ddea2d2c5e16e),
+    ("WRC@980 no-str-", 0xa02b91c658f6f2c2),
     ("RWC@Titan no-str-", 0x34c2584bbb81469f),
     ("RWC@C2075 no-str-", 0x0b3964a3962912bf),
+    ("RWC@980 no-str-", 0x8de4fda9bf47d5d1),
     ("ISA2@Titan no-str-", 0x8f8a3879042fcca0),
     ("ISA2@C2075 no-str-", 0x03b360c682463b08),
+    ("ISA2@980 no-str-", 0x6a64cf9706b004d0),
     ("IRIW@Titan no-str-", 0x333f22d7a232e4fe),
     ("IRIW@C2075 no-str-", 0x7a3ee5af39cfae9d),
+    ("IRIW@980 no-str-", 0x72f401cd4d911faf),
     ("CoRR@Titan no-str-", 0x137b991bbf893a20),
     ("CoRR@C2075 no-str-", 0xe544acf03335a460),
+    ("CoRR@980 no-str-", 0x926cf8c47fd053a2),
     ("CoWW@Titan no-str-", 0xe926a25c4b62347e),
     ("CoWW@C2075 no-str-", 0xe926a25c4b62347e),
+    ("CoWW@980 no-str-", 0xe926a25c4b62347e),
     ("MP+fences@Titan no-str-", 0xa9155b5b2cfacc40),
     ("MP+fences@C2075 no-str-", 0x5e478195e4899d3e),
+    ("MP+fences@980 no-str-", 0x7bbd78636624d220),
     ("SB+fences@Titan no-str-", 0xff9ad3579f07b3c5),
     ("SB+fences@C2075 no-str-", 0xd59c03ea4d49e35f),
+    ("SB+fences@980 no-str-", 0xd31ed039d58f02c3),
     ("MP.shared@Titan no-str-", 0xe81538c3a1aba2a2),
     ("MP.shared@C2075 no-str-", 0xc86c0004702a3680),
+    ("MP.shared@980 no-str-", 0x66b6398194593480),
     ("SB.shared@Titan no-str-", 0x90d8ee76b3a07aa1),
     ("SB.shared@C2075 no-str-", 0x742c7a15df518691),
+    ("SB.shared@980 no-str-", 0x7baffcc849d890c1),
     ("CoRR.shared@Titan no-str-", 0xe97798f778f1df30),
     ("CoRR.shared@C2075 no-str-", 0x7f79d8e3c38adce0),
+    ("CoRR.shared@980 no-str-", 0xe937cb8b8db25522),
     ("MP+CAS@Titan no-str-", 0xc4806a51ff34a638),
     ("MP+CAS@C2075 no-str-", 0xe7a03409a5922484),
+    ("MP+CAS@980 no-str-", 0x55fd3f39cbc9a384),
     ("2+2W.exch@Titan no-str-", 0xd614c2d6c1b99edd),
     ("2+2W.exch@C2075 no-str-", 0x507afbb626b68f5d),
+    ("2+2W.exch@980 no-str-", 0xb3432b2d1f93a165),
     ("CoAdd@Titan no-str-", 0x1442e3c36ebf4b83),
     ("CoAdd@C2075 no-str-", 0xcdc58d7c026031a1),
+    ("CoAdd@980 no-str-", 0xcdc58d7c026031a1),
     ("MP.shared+fence_block@Titan no-str-", 0xae5e65ce530e5070),
     ("MP.shared+fence_block@C2075 no-str-", 0xa5527e3dcde44870),
+    ("MP.shared+fence_block@980 no-str-", 0xa1530b63bec2b87c),
     ("SB.shared+fence_block@Titan no-str-", 0x566a7ad8bac1d949),
     ("SB.shared+fence_block@C2075 no-str-", 0x76abd1652dd4b4fd),
+    ("SB.shared+fence_block@980 no-str-", 0x215d551f752b2c81),
     ("MP.mixed@Titan no-str-", 0x75d56fcc0c7e5a90),
     ("MP.mixed@C2075 no-str-", 0x7331c0e74773288c),
+    ("MP.mixed@980 no-str-", 0x7331c0e74773288c),
     ("ISA2.scoped@Titan no-str-", 0x7049a09ff9000762),
     ("ISA2.scoped@C2075 no-str-", 0x9050ef563a4f27b4),
+    ("ISA2.scoped@980 no-str-", 0x367d716762460ef4),
     ("WRC+fences@Titan no-str-", 0xcd7ea7de2492e8a1),
     ("WRC+fences@C2075 no-str-", 0xc03b7b19488c6480),
+    ("WRC+fences@980 no-str-", 0x02f7c9922cfe234e),
     ("ISA2+fences@Titan no-str-", 0x38c12b84747e5681),
     ("ISA2+fences@C2075 no-str-", 0xd5fb002052a7007f),
+    ("ISA2+fences@980 no-str-", 0xc4cec936c1f6b0c3),
     ("IRIW+fences@Titan no-str-", 0x8d384d3ab628831f),
     ("IRIW+fences@C2075 no-str-", 0xe4bdffef1cfc119b),
+    ("IRIW+fences@980 no-str-", 0xfd4a8502fdaf2f99),
     ("CoRR+fence@Titan no-str-", 0xc8cc9ec6aeb6a2e0),
     ("CoRR+fence@C2075 no-str-", 0x5c9a9b08bdd87aa2),
+    ("CoRR+fence@980 no-str-", 0xda44c5ad0a895ba2),
     ("MP@Titan sys-str+", 0x0dcb5c4c0f2bf350),
     ("MP@C2075 sys-str+", 0x4c186b4cc0e0dcd6),
+    ("MP@980 sys-str+", 0xdfd59a1495495952),
     ("LB@Titan sys-str+", 0x90a8096f382d7551),
     ("LB@C2075 sys-str+", 0x123edc56c1358732),
+    ("LB@980 sys-str+", 0xac5cfdc88f85c6b1),
     ("SB@Titan sys-str+", 0x3497e66b07bd9cd3),
     ("SB@C2075 sys-str+", 0x13b1cd76bbd40a54),
+    ("SB@980 sys-str+", 0x2aad19952696abb1),
     ("S@Titan sys-str+", 0xe80a25c1874a4a12),
     ("S@C2075 sys-str+", 0x9a0e30cc35ebe656),
+    ("S@980 sys-str+", 0xf3dac3cd11d865d2),
     ("R@Titan sys-str+", 0xe46028b17ee88916),
     ("R@C2075 sys-str+", 0x02cc8ecb18d12212),
+    ("R@980 sys-str+", 0xe46028b17ee88916),
     ("2+2W@Titan sys-str+", 0x7cd14296c26d9b11),
     ("2+2W@C2075 sys-str+", 0x55236ce87159c632),
+    ("2+2W@980 sys-str+", 0xd25dfebcaa607270),
     ("WRC@Titan sys-str+", 0xab125e7b915399d6),
     ("WRC@C2075 sys-str+", 0x38f5cce68f1395f3),
+    ("WRC@980 sys-str+", 0x483db19fe2107494),
     ("RWC@Titan sys-str+", 0xe76679c42bf2b1d7),
     ("RWC@C2075 sys-str+", 0x00c9157d1e07c635),
+    ("RWC@980 sys-str+", 0x665600a31015ad72),
     ("ISA2@Titan sys-str+", 0x667a6c1fa50f6c94),
     ("ISA2@C2075 sys-str+", 0x50e9fbc4cf72f816),
+    ("ISA2@980 sys-str+", 0x24540b9491fe8d77),
     ("IRIW@Titan sys-str+", 0x6824730750526056),
     ("IRIW@C2075 sys-str+", 0x03482afc3bc60775),
+    ("IRIW@980 sys-str+", 0xa9676175e3b3cf33),
     ("CoRR@Titan sys-str+", 0xd016f82e0bbe5ad0),
     ("CoRR@C2075 sys-str+", 0xa0633cbbd2a2bdd2),
+    ("CoRR@980 sys-str+", 0xa91fa3d472757550),
     ("CoWW@Titan sys-str+", 0x03cc23f71373907e),
     ("CoWW@C2075 sys-str+", 0x03cc23f71373907e),
+    ("CoWW@980 sys-str+", 0x03cc23f71373907e),
     ("MP+fences@Titan sys-str+", 0x1133fbebd5176fbe),
     ("MP+fences@C2075 sys-str+", 0x1133fbebd5176fbe),
+    ("MP+fences@980 sys-str+", 0xdfd59a1495495952),
     ("SB+fences@Titan sys-str+", 0x44257526a48162d2),
     ("SB+fences@C2075 sys-str+", 0x88887e403dd7b5df),
+    ("SB+fences@980 sys-str+", 0x3b0436813b5eb371),
     ("MP.shared@Titan sys-str+", 0xb347e159079908d4),
     ("MP.shared@C2075 sys-str+", 0xfbd56911ec7db150),
+    ("MP.shared@980 sys-str+", 0xa91fa3d472757550),
     ("SB.shared@Titan sys-str+", 0x09243277f9c78171),
     ("SB.shared@C2075 sys-str+", 0xd191f1286c3118d0),
+    ("SB.shared@980 sys-str+", 0xee179c6f68a0d0b5),
     ("CoRR.shared@Titan sys-str+", 0x3be5bd18c5b931d0),
     ("CoRR.shared@C2075 sys-str+", 0x0c506351aeb93550),
+    ("CoRR.shared@980 sys-str+", 0x0c506351aeb93550),
     ("MP+CAS@Titan sys-str+", 0x7e4db5de675fdb96),
     ("MP+CAS@C2075 sys-str+", 0x98c02040664dadb5),
+    ("MP+CAS@980 sys-str+", 0xe4beedeb9a2a96f1),
     ("2+2W.exch@Titan sys-str+", 0x2bbef6f2c71ddc52),
     ("2+2W.exch@C2075 sys-str+", 0xafc6a53300ee8010),
+    ("2+2W.exch@980 sys-str+", 0xf84d7fbc03db3815),
     ("CoAdd@Titan sys-str+", 0x18120b5188834591),
     ("CoAdd@C2075 sys-str+", 0x7e772c5aa0c61a55),
+    ("CoAdd@980 sys-str+", 0xc00d999aad640011),
     ("MP.shared+fence_block@Titan sys-str+", 0x45a06e2104f420d2),
     ("MP.shared+fence_block@C2075 sys-str+", 0x768eb768d06d90b2),
+    ("MP.shared+fence_block@980 sys-str+", 0x1133fbebd5176fbe),
     ("SB.shared+fence_block@Titan sys-str+", 0xd7f75457ac8e6fb1),
     ("SB.shared+fence_block@C2075 sys-str+", 0x3b2813d4e8d22fb1),
+    ("SB.shared+fence_block@980 sys-str+", 0x3b0436813b5eb371),
     ("MP.mixed@Titan sys-str+", 0xbf3febec2e87d654),
     ("MP.mixed@C2075 sys-str+", 0x3be5bd18c5b931d0),
+    ("MP.mixed@980 sys-str+", 0xde19772622659f90),
     ("ISA2.scoped@Titan sys-str+", 0x3228264128275db3),
     ("ISA2.scoped@C2075 sys-str+", 0x3d3e2830c99b7eb6),
+    ("ISA2.scoped@980 sys-str+", 0x78be6e8397a37c73),
     ("WRC+fences@Titan sys-str+", 0x1847a0f34ac7c0f0),
     ("WRC+fences@C2075 sys-str+", 0xc29e3181164bd3f0),
+    ("WRC+fences@980 sys-str+", 0x94020dc434ec17b4),
     ("ISA2+fences@Titan sys-str+", 0x162f602d19324a7f),
     ("ISA2+fences@C2075 sys-str+", 0x162f602d19324a7f),
+    ("ISA2+fences@980 sys-str+", 0x47d32ef17882e032),
     ("IRIW+fences@Titan sys-str+", 0x3322e5d82e066cf9),
     ("IRIW+fences@C2075 sys-str+", 0xda5ef3eea1786e16),
+    ("IRIW+fences@980 sys-str+", 0xa6abd0a203650a37),
     ("CoRR+fence@Titan sys-str+", 0xde5aa11a34d69b52),
     ("CoRR+fence@C2075 sys-str+", 0xd191f1286c3118d0),
+    ("CoRR+fence@980 sys-str+", 0xd016f82e0bbe5ad0),
     ("MP@C2075 l1-str+", 0x31ee57f86f622510),
+    ("MP@Titan l1-str+", 0x721b375e1e63fcd0),
+    ("MP@980 l1-str+", 0xff503ff307c356d4),
     ("LB@C2075 l1-str+", 0x20e5d042722ba111),
+    ("LB@Titan l1-str+", 0x90a8096f382d7551),
+    ("LB@980 l1-str+", 0x603211b3e82c87ff),
     ("SB@C2075 l1-str+", 0x93455ccbaabe15f5),
+    ("SB@Titan l1-str+", 0xc029d2c78307c6f1),
+    ("SB@980 l1-str+", 0x2a893c4179232f71),
     ("S@C2075 l1-str+", 0x1a4f6129098a7252),
+    ("S@Titan l1-str+", 0xe80a25c1874a4a12),
+    ("S@980 l1-str+", 0xc1c20d9588a9cf92),
     ("R@C2075 l1-str+", 0x491a4e12f67e2051),
+    ("R@Titan l1-str+", 0xd9311a375c2e4331),
+    ("R@980 l1-str+", 0xfad871e4e2393fb1),
     ("2+2W@C2075 l1-str+", 0xb22ec82e9e65d091),
+    ("2+2W@Titan l1-str+", 0x3a68126a402f7fd3),
+    ("2+2W@980 l1-str+", 0x0c9d67318418deb6),
     ("WRC@C2075 l1-str+", 0x2f4958ad00666495),
+    ("WRC@Titan l1-str+", 0x0506348941de4b72),
+    ("WRC@980 l1-str+", 0x7468115bbffc8c16),
     ("RWC@C2075 l1-str+", 0x7939dd5b050569b5),
+    ("RWC@Titan l1-str+", 0xc69af648b5438ab3),
+    ("RWC@980 l1-str+", 0x71219b61095d93b4),
     ("ISA2@C2075 l1-str+", 0xb46365a32acdf9f7),
+    ("ISA2@Titan l1-str+", 0x62cf9024f9a7b913),
+    ("ISA2@980 l1-str+", 0x8be8b61f55a03850),
     ("IRIW@C2075 l1-str+", 0xdd84fc1654899956),
+    ("IRIW@Titan l1-str+", 0x81c41c03f2c64813),
+    ("IRIW@980 l1-str+", 0x3cbe3edf6e58cdf6),
     ("CoRR@C2075 l1-str+", 0xbf3febec2e87d654),
+    ("CoRR@Titan l1-str+", 0xa91fa3d472757550),
+    ("CoRR@980 l1-str+", 0xd764ef1a0de11753),
     ("CoWW@C2075 l1-str+", 0x03cc23f71373907e),
+    ("CoWW@Titan l1-str+", 0x03cc23f71373907e),
+    ("CoWW@980 l1-str+", 0x03cc23f71373907e),
     ("MP+fences@C2075 l1-str+", 0x1133fbebd5176fbe),
+    ("MP+fences@Titan l1-str+", 0x1133fbebd5176fbe),
+    ("MP+fences@980 l1-str+", 0xdfd59a1495495952),
     ("SB+fences@C2075 l1-str+", 0x88887e403dd7b5df),
+    ("SB+fences@Titan l1-str+", 0x44257526a48162d2),
+    ("SB+fences@980 l1-str+", 0x44257526a48162d2),
     ("MP.shared@C2075 l1-str+", 0xe92ff7db4bb0f5d0),
+    ("MP.shared@Titan l1-str+", 0xeaaaf0d5ac23b3d0),
+    ("MP.shared@980 l1-str+", 0xff503ff307c356d4),
     ("SB.shared@C2075 l1-str+", 0xc029d2c78307c6f1),
+    ("SB.shared@Titan l1-str+", 0x51247e98f7711475),
+    ("SB.shared@980 l1-str+", 0x01c878b74e29f773),
     ("CoRR.shared@C2075 l1-str+", 0x4cee650d0716dd55),
+    ("CoRR.shared@Titan l1-str+", 0x8f8e06c641c18294),
+    ("CoRR.shared@980 l1-str+", 0xa91fa3d472757550),
     ("MP+CAS@C2075 l1-str+", 0x189c6474de03ff35),
+    ("MP+CAS@Titan l1-str+", 0xd6e143b87d403d70),
+    ("MP+CAS@980 l1-str+", 0x97eda9ab3c1378b3),
     ("2+2W.exch@C2075 l1-str+", 0xf7bd1d4d201ef251),
+    ("2+2W.exch@Titan l1-str+", 0x75d9a27416c87695),
+    ("2+2W.exch@980 l1-str+", 0xee1e3bf5c6868ef3),
     ("CoAdd@C2075 l1-str+", 0x4909667de1680bb3),
+    ("CoAdd@Titan l1-str+", 0x5e8f6198f4e25f73),
+    ("CoAdd@980 l1-str+", 0x068aefe219c319f3),
     ("MP.shared+fence_block@C2075 l1-str+", 0xdfd59a1495495952),
+    ("MP.shared+fence_block@Titan l1-str+", 0x43e44b3292106710),
+    ("MP.shared+fence_block@980 l1-str+", 0x768eb768d06d90b2),
     ("SB.shared+fence_block@C2075 l1-str+", 0x88887e403dd7b5df),
+    ("SB.shared+fence_block@Titan l1-str+", 0x01c878b74e29f773),
+    ("SB.shared+fence_block@980 l1-str+", 0xa0f2e7e1587cf731),
     ("MP.mixed@C2075 l1-str+", 0xd016f82e0bbe5ad0),
+    ("MP.mixed@Titan l1-str+", 0x721b375e1e63fcd0),
+    ("MP.mixed@980 l1-str+", 0xa91fa3d472757550),
     ("ISA2.scoped@C2075 l1-str+", 0x32a6b9fa99b10552),
+    ("ISA2.scoped@Titan l1-str+", 0x32eab11d5465f236),
+    ("ISA2.scoped@980 l1-str+", 0xebce8d9888987a56),
     ("WRC+fences@C2075 l1-str+", 0x111db38fb7d74492),
+    ("WRC+fences@Titan l1-str+", 0xa1b00d7d5c174191),
+    ("WRC+fences@980 l1-str+", 0x111db38fb7d74492),
     ("ISA2+fences@C2075 l1-str+", 0x162f602d19324a7f),
+    ("ISA2+fences@Titan l1-str+", 0x162f602d19324a7f),
+    ("ISA2+fences@980 l1-str+", 0x6922254692f68a12),
     ("IRIW+fences@C2075 l1-str+", 0xa1d452f874406cb7),
+    ("IRIW+fences@Titan l1-str+", 0xbfcecf84252e4bb7),
+    ("IRIW+fences@980 l1-str+", 0xcf493b025ad665b5),
     ("CoRR+fence@C2075 l1-str+", 0x45a06e2104f420d2),
+    ("CoRR+fence@Titan l1-str+", 0xd016f82e0bbe5ad0),
+    ("CoRR+fence@980 l1-str+", 0x45a06e2104f420d2),
+    ("MP@Titan rand-str+", 0xff503ff307c356d4),
+    ("MP@C2075 rand-str+", 0x31ee57f86f622510),
+    ("MP@980 rand-str+", 0xbf3febec2e87d654),
+    ("LB@Titan rand-str+", 0x90a8096f382d7551),
+    ("LB@C2075 rand-str+", 0xd9a2691faeed2fd1),
+    ("LB@980 rand-str+", 0x32dbc37c94d9e311),
+    ("SB@Titan rand-str+", 0x2aad19952696abb1),
+    ("SB@C2075 rand-str+", 0xeb5637eb4232d3d4),
+    ("SB@980 rand-str+", 0x209006f07f463111),
+    ("S@Titan rand-str+", 0xbb9cb866f089a952),
+    ("S@C2075 rand-str+", 0xdfd59a1495495952),
+    ("S@980 rand-str+", 0xbb9cb866f089a952),
+    ("R@Titan rand-str+", 0xbac45f7db848f5b3),
+    ("R@C2075 rand-str+", 0x9cc5787b8a30b737),
+    ("R@980 rand-str+", 0xd61962b94474c8b7),
+    ("2+2W@Titan rand-str+", 0x7cd14296c26d9b11),
+    ("2+2W@C2075 rand-str+", 0xd25dfebcaa607270),
+    ("2+2W@980 rand-str+", 0xef17147bd5fb2751),
+    ("WRC@Titan rand-str+", 0x4697dd8476f067f2),
+    ("WRC@C2075 rand-str+", 0xac0b27c94ec0d015),
+    ("WRC@980 rand-str+", 0x4b0069c17daaeb13),
+    ("RWC@Titan rand-str+", 0x61b713efb077c737),
+    ("RWC@C2075 rand-str+", 0xfd8d8d5bf4d3f072),
+    ("RWC@980 rand-str+", 0x77d2372d659b9016),
+    ("ISA2@Titan rand-str+", 0x1898e5960293aad5),
+    ("ISA2@C2075 rand-str+", 0xe6e28b0340ed0416),
+    ("ISA2@980 rand-str+", 0x8336b9125845ea37),
+    ("IRIW@Titan rand-str+", 0x2b5f1a1b41ff6c35),
+    ("IRIW@C2075 rand-str+", 0x2f82f870b39bdcb5),
+    ("IRIW@980 rand-str+", 0xaf90d34d08e8e8b7),
+    ("CoRR@Titan rand-str+", 0x42695238319da910),
+    ("CoRR@C2075 rand-str+", 0x9b79d084e4f29117),
+    ("CoRR@980 rand-str+", 0x0c506351aeb93550),
+    ("CoWW@Titan rand-str+", 0x03cc23f71373907e),
+    ("CoWW@C2075 rand-str+", 0x03cc23f71373907e),
+    ("CoWW@980 rand-str+", 0x03cc23f71373907e),
+    ("MP+fences@Titan rand-str+", 0xdfd59a1495495952),
+    ("MP+fences@C2075 rand-str+", 0x1133fbebd5176fbe),
+    ("MP+fences@980 rand-str+", 0x0dcb5c4c0f2bf350),
+    ("SB+fences@Titan rand-str+", 0x88887e403dd7b5df),
+    ("SB+fences@C2075 rand-str+", 0x88887e403dd7b5df),
+    ("SB+fences@980 rand-str+", 0x88887e403dd7b5df),
+    ("MP.shared@Titan rand-str+", 0x7ae8b7a8e621df90),
+    ("MP.shared@C2075 rand-str+", 0x0dcb5c4c0f2bf350),
+    ("MP.shared@980 rand-str+", 0x3eaabc20ddfe9cd3),
+    ("SB.shared@Titan rand-str+", 0xcecd125e9812d553),
+    ("SB.shared@C2075 rand-str+", 0xf384cfcb2511b6f1),
+    ("SB.shared@980 rand-str+", 0xee179c6f68a0d0b5),
+    ("CoRR.shared@Titan rand-str+", 0x0c506351aeb93550),
+    ("CoRR.shared@C2075 rand-str+", 0xf10c9706deab1652),
+    ("CoRR.shared@980 rand-str+", 0x0c506351aeb93550),
+    ("MP+CAS@Titan rand-str+", 0x97eda9ab3c1378b3),
+    ("MP+CAS@C2075 rand-str+", 0xa969ba568f5c40b5),
+    ("MP+CAS@980 rand-str+", 0x5296829a0cb695b6),
+    ("2+2W.exch@Titan rand-str+", 0x75d9a27416c87695),
+    ("2+2W.exch@C2075 rand-str+", 0xf03fdb537bc56715),
+    ("2+2W.exch@980 rand-str+", 0xd89d2d4781017a95),
+    ("CoAdd@Titan rand-str+", 0x7e772c5aa0c61a55),
+    ("CoAdd@C2075 rand-str+", 0x4909667de1680bb3),
+    ("CoAdd@980 rand-str+", 0x18120b5188834591),
+    ("MP.shared+fence_block@Titan rand-str+", 0x0dcb5c4c0f2bf350),
+    ("MP.shared+fence_block@C2075 rand-str+", 0xf268f98da27be930),
+    ("MP.shared+fence_block@980 rand-str+", 0x43e44b3292106710),
+    ("SB.shared+fence_block@Titan rand-str+", 0xee179c6f68a0d0b5),
+    ("SB.shared+fence_block@C2075 rand-str+", 0xe37d0b60f4cc2c73),
+    ("SB.shared+fence_block@980 rand-str+", 0x3b2813d4e8d22fb1),
+    ("MP.mixed@Titan rand-str+", 0xeaaaf0d5ac23b3d0),
+    ("MP.mixed@C2075 rand-str+", 0x4cee650d0716dd55),
+    ("MP.mixed@980 rand-str+", 0xe92ff7db4bb0f5d0),
+    ("ISA2.scoped@Titan rand-str+", 0x2125b9374bf000b5),
+    ("ISA2.scoped@C2075 rand-str+", 0x24540b9491fe8d77),
+    ("ISA2.scoped@980 rand-str+", 0xb8c6d2b757a8d2f6),
+    ("WRC+fences@Titan rand-str+", 0x43f043f732e45591),
+    ("WRC+fences@C2075 rand-str+", 0xbe9ae56585d9a552),
+    ("WRC+fences@980 rand-str+", 0x9f07a52481841c91),
+    ("ISA2+fences@Titan rand-str+", 0x47d32ef17882e032),
+    ("ISA2+fences@C2075 rand-str+", 0x162f602d19324a7f),
+    ("ISA2+fences@980 rand-str+", 0x47d32ef17882e032),
+    ("IRIW+fences@Titan rand-str+", 0x21516b3c61b15933),
+    ("IRIW+fences@C2075 rand-str+", 0x06bd9f67e9f55277),
+    ("IRIW+fences@980 rand-str+", 0x91e45a09ac0a4833),
+    ("CoRR+fence@Titan rand-str+", 0x45a06e2104f420d2),
+    ("CoRR+fence@C2075 rand-str+", 0xde5aa11a34d69b52),
+    ("CoRR+fence@980 rand-str+", 0x45a06e2104f420d2),
     ("MP.shared@Titan shm+sys-str+", 0x84fbb1e96a2b6d50),
     ("SB.shared@Titan shm+sys-str+", 0x19f14ba685bcba37),
     ("CoRR.shared@Titan shm+sys-str+", 0x69bd7be20b3c2f51),
