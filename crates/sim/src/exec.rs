@@ -306,7 +306,7 @@ struct ThreadCtx {
     stalled: bool,
     stalled_reg: Reg,
     /// Occupied slots of the thread's in-flight window (see
-    /// [`Arena::windows`]).
+    /// [`Lanes::windows`]).
     win_len: u8,
 }
 
@@ -385,20 +385,264 @@ struct Warp {
     live: u32,
 }
 
+/// Every lane's private state: thread contexts, register files, the ids
+/// of the in-flight ops that will write each register, and in-flight
+/// windows. A step borrows one lane of it ([`Lanes::lane`]) apart from
+/// the [`Machine`].
+#[derive(Debug, Clone, Default)]
+struct Lanes {
+    threads: Vec<ThreadCtx>,
+    /// Register files: thread `t`'s starts at `threads[t].regs_at`.
+    regs: Vec<Word>,
+    /// Per register, the id of the in-flight op that will write it (0
+    /// for none).
+    pending: Vec<u32>,
+    /// In-flight windows, one per thread. The store only grows and is
+    /// never cleared or re-initialised: `ThreadCtx::win_len` guards every
+    /// read, so slots left over from an earlier run are never observed.
+    windows: Vec<[Slot; MAX_WINDOW]>,
+}
+
+impl Lanes {
+    /// Thread `t`'s state.
+    #[inline]
+    fn lane(&mut self, t: u32) -> Lane<'_> {
+        Lane {
+            th: &mut self.threads[t as usize],
+            regs: &mut self.regs,
+            pending: &mut self.pending,
+            win: &mut self.windows[t as usize],
+        }
+    }
+}
+
+/// One lane's state, borrowed apart from the [`Machine`]: all that a
+/// step of this lane reads and writes of its own. `regs` and `pending`
+/// are every thread's files; a lane touches only its own registers,
+/// from `th.regs_at` on ([`Lane::reg`]).
+struct Lane<'l> {
+    th: &'l mut ThreadCtx,
+    regs: &'l mut [Word],
+    pending: &'l mut [u32],
+    win: &'l mut [Slot; MAX_WINDOW],
+}
+
+impl Lane<'_> {
+    /// The in-flight operations, oldest first.
+    #[inline]
+    fn window(&self) -> &[Slot] {
+        &self.win[..usize::from(self.th.win_len)]
+    }
+
+    /// The index of this lane's register `r` in the register files.
+    #[inline]
+    fn reg(&self, r: Reg) -> usize {
+        self.th.regs_at as usize + usize::from(r)
+    }
+
+    #[inline]
+    fn read(&self, r: Reg) -> Word {
+        self.regs[self.reg(r)]
+    }
+
+    /// Write a register; a load still in flight to it no longer lands.
+    #[inline]
+    fn write(&mut self, r: Reg, v: Word) {
+        let i = self.reg(r);
+        self.regs[i] = v;
+        self.pending[i] = 0;
+    }
+
+    /// Require registers ready; otherwise stall on the first pending one
+    /// and return `None`.
+    #[inline]
+    fn need(&mut self, rs: &[Reg]) -> Option<()> {
+        for &r in rs {
+            if self.pending[self.reg(r)] != 0 {
+                self.th.stalled = true;
+                self.th.stalled_reg = r;
+                return None;
+            }
+        }
+        Some(())
+    }
+
+    /// Leave the current instruction for `next_pc`.
+    #[inline]
+    fn retire(&mut self, next_pc: u32) {
+        self.th.pc = next_pc;
+        self.th.icount += 1;
+    }
+}
+
+/// True for the instructions that read and write only their own lane's
+/// registers, `pc` and `icount`: the ones [`Run::step_uniform`] runs
+/// for a whole warp at once.
+fn register_local(inst: Inst) -> bool {
+    matches!(
+        inst,
+        Inst::Const { .. }
+            | Inst::Mov { .. }
+            | Inst::Bin { .. }
+            | Inst::Special { .. }
+            | Inst::Jump { .. }
+            | Inst::BranchZ { .. }
+            | Inst::BranchNZ { .. }
+    )
+}
+
+/// The lanes that execute one decoded instruction: a single lane (the
+/// lane-by-lane path) or the chosen lanes of a warp
+/// ([`Run::step_uniform`]).
+trait LaneSet {
+    /// Apply `f` to each lane in lane order. A lane for which `f`
+    /// returns the next `pc` retires the instruction; returns how many
+    /// did.
+    fn each(&mut self, f: impl FnMut(&mut Lane<'_>) -> Option<u32>) -> u64;
+}
+
+impl LaneSet for Lane<'_> {
+    #[inline(always)]
+    fn each(&mut self, mut f: impl FnMut(&mut Lane<'_>) -> Option<u32>) -> u64 {
+        f(self).map_or(0, |next_pc| {
+            self.retire(next_pc);
+            1
+        })
+    }
+}
+
+/// The lanes in `mask` of the warp whose lane 0 is thread `first`.
+struct WarpLanes<'r> {
+    lanes: &'r mut Lanes,
+    first: u32,
+    mask: u32,
+}
+
+impl LaneSet for WarpLanes<'_> {
+    #[inline(always)]
+    fn each(&mut self, mut f: impl FnMut(&mut Lane<'_>) -> Option<u32>) -> u64 {
+        let mut retired = 0;
+        for l in lanes_of(self.mask) {
+            let mut lane = self.lanes.lane(self.first + l);
+            if let Some(next_pc) = f(&mut lane) {
+                lane.retire(next_pc);
+                retired += 1;
+            }
+        }
+        retired
+    }
+}
+
+/// Execute a [`register_local`] instruction of group `g`, decoded
+/// once, on every lane of `lanes`. A lane that needs a pending register
+/// stalls instead. Returns how many lanes retired the instruction.
+#[inline(always)]
+fn exec_local(inst: Inst, g: &KernelGroup, lanes: &mut impl LaneSet) -> u64 {
+    match inst {
+        Inst::Const { dst, value } => lanes.each(|l| {
+            l.need(&[dst])?;
+            l.write(dst, value);
+            Some(l.th.pc + 1)
+        }),
+        Inst::Mov { dst, src } => lanes.each(|l| {
+            l.need(&[src, dst])?;
+            l.write(dst, l.read(src));
+            Some(l.th.pc + 1)
+        }),
+        Inst::Bin { op, dst, a, b } => lanes.each(|l| {
+            l.need(&[a, b, dst])?;
+            l.write(dst, eval_bin(op, l.read(a), l.read(b)));
+            Some(l.th.pc + 1)
+        }),
+        Inst::Special { dst, sr } => lanes.each(|l| {
+            l.need(&[dst])?;
+            let th = &l.th;
+            let v = match sr {
+                SpecialReg::Tid => th.tid,
+                SpecialReg::Bid => th.bid,
+                SpecialReg::BlockDim => g.threads_per_block,
+                SpecialReg::GridDim => g.blocks,
+                SpecialReg::Lane => th.tid % WARP_SIZE,
+                SpecialReg::GlobalTid => th.tid + th.bid * g.threads_per_block,
+            };
+            l.write(dst, v);
+            Some(l.th.pc + 1)
+        }),
+        Inst::Jump { target } => lanes.each(|_| Some(target as u32)),
+        Inst::BranchZ { cond, target } => lanes.each(|l| {
+            l.need(&[cond])?;
+            Some(if l.read(cond) == 0 {
+                target as u32
+            } else {
+                l.th.pc + 1
+            })
+        }),
+        Inst::BranchNZ { cond, target } => lanes.each(|l| {
+            l.need(&[cond])?;
+            Some(if l.read(cond) != 0 {
+                target as u32
+            } else {
+                l.th.pc + 1
+            })
+        }),
+        _ => unreachable!("{inst:?} is not register-local"),
+    }
+}
+
+/// True if window slot `j` may complete before every older in-flight
+/// op: no fence of its scope in the way and no same-space same-line
+/// older op. A device fence holds everything; a block fence holds only
+/// shared-space operations (its visibility guarantee is intra-block,
+/// and global completion is modelled device-wide).
+fn can_bypass(win: &[Slot], j: usize) -> bool {
+    let sj = win[j];
+    if matches!(sj.kind, SlotKind::Fence | SlotKind::FenceBlock) {
+        return false;
+    }
+    win[..j].iter().all(|si| match si.kind {
+        SlotKind::Fence => false,
+        SlotKind::FenceBlock => sj.space != Space::Shared,
+        _ => si.space != sj.space || si.line != sj.line,
+    })
+}
+
+/// Perform a shared-space access on its word and return the value it
+/// reads (loads and atomics only): the one implementation of the
+/// shared-space semantics, used at completion and, on chips whose
+/// shared memory is strongly ordered, at issue.
+fn apply_shared(cell: &mut Word, kind: SlotKind, v1: Word, v2: Word) -> Option<Word> {
+    let old = *cell;
+    match kind {
+        SlotKind::Load => Some(old),
+        SlotKind::Store => {
+            *cell = v1;
+            None
+        }
+        SlotKind::Cas => {
+            if old == v1 {
+                *cell = v2;
+            }
+            Some(old)
+        }
+        SlotKind::Exch => {
+            *cell = v1;
+            Some(old)
+        }
+        SlotKind::Add => {
+            *cell = old.wrapping_add(v1);
+            Some(old)
+        }
+        SlotKind::Fence | SlotKind::FenceBlock => unreachable!("a fence accesses no word"),
+    }
+}
+
 /// Every per-run buffer, kept by a [`Gpu`] between launches so that the
 /// runs of a warm campaign allocate nothing but the memory image they
 /// return. [`Run::new`] clears and refills it; [`Run::into_result`]
 /// hands it back.
 #[derive(Debug, Clone, Default)]
 struct Arena {
-    threads: Vec<ThreadCtx>,
-    /// In-flight windows, [`MAX_WINDOW`] slots per thread (thread `t`'s
-    /// start at `t * MAX_WINDOW`). The store only grows and is never
-    /// cleared or re-initialised: `ThreadCtx::win_len` guards every
-    /// read, so slots left over from an earlier run are never observed.
-    windows: Vec<Slot>,
-    regs: Vec<Word>,
-    pending: Vec<u32>,
+    lanes: Lanes,
     shared: Vec<Word>,
     blocks: Vec<BlockState>,
     warps: Vec<Warp>,
@@ -416,11 +660,11 @@ struct Arena {
 
 impl Arena {
     /// Empty every per-run buffer, keeping its capacity (the window
-    /// store is left as it is, see [`Arena::windows`]).
+    /// store is left as it is, see [`Lanes::windows`]).
     fn clear(&mut self) {
-        self.threads.clear();
-        self.regs.clear();
-        self.pending.clear();
+        self.lanes.threads.clear();
+        self.lanes.regs.clear();
+        self.lanes.pending.clear();
         self.shared.clear();
         self.blocks.clear();
         self.warps.clear();
@@ -504,15 +748,9 @@ impl Gpu {
 }
 
 struct Run<'a> {
-    chip: &'a Chip,
     spec: &'a LaunchSpec,
-    mem: MemSystem,
-    shared: Vec<Word>,
-    regs: Vec<Word>,
-    pending: Vec<u32>,
-    threads: Vec<ThreadCtx>,
-    windows: Vec<Slot>,
-    blocks: Vec<BlockState>,
+    lanes: Lanes,
+    m: Machine<'a>,
     warps: Vec<Warp>,
     live_warps: Vec<u32>,
     queue: VecDeque<(u32, u32)>,
@@ -521,9 +759,23 @@ struct Run<'a> {
     warp_map: Vec<u32>,
     resident_threads: u32,
     app_blocks_left: u32,
+    status: Option<RunStatus>,
+    app_turns: u64,
+}
+
+/// The state every lane's step shares: memory, the blocks (with their
+/// shared-memory trackers), the incoherent L1s, the RNG and the run's
+/// counters. A step takes it apart from the [`Lane`] it steps.
+struct Machine<'a> {
+    chip: &'a Chip,
+    /// Words of shared memory per block.
+    shared_words: u32,
     /// Whether this chip routes shared-space accesses through the
     /// in-flight window (any nonzero shared reorder rate).
     shared_weak: bool,
+    mem: MemSystem,
+    shared: Vec<Word>,
+    blocks: Vec<BlockState>,
     /// Incoherent-L1 state — `Some` only on chips with a nonzero L1
     /// staleness rate ([`Chip::l1_weak`]). `None` means global loads
     /// read straight from memory with no L1 bookkeeping and no extra
@@ -534,8 +786,17 @@ struct Run<'a> {
     instructions: u64,
     channels: ChannelCounts,
     next_op_id: u32,
-    status: Option<RunStatus>,
-    app_turns: u64,
+}
+
+/// The lanes set in a warp's lane mask, in lane order.
+fn lanes_of(mut mask: u32) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros();
+            mask &= mask - 1;
+            l
+        })
+    })
 }
 
 impl<'a> Run<'a> {
@@ -559,10 +820,7 @@ impl<'a> Run<'a> {
             .map(RunStatus::OutOfBounds);
         arena.clear();
         let Arena {
-            threads,
-            windows,
-            regs,
-            pending,
+            lanes,
             shared,
             blocks,
             warps,
@@ -599,15 +857,24 @@ impl<'a> Run<'a> {
             .map(|g| g.blocks)
             .sum();
         Run {
-            chip,
             spec,
-            mem,
-            shared,
-            regs,
-            pending,
-            threads,
-            windows,
-            blocks,
+            lanes,
+            m: Machine {
+                chip,
+                shared_words: spec.shared_words,
+                shared_weak: chip.shared_weak(),
+                mem,
+                shared,
+                blocks,
+                l1: chip.l1_weak().then(|| {
+                    l1.unwrap_or_else(|| L1System::new(chip.topology.total_sms(), chip.l1))
+                }),
+                rng,
+                turn: 0,
+                instructions: 0,
+                channels: ChannelCounts::default(),
+                next_op_id: 1,
+            },
             warps,
             live_warps,
             queue,
@@ -616,15 +883,6 @@ impl<'a> Run<'a> {
             warp_map,
             resident_threads: 0,
             app_blocks_left,
-            shared_weak: chip.shared_weak(),
-            l1: chip
-                .l1_weak()
-                .then(|| l1.unwrap_or_else(|| L1System::new(chip.topology.total_sms(), chip.l1))),
-            rng,
-            turn: 0,
-            instructions: 0,
-            channels: ChannelCounts::default(),
-            next_op_id: 1,
             status,
             app_turns: 0,
         }
@@ -642,7 +900,7 @@ impl<'a> Run<'a> {
                 self.status = Some(RunStatus::Completed);
                 break;
             }
-            if self.turn >= self.spec.max_turns {
+            if self.m.turn >= self.spec.max_turns {
                 self.status = Some(RunStatus::TimedOut);
                 break;
             }
@@ -657,16 +915,17 @@ impl<'a> Run<'a> {
                 }
                 continue;
             };
-            // Step the live lanes in lane order. Skipping dead lanes
-            // changes nothing but the cost: a dead lane's step is a
-            // no-op, and a lane dies only during its own step.
-            let Warp { first, mut live } = self.warps[w as usize];
-            while live != 0 {
-                self.step_thread(first + live.trailing_zeros());
-                if self.status.is_some() {
-                    break;
+            let Warp { first, live } = self.warps[w as usize];
+            if !self.step_uniform(first, live) {
+                // Step the live lanes in lane order. Skipping dead lanes
+                // changes nothing but the cost: a dead lane's step is a
+                // no-op, and a lane dies only during its own step.
+                for l in lanes_of(live) {
+                    self.step_thread(first + l);
+                    if self.status.is_some() {
+                        break;
+                    }
                 }
-                live &= live - 1;
             }
             // Advance the clock in *time* units: the machine executes all
             // resident warps concurrently, so with fewer live warps each
@@ -675,46 +934,43 @@ impl<'a> Run<'a> {
             // occupied (native) launch generates far less memory traffic
             // per unit time than a fully stressed one.
             let live = self.live_warps.len().max(1) as u64;
-            let full = u64::from(self.chip.max_concurrent_threads / WARP_SIZE).max(1);
-            self.turn += (full / live).max(1);
+            let full = u64::from(self.m.chip.max_concurrent_threads / WARP_SIZE).max(1);
+            self.m.turn += (full / live).max(1);
         }
         if self.app_turns == 0 {
-            self.app_turns = self.turn;
+            self.app_turns = self.m.turn;
         }
     }
 
     /// The run's result, and the buffers to hand back to the [`Gpu`].
     fn into_result(mut self) -> (RunResult, Arena) {
         let status = self.status.take().unwrap_or(RunStatus::TimedOut);
-        let runtime_ms = self.app_turns as f64 / (self.chip.clock_ghz * 1e6);
-        let energy_j = self
-            .chip
+        let chip = self.m.chip;
+        let runtime_ms = self.app_turns as f64 / (chip.clock_ghz * 1e6);
+        let energy_j = chip
             .supports_power
-            .then(|| self.chip.power_watts * runtime_ms / 1e3);
+            .then(|| chip.power_watts * runtime_ms / 1e3);
         let result = RunResult {
             status,
-            memory: self.mem.take_image(),
+            memory: self.m.mem.take_image(),
             app_turns: self.app_turns,
-            total_turns: self.turn,
-            instructions: self.instructions,
-            channels: self.channels,
+            total_turns: self.m.turn,
+            instructions: self.m.instructions,
+            channels: self.m.channels,
             runtime_ms,
             energy_j,
         };
         let arena = Arena {
-            threads: self.threads,
-            windows: self.windows,
-            regs: self.regs,
-            pending: self.pending,
-            shared: self.shared,
-            blocks: self.blocks,
+            lanes: self.lanes,
+            shared: self.m.shared,
+            blocks: self.m.blocks,
             warps: self.warps,
             live_warps: self.live_warps,
             queue: self.queue,
             bid_maps: self.bid_maps,
             bid_at: self.bid_at,
             warp_map: self.warp_map,
-            l1: self.l1,
+            l1: self.m.l1,
         };
         (result, arena)
     }
@@ -723,9 +979,9 @@ impl<'a> Run<'a> {
 
     fn pick_warp(&mut self) -> Option<u32> {
         while !self.live_warps.is_empty() {
-            let i = self.rng.gen_range(0..self.live_warps.len());
+            let i = self.m.rng.gen_range(0..self.live_warps.len());
             let w = self.live_warps[i];
-            if self.warp_dead(w) {
+            if self.warps[w as usize].live == 0 {
                 self.live_warps.swap_remove(i);
             } else {
                 return Some(w);
@@ -734,14 +990,10 @@ impl<'a> Run<'a> {
         None
     }
 
-    fn warp_dead(&self, w: u32) -> bool {
-        self.warps[w as usize].live == 0
-    }
-
     fn try_launch(&mut self) {
         while let Some(&(gi, bid_phys)) = self.queue.front() {
             let g = &self.spec.groups[gi as usize];
-            if self.resident_threads + g.threads_per_block > self.chip.max_concurrent_threads
+            if self.resident_threads + g.threads_per_block > self.m.chip.max_concurrent_threads
                 && self.resident_threads > 0
             {
                 break;
@@ -754,22 +1006,24 @@ impl<'a> Run<'a> {
     fn launch_block(&mut self, gi: u32, bid_phys: u32) {
         let g = &self.spec.groups[gi as usize];
         let tpb = g.threads_per_block;
-        let num_regs = g.program.num_regs as u32;
+        let num_regs = usize::from(g.program.num_regs);
         let logical_bid = self.bid_maps[(self.bid_at[gi as usize] + bid_phys) as usize];
-        let block_index = self.blocks.len() as u32;
+        let block_index = self.m.blocks.len() as u32;
         // Home-SM assignment is total: launch indices past the chip's
         // block capacity wrap onto earlier SMs deterministically, so
         // oversubscribed grids share (and re-pollute) the same L1s.
-        let home_sm = self.chip.topology.home_sm(block_index);
-        debug_assert!(home_sm < self.chip.topology.total_sms());
-        let t0 = self.threads.len() as u32;
+        let home_sm = self.m.chip.topology.home_sm(block_index);
+        debug_assert!(home_sm < self.m.chip.topology.total_sms());
+        let lanes = &mut self.lanes;
+        let t0 = lanes.threads.len() as u32;
         let w0 = self.warps.len() as u32;
-        let shared_at = self.shared.len() as u32;
-        self.shared
+        let shared_at = self.m.shared.len() as u32;
+        self.m
+            .shared
             .extend(std::iter::repeat_n(0, self.spec.shared_words as usize));
-        let windows = (t0 + tpb) as usize * MAX_WINDOW;
-        if self.windows.len() < windows {
-            self.windows.resize(windows, Slot::default());
+        let threads = (t0 + tpb) as usize;
+        if lanes.windows.len() < threads {
+            lanes.windows.resize(threads, [Slot::default(); MAX_WINDOW]);
         }
 
         // Warp/lane randomisation respecting warp membership: full warps
@@ -778,7 +1032,7 @@ impl<'a> Run<'a> {
         self.warp_map.clear();
         self.warp_map.extend(0..full_warps);
         if self.spec.randomize_ids {
-            shuffle(&mut self.warp_map, &mut self.rng);
+            shuffle(&mut self.warp_map, &mut self.m.rng);
         }
 
         for i in 0..tpb {
@@ -789,11 +1043,10 @@ impl<'a> Run<'a> {
             } else {
                 i // partial trailing warp keeps its ids
             };
-            let regs_at = self.regs.len() as u32;
-            self.regs.extend(std::iter::repeat_n(0, num_regs as usize));
-            self.pending
-                .extend(std::iter::repeat_n(0, num_regs as usize));
-            self.threads.push(ThreadCtx {
+            let regs_at = lanes.regs.len() as u32;
+            lanes.regs.extend(std::iter::repeat_n(0, num_regs));
+            lanes.pending.extend(std::iter::repeat_n(0, num_regs));
+            lanes.threads.push(ThreadCtx {
                 group: gi,
                 block: block_index,
                 warp: w0 + w,
@@ -813,7 +1066,7 @@ impl<'a> Run<'a> {
                 win_len: 0,
             });
         }
-        self.blocks.push(BlockState {
+        self.m.blocks.push(BlockState {
             group: gi,
             threads: t0..t0 + tpb,
             shared_at,
@@ -840,54 +1093,135 @@ impl<'a> Run<'a> {
 
     // -- thread stepping ---------------------------------------------------
 
+    /// Step a warp as a batch when its live lanes are all running,
+    /// unstalled and at the same [`register_local`] instruction: drain
+    /// every lane in lane order, then decode the instruction once and
+    /// execute it lane by lane. Returns false, having done nothing, for
+    /// any other warp, which steps lane by lane instead.
+    ///
+    /// This is exact. Such an instruction reads and writes only its own
+    /// lane's registers, `pc` and `icount`, plus the instruction counter,
+    /// and a drain reads nothing that belongs to another lane, so the RNG
+    /// draws and the final state are those of stepping lane by lane. A
+    /// drain that faults stops the batch at its lane, just as the lane
+    /// loop breaks there: only the lanes before it execute.
+    fn step_uniform(&mut self, first: u32, live: u32) -> bool {
+        let spec = self.spec;
+        let th = &self.lanes.threads[(first + live.trailing_zeros()) as usize];
+        let (g, pc) = (&spec.groups[th.group as usize], th.pc);
+        let Some(&inst) = g.program.insts.get(pc as usize) else {
+            return false;
+        };
+        let threads = &self.lanes.threads;
+        let uniform = register_local(inst)
+            && lanes_of(live).all(|l| {
+                let th = &threads[(first + l) as usize];
+                th.state == TState::Running && !th.stalled && th.pc == pc
+            });
+        if !uniform {
+            return false;
+        }
+        let mut ran = live;
+        for l in lanes_of(live) {
+            // An empty window's drain turn does nothing and draws
+            // nothing, so it is skipped without borrowing the lane.
+            if self.lanes.threads[(first + l) as usize].win_len == 0 {
+                continue;
+            }
+            let mut lane = self.lanes.lane(first + l);
+            if let Err(e) = self.m.drain(&mut lane) {
+                self.status = Some(RunStatus::OutOfBounds(e));
+                ran &= (1 << l) - 1;
+                break;
+            }
+        }
+        let mut lanes = WarpLanes {
+            lanes: &mut self.lanes,
+            first,
+            mask: ran,
+        };
+        self.m.instructions += exec_local(inst, g, &mut lanes);
+        true
+    }
+
+    /// Step thread `t` on its own: a drain turn (a demand drain while it
+    /// is stalled), then, if it is running and ready, the instruction at
+    /// its `pc`.
     fn step_thread(&mut self, t: u32) {
-        match self.threads[t as usize].state {
-            TState::Dead | TState::BarrierWait => {}
+        let spec = self.spec;
+        let state = self.lanes.threads[t as usize].state;
+        if matches!(state, TState::Dead | TState::BarrierWait) {
+            return;
+        }
+        let mut lane = self.lanes.lane(t);
+        let drained = if lane.th.stalled {
+            let reg = lane.reg(lane.th.stalled_reg);
+            let demanded = lane.pending[reg];
+            let drained = self.m.demand_drain(&mut lane, demanded);
+            if lane.pending[reg] == 0 {
+                lane.th.stalled = false;
+            }
+            drained
+        } else {
+            self.m.drain(&mut lane)
+        };
+        if let Err(e) = drained {
+            self.status = Some(RunStatus::OutOfBounds(e));
+        }
+        let empty = lane.th.win_len == 0;
+        match state {
+            TState::Running => {
+                if lane.th.stalled || self.status.is_some() {
+                    return;
+                }
+                let g = &spec.groups[lane.th.group as usize];
+                match g.program.insts.get(lane.th.pc as usize) {
+                    Some(&inst) if register_local(inst) => {
+                        self.m.instructions += exec_local(inst, g, &mut lane);
+                    }
+                    Some(Inst::Barrier) => {
+                        lane.th.state = TState::BarrierDrain;
+                        lane.retire(lane.th.pc + 1);
+                        self.m.instructions += 1;
+                    }
+                    Some(Inst::Halt) => {
+                        self.m.instructions += 1;
+                        self.halt_thread(t);
+                    }
+                    Some(&inst) => match self.m.exec_mem(inst, &mut lane) {
+                        Ok(true) => self.m.instructions += 1,
+                        Ok(false) => {}
+                        Err(e) => self.status = Some(RunStatus::OutOfBounds(e)),
+                    },
+                    // Past the end of its program, a thread halts.
+                    None => self.halt_thread(t),
+                }
+            }
             TState::HaltDrain => {
-                self.drain_step(t, false);
-                if self.threads[t as usize].win_len == 0 {
-                    self.threads[t as usize].state = TState::Dead;
+                if empty {
+                    lane.th.state = TState::Dead;
                     self.on_thread_dead(t);
                 }
             }
             TState::BarrierDrain => {
-                self.drain_step(t, false);
-                if self.threads[t as usize].win_len == 0 {
-                    self.threads[t as usize].state = TState::BarrierWait;
-                    let b = self.threads[t as usize].block;
-                    self.blocks[b as usize].waiting += 1;
+                if empty {
+                    lane.th.state = TState::BarrierWait;
+                    let b = lane.th.block;
+                    self.m.blocks[b as usize].waiting += 1;
                     self.check_barrier_release(b);
                 }
             }
-            TState::Running => {
-                if self.threads[t as usize].stalled {
-                    let th = &self.threads[t as usize];
-                    let reg_idx = (th.regs_at + th.stalled_reg as u32) as usize;
-                    let demanded = self.pending[reg_idx];
-                    self.demand_drain_step(t, demanded);
-                    let th = &self.threads[t as usize];
-                    let reg_idx = (th.regs_at + th.stalled_reg as u32) as usize;
-                    if self.pending[reg_idx] != 0 {
-                        return;
-                    }
-                    self.threads[t as usize].stalled = false;
-                } else {
-                    self.drain_step(t, false);
-                }
-                if self.status.is_none() {
-                    self.exec_inst(t);
-                }
-            }
+            TState::Dead | TState::BarrierWait => unreachable!("returned above"),
         }
     }
 
     /// Called exactly once per thread, in its own step, when it dies.
     fn on_thread_dead(&mut self, t: u32) {
-        let th = &self.threads[t as usize];
+        let th = &self.lanes.threads[t as usize];
         let (b, w) = (th.block as usize, th.warp as usize);
         let warp = &mut self.warps[w];
         warp.live &= !(1 << (t - warp.first));
-        let blk = &mut self.blocks[b];
+        let blk = &mut self.m.blocks[b];
         blk.dead += 1;
         if blk.dead == blk.threads.end - blk.threads.start {
             let gi = blk.group as usize;
@@ -896,7 +1230,7 @@ impl<'a> Run<'a> {
             if g.role == Role::App {
                 self.app_blocks_left -= 1;
                 if self.app_blocks_left == 0 {
-                    self.app_turns = self.turn;
+                    self.app_turns = self.m.turn;
                 }
             }
             self.try_launch();
@@ -904,7 +1238,7 @@ impl<'a> Run<'a> {
     }
 
     fn check_barrier_release(&mut self, b: u32) {
-        let blk = &self.blocks[b as usize];
+        let blk = &mut self.m.blocks[b as usize];
         if blk.waiting > 0 && blk.waiting == blk.alive {
             let total = blk.threads.end - blk.threads.start;
             if blk.alive < total {
@@ -913,69 +1247,125 @@ impl<'a> Run<'a> {
                 self.status = Some(RunStatus::BarrierDivergence);
                 return;
             }
-            let range = blk.threads.clone();
-            self.blocks[b as usize].waiting = 0;
-            for t in range {
-                if self.threads[t as usize].state == TState::BarrierWait {
-                    self.threads[t as usize].state = TState::Running;
+            blk.waiting = 0;
+            for th in &mut self.lanes.threads[blk.threads.start as usize..blk.threads.end as usize]
+            {
+                if th.state == TState::BarrierWait {
+                    th.state = TState::Running;
                 }
             }
         }
     }
 
-    // -- window drain ------------------------------------------------------
-
-    /// Thread `t`'s in-flight operations, oldest first.
-    #[inline]
-    fn window(&self, t: u32) -> &[Slot] {
-        let at = t as usize * MAX_WINDOW;
-        &self.windows[at..at + usize::from(self.threads[t as usize].win_len)]
-    }
-
-    #[inline]
-    fn window_mut(&mut self, t: u32) -> &mut [Slot] {
-        let at = t as usize * MAX_WINDOW;
-        &mut self.windows[at..at + usize::from(self.threads[t as usize].win_len)]
-    }
-
-    /// True if window slot `j` may complete before every older in-flight
-    /// op: no fence of its scope in the way and no same-space same-line
-    /// older op. A device fence holds everything; a block fence holds
-    /// only shared-space operations (its visibility guarantee is
-    /// intra-block, and global completion is modelled device-wide).
-    fn can_bypass(&self, t: u32, j: usize) -> bool {
-        let win = self.window(t);
-        let sj = win[j];
-        if matches!(sj.kind, SlotKind::Fence | SlotKind::FenceBlock) {
-            return false;
+    fn halt_thread(&mut self, t: u32) {
+        let th = &mut self.lanes.threads[t as usize];
+        th.state = TState::HaltDrain;
+        let empty = th.win_len == 0;
+        let blk = &mut self.m.blocks[th.block as usize];
+        blk.alive -= 1;
+        if blk.waiting > 0 {
+            // Some block-mates are at a barrier this thread will never
+            // reach: barrier divergence.
+            self.status = Some(RunStatus::BarrierDivergence);
+            return;
         }
-        for si in &win[..j] {
-            match si.kind {
-                SlotKind::Fence => return false,
-                SlotKind::FenceBlock => {
-                    if sj.space == Space::Shared {
-                        return false;
-                    }
-                }
-                _ => {
-                    if si.space == sj.space && si.line == sj.line {
-                        return false;
-                    }
+        // Fast path: if the window is already empty the thread dies now.
+        if empty {
+            self.lanes.threads[t as usize].state = TState::Dead;
+            self.on_thread_dead(t);
+        }
+    }
+}
+
+impl Machine<'_> {
+    /// One drain turn of a lane: possibly complete a younger op out of
+    /// order (a weak-memory event), otherwise maybe complete the head.
+    #[inline(always)]
+    fn drain(&mut self, lane: &mut Lane<'_>) -> Result<(), OobError> {
+        let win = lane.window();
+        let len = win.len();
+        if len == 0 {
+            return Ok(());
+        }
+        // One bypass attempt per turn, by the oldest candidate that may
+        // pass every older in-flight op; only slots 1–3 are candidates.
+        if let Some(j) = (1..len.min(4)).find(|&j| can_bypass(win, j)) {
+            let p = self.bypass_prob(lane.th.block, win[0], win[j]);
+            if self.rng.gen::<f64>() < p {
+                return self.bypass(lane, j);
+            }
+        }
+        // Head completion. `stall` covers both fence latency and the
+        // contention delay applied to bypassed-over operations.
+        let head = &mut lane.win[0];
+        if head.stall > 0 {
+            head.stall -= 1;
+            return Ok(());
+        }
+        if len == self.chip.window || self.rng.gen::<f64>() < self.chip.drain_q {
+            return self.complete(lane, 0);
+        }
+        Ok(())
+    }
+
+    /// One drain turn of a lane stalled on a register produced by the
+    /// in-flight op `demanded`. The pipeline *demands* that op: like a
+    /// real memory system returning an atomic or load result while older
+    /// plain stores sit in the write buffer, the demanded op may complete
+    /// out of order (with the usual contention-dependent probability —
+    /// this is exactly the reordering that breaks `sdk-red-nf`'s
+    /// partial/counter protocol). Otherwise the head drains in order.
+    fn demand_drain(&mut self, lane: &mut Lane<'_>, demanded: u32) -> Result<(), OobError> {
+        let win = lane.window();
+        if win.is_empty() {
+            return Ok(());
+        }
+        if let Some(j) = win.iter().position(|s| s.id == demanded) {
+            if j > 0 && can_bypass(win, j) {
+                let p = self.bypass_prob(lane.th.block, win[0], win[j]);
+                if self.rng.gen::<f64>() < p {
+                    return self.bypass(lane, j);
                 }
             }
         }
-        true
+        // Otherwise resolve in order: complete the head (respecting its
+        // stall delay).
+        let head = &mut lane.win[0];
+        if head.stall > 0 {
+            head.stall -= 1;
+            return Ok(());
+        }
+        self.complete(lane, 0)
     }
 
-    /// The probability that window slot `sj` (younger) completes before
-    /// `head` (older). The younger operation's space selects the reorder
-    /// matrix and contention source: global bypasses are driven by the
-    /// channel trackers, shared bypasses by the owning block's shared
-    /// traffic. When the head is in the other space — or is a fence the
-    /// candidate may legitimately pass (a global op passing a block
-    /// fence) — the two sides travel different datapaths, so only the
-    /// younger side's address feeds its contention lookup.
-    fn bypass_prob(&mut self, t: u32, head: Slot, sj: Slot) -> f64 {
+    /// Complete window slot `j` ahead of every older op, and count the
+    /// bypass in the channel of its space. The older ops are the ones the
+    /// congested memory system is sitting on: delaying them widens the
+    /// visibility inversion, which is what makes a stale value
+    /// observable by other threads.
+    fn bypass(&mut self, lane: &mut Lane<'_>, j: usize) -> Result<(), OobError> {
+        for s in &mut lane.win[..j] {
+            s.stall += BYPASS_DELAY_TURNS;
+        }
+        let space = lane.win[j].space;
+        let done = self.complete(lane, j);
+        match space {
+            Space::Global => self.channels.window_global += 1,
+            Space::Shared => self.channels.window_shared += 1,
+        }
+        done
+    }
+
+    /// The probability that window slot `sj` (younger) of a thread of
+    /// block `b` completes before `head` (older). The younger
+    /// operation's space selects the reorder matrix and contention
+    /// source: global bypasses are driven by the channel trackers,
+    /// shared bypasses by the block's shared traffic. When the head is
+    /// in the other space — or is a fence the candidate may legitimately
+    /// pass (a global op passing a block fence) — the two sides travel
+    /// different datapaths, so only the younger side's address feeds its
+    /// contention lookup.
+    fn bypass_prob(&mut self, b: u32, head: Slot, sj: Slot) -> f64 {
         let kind = classify(head.store_class, sj.store_class);
         let head_is_fence = matches!(head.kind, SlotKind::Fence | SlotKind::FenceBlock);
         match sj.space {
@@ -990,167 +1380,45 @@ impl<'a> Run<'a> {
             }
             Space::Shared => {
                 let chip = self.chip;
-                let b = self.threads[t as usize].block as usize;
-                let chi = self.blocks[b].shared_chi(chip, self.turn);
+                let chi = self.blocks[b as usize].shared_chi(chip, self.turn);
                 let k = kind.idx();
                 (chip.shared_reorder.base[k] + chip.shared_reorder.gain[k] * chi).clamp(0.0, 0.95)
             }
         }
     }
 
-    /// Drain while the thread is stalled on a register produced by the
-    /// in-flight op `demanded`. The pipeline *demands* that op: like a
-    /// real memory system returning an atomic or load result while older
-    /// plain stores sit in the write buffer, the demanded op may complete
-    /// out of order (with the usual contention-dependent probability —
-    /// this is exactly the reordering that breaks `sdk-red-nf`'s
-    /// partial/counter protocol). Otherwise the head drains in order.
-    fn demand_drain_step(&mut self, t: u32, demanded: u32) {
-        if self.threads[t as usize].win_len == 0 {
-            return;
-        }
-        let pos = self.window(t).iter().position(|s| s.id == demanded);
-        if let Some(j) = pos {
-            if j > 0 && self.can_bypass(t, j) {
-                let (head, sj) = (self.window(t)[0], self.window(t)[j]);
-                let p = self.bypass_prob(t, head, sj);
-                if self.rng.gen::<f64>() < p {
-                    self.delay_bypassed(t, j);
-                    self.complete_slot(t, j);
-                    self.note_bypass(sj.space);
-                    return;
-                }
-            }
-        }
-        // Otherwise resolve in order: complete the head (respecting its
-        // stall delay).
-        let head = &mut self.window_mut(t)[0];
-        if head.stall > 0 {
-            head.stall -= 1;
-            return;
-        }
-        self.complete_slot(t, 0);
-    }
-
-    /// One drain turn: possibly complete a younger op out of order
-    /// (a weak-memory event), otherwise maybe complete the head.
-    /// `in_order` forces head-only completion (used while the thread is
-    /// draining for a barrier or halt in program order).
-    fn drain_step(&mut self, t: u32, in_order: bool) {
-        let len = usize::from(self.threads[t as usize].win_len);
-        if len == 0 {
-            return;
-        }
-        if !in_order && len >= 2 {
-            // One bypass attempt per turn, by the youngest candidate that
-            // may pass every older in-flight op.
-            if let Some(j) = (1..len.min(4)).find(|&j| self.can_bypass(t, j)) {
-                let (head, sj) = (self.window(t)[0], self.window(t)[j]);
-                let p = self.bypass_prob(t, head, sj);
-                if self.rng.gen::<f64>() < p {
-                    self.delay_bypassed(t, j);
-                    self.complete_slot(t, j);
-                    self.note_bypass(sj.space);
-                    return;
-                }
-            }
-        }
-        // Head completion. `stall` covers both fence latency and the
-        // contention delay applied to bypassed-over operations.
-        let head = &mut self.window_mut(t)[0];
-        if head.stall > 0 {
-            head.stall -= 1;
-            return;
-        }
-        let full = len == self.chip.window;
-        if in_order || full || self.rng.gen::<f64>() < self.chip.drain_q {
-            self.complete_slot(t, 0);
-        }
-    }
-
-    /// The operations slot `j` bypassed are the ones the congested
-    /// memory system is sitting on: delay them, widening the visibility
-    /// inversion (this is what makes a stale value observable by other
-    /// threads).
-    fn delay_bypassed(&mut self, t: u32, j: usize) {
-        for s in &mut self.window_mut(t)[..j] {
-            s.stall += BYPASS_DELAY_TURNS;
-        }
-    }
-
-    /// Count one in-flight-window bypass in the channel of the
-    /// completing slot's space.
-    fn note_bypass(&mut self, space: Space) {
-        match space {
-            Space::Global => self.channels.window_global += 1,
-            Space::Shared => self.channels.window_shared += 1,
-        }
-    }
-
-    /// Complete (make visible in its space) the window slot at `j`,
-    /// shifting younger entries down. Shared-space slots land in the
-    /// owning block's shared array (bounds were checked at issue).
-    fn complete_slot(&mut self, t: u32, j: usize) {
-        let slot = self.window(t)[j];
-        let result: Result<Option<Word>, OobError> = if slot.space == Space::Shared
+    /// Complete (make visible in its space) the lane's window slot `j`,
+    /// land the value it reads if the op still owns its destination
+    /// register, and shift the younger slots down. Shared-space slots
+    /// land in the owning block's shared array (bounds were checked at
+    /// issue).
+    fn complete(&mut self, lane: &mut Lane<'_>, j: usize) -> Result<(), OobError> {
+        let slot = lane.win[j];
+        let b = lane.th.block;
+        let value = if slot.space == Space::Shared
             && !matches!(slot.kind, SlotKind::Fence | SlotKind::FenceBlock)
         {
-            self.shared_index(t, slot.addr).map(|i| match slot.kind {
-                SlotKind::Load => Some(self.shared[i]),
-                SlotKind::Store => {
-                    self.shared[i] = slot.v1;
-                    None
-                }
-                SlotKind::Cas => {
-                    let old = self.shared[i];
-                    if old == slot.v1 {
-                        self.shared[i] = slot.v2;
-                    }
-                    Some(old)
-                }
-                SlotKind::Exch => {
-                    let old = self.shared[i];
-                    self.shared[i] = slot.v1;
-                    Some(old)
-                }
-                SlotKind::Add => {
-                    let old = self.shared[i];
-                    self.shared[i] = old.wrapping_add(slot.v1);
-                    Some(old)
-                }
-                SlotKind::Fence | SlotKind::FenceBlock => unreachable!("guarded above"),
-            })
+            self.shared_index(b, slot.addr)
+                .map(|i| apply_shared(&mut self.shared[i], slot.kind, slot.v1, slot.v2))
         } else {
-            self.complete_global(t, slot)
+            self.complete_global(self.blocks[b as usize].home_sm, slot)
         };
-        match result {
-            Err(e) => {
-                self.status = Some(RunStatus::OutOfBounds(e));
-            }
-            Ok(value) => {
-                if let Some(v) = value {
-                    if slot.kind != SlotKind::Fence {
-                        let th = &self.threads[t as usize];
-                        let reg_idx = (th.regs_at + slot.dst as u32) as usize;
-                        // Only land the value if this op still owns the
-                        // destination register.
-                        if self.pending[reg_idx] == slot.id {
-                            self.regs[reg_idx] = v;
-                            self.pending[reg_idx] = 0;
-                        }
-                    }
-                }
+        let len = usize::from(lane.th.win_len);
+        lane.win.copy_within(j + 1..len, j);
+        lane.th.win_len -= 1;
+        if let Some(v) = value? {
+            let r = lane.reg(slot.dst);
+            if lane.pending[r] == slot.id {
+                lane.regs[r] = v;
+                lane.pending[r] = 0;
             }
         }
-        let win = self.window_mut(t);
-        for k in j..win.len() - 1 {
-            win[k] = win[k + 1];
-        }
-        self.threads[t as usize].win_len -= 1;
+        Ok(())
     }
 
-    /// Complete a global-space slot against memory and, on chips with an
-    /// incoherent L1 ([`Chip::l1_weak`]), against the home SM's cache:
+    /// Complete a global-space slot of a block homed on SM `home` against
+    /// memory and, on chips with an incoherent L1 ([`Chip::l1_weak`]),
+    /// against that SM's cache:
     ///
     /// * a **load** reads fresh memory, then may be served the stale
     ///   pre-write value instead when a live remote-written line covers
@@ -1165,8 +1433,7 @@ impl<'a> Run<'a> {
     /// * a **device fence** refreshes the issuing SM's entire L1.
     ///
     /// With `l1` absent every arm reduces to the plain memory access.
-    fn complete_global(&mut self, t: u32, slot: Slot) -> Result<Option<Word>, OobError> {
-        let home = self.blocks[self.threads[t as usize].block as usize].home_sm;
+    fn complete_global(&mut self, home: u32, slot: Slot) -> Result<Option<Word>, OobError> {
         match slot.kind {
             SlotKind::Fence => {
                 if let Some(l1) = self.l1.as_mut() {
@@ -1238,301 +1505,30 @@ impl<'a> Run<'a> {
         }
     }
 
-    // -- instruction execution ---------------------------------------------
-
-    fn reg_ready(&self, t: u32, r: Reg) -> bool {
-        let th = &self.threads[t as usize];
-        self.pending[(th.regs_at + r as u32) as usize] == 0
-    }
-
-    fn read_reg(&self, t: u32, r: Reg) -> Word {
-        let th = &self.threads[t as usize];
-        self.regs[(th.regs_at + r as u32) as usize]
-    }
-
-    fn write_reg(&mut self, t: u32, r: Reg, v: Word) {
-        let th = &self.threads[t as usize];
-        let idx = (th.regs_at + r as u32) as usize;
-        self.regs[idx] = v;
-        self.pending[idx] = 0;
-    }
-
-    fn stall_on(&mut self, t: u32, r: Reg) {
-        let th = &mut self.threads[t as usize];
-        th.stalled = true;
-        th.stalled_reg = r;
-    }
-
-    /// Require registers ready; returns false (and stalls) otherwise.
-    fn need(&mut self, t: u32, rs: &[Reg]) -> bool {
-        for &r in rs {
-            if !self.reg_ready(t, r) {
-                self.stall_on(t, r);
-                return false;
-            }
-        }
-        true
-    }
-
-    fn push_slot(&mut self, t: u32, slot: Slot) -> bool {
-        if usize::from(self.threads[t as usize].win_len) == self.chip.window {
-            // Window full: force the head out first. A stalling fence at
-            // the head blocks issue this turn.
-            let head = &mut self.window_mut(t)[0];
-            if head.stall > 0 {
-                head.stall -= 1;
-                return false;
-            }
-            self.complete_slot(t, 0);
-            if self.status.is_some() {
-                return false;
-            }
-        }
-        // `Gpu::new` checked `chip.window <= MAX_WINDOW`, so the new slot
-        // stays inside this thread's part of the store.
-        let th = &mut self.threads[t as usize];
-        self.windows[t as usize * MAX_WINDOW + usize::from(th.win_len)] = slot;
-        th.win_len += 1;
-        true
-    }
-
-    /// Record contention-tracker state for a global access issue: a
-    /// back-to-back transition when the previous access is within the
-    /// gap, or a loop-boundary (last/first) event when it is not.
-    fn note_global_issue(&mut self, t: u32, addr: u32, is_store: bool) {
-        let channel = self.chip.channel_of(addr);
-        let th = &self.threads[t as usize];
-        let within_gap = th.icount.wrapping_sub(th.last_icount) <= TRANSITION_GAP;
-        let transition = (th.has_last && th.last_channel == channel && within_gap)
-            .then_some((th.last_is_store, is_store));
-        if th.has_last && !within_gap {
-            let (pa, ps) = (th.last_addr, th.last_is_store);
-            self.mem
-                .note_boundary(self.chip, pa, ps, addr, is_store, self.turn);
-        }
-        self.mem
-            .note_access(self.chip, addr, is_store, transition, self.turn);
-        let th = &mut self.threads[t as usize];
-        th.has_last = true;
-        th.last_channel = channel;
-        th.last_addr = addr;
-        th.last_is_store = is_store;
-        th.last_icount = th.icount;
-    }
-
-    fn shared_index(&self, t: u32, addr: u32) -> Result<usize, OobError> {
-        if addr >= self.spec.shared_words {
-            return Err(OobError {
-                addr,
-                len: self.spec.shared_words,
-            });
-        }
-        let b = self.threads[t as usize].block as usize;
-        Ok((self.blocks[b].shared_at + addr) as usize)
-    }
-
-    /// Record a shared-space access issue on the owning block's traffic
-    /// tracker (the feed of the shared contention factor χ).
-    fn note_shared_issue(&mut self, t: u32, reads: bool, writes: bool) {
-        let chip = self.chip;
-        let b = self.threads[t as usize].block as usize;
-        self.blocks[b].note_shared(chip, reads, writes, self.turn);
-    }
-
-    fn fresh_op_id(&mut self) -> u32 {
-        let id = self.next_op_id;
-        self.next_op_id += 1;
-        id
-    }
-
-    fn halt_thread(&mut self, t: u32) {
-        let b = self.threads[t as usize].block;
-        self.threads[t as usize].state = TState::HaltDrain;
-        self.blocks[b as usize].alive -= 1;
-        if self.blocks[b as usize].waiting > 0 {
-            // Some block-mates are at a barrier this thread will never
-            // reach: barrier divergence.
-            self.status = Some(RunStatus::BarrierDivergence);
-            return;
-        }
-        // Fast path: if the window is already empty the thread dies now.
-        if self.threads[t as usize].win_len == 0 {
-            self.threads[t as usize].state = TState::Dead;
-            self.on_thread_dead(t);
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_inst(&mut self, t: u32) {
-        let th = &self.threads[t as usize];
-        let gi = th.group as usize;
-        let pc = th.pc as usize;
-        let program: &Arc<Program> = &self.spec.groups[gi].program;
-        if pc >= program.insts.len() {
-            self.halt_thread(t);
-            return;
-        }
-        let inst = program.insts[pc];
-        let mut next_pc = pc as u32 + 1;
-        match inst {
-            Inst::Const { dst, value } => {
-                if !self.need(t, &[dst]) {
-                    return;
-                }
-                self.write_reg(t, dst, value);
-            }
-            Inst::Mov { dst, src } => {
-                if !self.need(t, &[src, dst]) {
-                    return;
-                }
-                let v = self.read_reg(t, src);
-                self.write_reg(t, dst, v);
-            }
-            Inst::Bin { op, dst, a, b } => {
-                if !self.need(t, &[a, b, dst]) {
-                    return;
-                }
-                let va = self.read_reg(t, a);
-                let vb = self.read_reg(t, b);
-                self.write_reg(t, dst, eval_bin(op, va, vb));
-            }
-            Inst::Special { dst, sr } => {
-                if !self.need(t, &[dst]) {
-                    return;
-                }
-                let g = &self.spec.groups[gi];
-                let th = &self.threads[t as usize];
-                let v = match sr {
-                    SpecialReg::Tid => th.tid,
-                    SpecialReg::Bid => th.bid,
-                    SpecialReg::BlockDim => g.threads_per_block,
-                    SpecialReg::GridDim => g.blocks,
-                    SpecialReg::Lane => th.tid % WARP_SIZE,
-                    SpecialReg::GlobalTid => th.tid + th.bid * g.threads_per_block,
-                };
-                self.write_reg(t, dst, v);
-            }
+    /// Execute a memory instruction (load, store, atomic or fence) at
+    /// the lane's `pc`. Global operations and fences enter the lane's
+    /// window. Shared-space operations do too on chips with a live
+    /// shared reorder matrix (atomics stay indivisible, the
+    /// read-modify-write happening in one completion step, but like
+    /// global atomics do not order *other* accesses); with all-zero
+    /// shared rates they complete at once, the legacy strongly-ordered
+    /// behaviour. Returns `Ok(false)`, not retiring the instruction,
+    /// when a register it needs is pending or a stalling fence heads a
+    /// full window.
+    fn exec_mem(&mut self, inst: Inst, lane: &mut Lane<'_>) -> Result<bool, OobError> {
+        let (kind, space, addr, v1, v2, dst) = match inst {
             Inst::Load { dst, space, addr } => {
-                if !self.need(t, &[addr, dst]) {
-                    return;
+                if lane.need(&[addr, dst]).is_none() {
+                    return Ok(false);
                 }
-                let a = self.read_reg(t, addr);
-                match space {
-                    Space::Shared => {
-                        let i = match self.shared_index(t, a) {
-                            Ok(i) => i,
-                            Err(e) => {
-                                self.status = Some(RunStatus::OutOfBounds(e));
-                                return;
-                            }
-                        };
-                        if self.shared_weak {
-                            let id = self.fresh_op_id();
-                            let slot = Slot {
-                                kind: SlotKind::Load,
-                                store_class: false,
-                                space: Space::Shared,
-                                addr: a,
-                                line: self.chip.line_of(a),
-                                v1: 0,
-                                v2: 0,
-                                dst,
-                                id,
-                                stall: 0,
-                            };
-                            if !self.push_slot(t, slot) {
-                                return;
-                            }
-                            let th = &self.threads[t as usize];
-                            let idx = (th.regs_at + dst as u32) as usize;
-                            self.pending[idx] = id;
-                            self.note_shared_issue(t, true, false);
-                        } else {
-                            let v = self.shared[i];
-                            self.write_reg(t, dst, v);
-                        }
-                    }
-                    Space::Global => {
-                        let id = self.fresh_op_id();
-                        let slot = Slot {
-                            kind: SlotKind::Load,
-                            store_class: false,
-                            space: Space::Global,
-                            addr: a,
-                            line: self.chip.line_of(a),
-                            v1: 0,
-                            v2: 0,
-                            dst,
-                            id,
-                            stall: 0,
-                        };
-                        if !self.push_slot(t, slot) {
-                            return;
-                        }
-                        let th = &self.threads[t as usize];
-                        let idx = (th.regs_at + dst as u32) as usize;
-                        self.pending[idx] = id;
-                        self.note_global_issue(t, a, false);
-                    }
-                }
+                (SlotKind::Load, space, lane.read(addr), 0, 0, dst)
             }
             Inst::Store { space, addr, src } => {
-                if !self.need(t, &[addr, src]) {
-                    return;
+                if lane.need(&[addr, src]).is_none() {
+                    return Ok(false);
                 }
-                let a = self.read_reg(t, addr);
-                let v = self.read_reg(t, src);
-                match space {
-                    Space::Shared => {
-                        let i = match self.shared_index(t, a) {
-                            Ok(i) => i,
-                            Err(e) => {
-                                self.status = Some(RunStatus::OutOfBounds(e));
-                                return;
-                            }
-                        };
-                        if self.shared_weak {
-                            let id = self.fresh_op_id();
-                            let slot = Slot {
-                                kind: SlotKind::Store,
-                                store_class: true,
-                                space: Space::Shared,
-                                addr: a,
-                                line: self.chip.line_of(a),
-                                v1: v,
-                                v2: 0,
-                                dst: 0,
-                                id,
-                                stall: 0,
-                            };
-                            if !self.push_slot(t, slot) {
-                                return;
-                            }
-                            self.note_shared_issue(t, false, true);
-                        } else {
-                            self.shared[i] = v;
-                        }
-                    }
-                    Space::Global => {
-                        let id = self.fresh_op_id();
-                        let slot = Slot {
-                            kind: SlotKind::Store,
-                            store_class: true,
-                            space: Space::Global,
-                            addr: a,
-                            line: self.chip.line_of(a),
-                            v1: v,
-                            v2: 0,
-                            dst: 0,
-                            id,
-                            stall: 0,
-                        };
-                        if !self.push_slot(t, slot) {
-                            return;
-                        }
-                        self.note_global_issue(t, a, true);
-                    }
-                }
+                let (a, v) = (lane.read(addr), lane.read(src));
+                (SlotKind::Store, space, a, v, 0, 0)
             }
             Inst::AtomicCas {
                 dst,
@@ -1541,15 +1537,11 @@ impl<'a> Run<'a> {
                 cmp,
                 val,
             } => {
-                if !self.need(t, &[addr, cmp, val, dst]) {
-                    return;
+                if lane.need(&[addr, cmp, val, dst]).is_none() {
+                    return Ok(false);
                 }
-                let a = self.read_reg(t, addr);
-                let c = self.read_reg(t, cmp);
-                let v = self.read_reg(t, val);
-                if !self.issue_atomic(t, space, SlotKind::Cas, a, c, v, dst) {
-                    return;
-                }
+                let (a, c, v) = (lane.read(addr), lane.read(cmp), lane.read(val));
+                (SlotKind::Cas, space, a, c, v, dst)
             }
             Inst::AtomicExch {
                 dst,
@@ -1557,14 +1549,11 @@ impl<'a> Run<'a> {
                 addr,
                 val,
             } => {
-                if !self.need(t, &[addr, val, dst]) {
-                    return;
+                if lane.need(&[addr, val, dst]).is_none() {
+                    return Ok(false);
                 }
-                let a = self.read_reg(t, addr);
-                let v = self.read_reg(t, val);
-                if !self.issue_atomic(t, space, SlotKind::Exch, a, v, 0, dst) {
-                    return;
-                }
+                let (a, v) = (lane.read(addr), lane.read(val));
+                (SlotKind::Exch, space, a, v, 0, dst)
             }
             Inst::AtomicAdd {
                 dst,
@@ -1572,21 +1561,17 @@ impl<'a> Run<'a> {
                 addr,
                 val,
             } => {
-                if !self.need(t, &[addr, val, dst]) {
-                    return;
+                if lane.need(&[addr, val, dst]).is_none() {
+                    return Ok(false);
                 }
-                let a = self.read_reg(t, addr);
-                let v = self.read_reg(t, val);
-                if !self.issue_atomic(t, space, SlotKind::Add, a, v, 0, dst) {
-                    return;
-                }
+                let (a, v) = (lane.read(addr), lane.read(val));
+                (SlotKind::Add, space, a, v, 0, dst)
             }
             Inst::Fence(level) => {
                 let (kind, stall) = match level {
                     FenceLevel::Device => (SlotKind::Fence, self.chip.fence_stall),
                     FenceLevel::Block => (SlotKind::FenceBlock, self.chip.block_fence_stall),
                 };
-                let id = self.fresh_op_id();
                 let slot = Slot {
                     kind,
                     store_class: false,
@@ -1596,141 +1581,120 @@ impl<'a> Run<'a> {
                     v1: 0,
                     v2: 0,
                     dst: 0,
-                    id,
+                    id: self.fresh_op_id(),
                     stall,
                 };
-                if !self.push_slot(t, slot) {
-                    return;
+                if !self.push(lane, slot)? {
+                    return Ok(false);
                 }
+                lane.retire(lane.th.pc + 1);
+                return Ok(true);
             }
-            Inst::Barrier => {
-                self.threads[t as usize].state = TState::BarrierDrain;
-                self.threads[t as usize].pc = next_pc;
-                self.threads[t as usize].icount += 1;
-                self.instructions += 1;
-                return;
-            }
-            Inst::Jump { target } => {
-                next_pc = target as u32;
-            }
-            Inst::BranchZ { cond, target } => {
-                if !self.need(t, &[cond]) {
-                    return;
+            _ => unreachable!("{inst:?} is not a memory instruction"),
+        };
+        let (reads, writes) = (kind != SlotKind::Store, kind != SlotKind::Load);
+        let b = lane.th.block;
+        if space == Space::Shared {
+            let i = self.shared_index(b, addr)?;
+            if !self.shared_weak {
+                if let Some(v) = apply_shared(&mut self.shared[i], kind, v1, v2) {
+                    lane.write(dst, v);
                 }
-                if self.read_reg(t, cond) == 0 {
-                    next_pc = target as u32;
-                }
-            }
-            Inst::BranchNZ { cond, target } => {
-                if !self.need(t, &[cond]) {
-                    return;
-                }
-                if self.read_reg(t, cond) != 0 {
-                    next_pc = target as u32;
-                }
-            }
-            Inst::Halt => {
-                self.instructions += 1;
-                self.halt_thread(t);
-                return;
+                lane.retire(lane.th.pc + 1);
+                return Ok(true);
             }
         }
-        if self.status.is_some() {
-            return;
+        let slot = Slot {
+            kind,
+            store_class: writes,
+            space,
+            addr,
+            line: self.chip.line_of(addr),
+            v1,
+            v2,
+            dst,
+            id: self.fresh_op_id(),
+            stall: 0,
+        };
+        if !self.push(lane, slot)? {
+            return Ok(false);
         }
-        let th = &mut self.threads[t as usize];
-        th.pc = next_pc;
-        th.icount += 1;
-        self.instructions += 1;
+        if reads {
+            let r = lane.reg(dst);
+            lane.pending[r] = slot.id;
+        }
+        match space {
+            Space::Global => self.note_global_issue(lane.th, addr, writes),
+            Space::Shared => {
+                self.blocks[b as usize].note_shared(self.chip, reads, writes, self.turn)
+            }
+        }
+        lane.retire(lane.th.pc + 1);
+        Ok(true)
     }
 
-    /// Issue an atomic. Global atomics enter the window; shared-space
-    /// atomics do too on chips with a live shared reorder matrix (they
-    /// stay indivisible — the read-modify-write happens in one completion
-    /// step — but, like global atomics, do not order *other* accesses).
-    /// With all-zero shared rates they complete immediately, the legacy
-    /// strongly-ordered behaviour.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_atomic(
-        &mut self,
-        t: u32,
-        space: Space,
-        kind: SlotKind,
-        addr: u32,
-        v1: Word,
-        v2: Word,
-        dst: Reg,
-    ) -> bool {
-        match space {
-            Space::Shared => {
-                let i = match self.shared_index(t, addr) {
-                    Ok(i) => i,
-                    Err(e) => {
-                        self.status = Some(RunStatus::OutOfBounds(e));
-                        return false;
-                    }
-                };
-                if self.shared_weak {
-                    let id = self.fresh_op_id();
-                    let slot = Slot {
-                        kind,
-                        store_class: true,
-                        space: Space::Shared,
-                        addr,
-                        line: self.chip.line_of(addr),
-                        v1,
-                        v2,
-                        dst,
-                        id,
-                        stall: 0,
-                    };
-                    if !self.push_slot(t, slot) {
-                        return false;
-                    }
-                    let th = &self.threads[t as usize];
-                    let idx = (th.regs_at + dst as u32) as usize;
-                    self.pending[idx] = id;
-                    self.note_shared_issue(t, true, true);
-                    return true;
-                }
-                let old = self.shared[i];
-                match kind {
-                    SlotKind::Cas => {
-                        if old == v1 {
-                            self.shared[i] = v2;
-                        }
-                    }
-                    SlotKind::Exch => self.shared[i] = v1,
-                    SlotKind::Add => self.shared[i] = old.wrapping_add(v1),
-                    _ => unreachable!("issue_atomic called with non-atomic kind"),
-                }
-                self.write_reg(t, dst, old);
-                true
+    /// Enter `slot` into the lane's window. A full window first forces
+    /// its head out; a stalling fence at the head blocks the issue this
+    /// turn (`Ok(false)`).
+    fn push(&mut self, lane: &mut Lane<'_>, slot: Slot) -> Result<bool, OobError> {
+        if usize::from(lane.th.win_len) == self.chip.window {
+            let head = &mut lane.win[0];
+            if head.stall > 0 {
+                head.stall -= 1;
+                return Ok(false);
             }
-            Space::Global => {
-                let id = self.fresh_op_id();
-                let slot = Slot {
-                    kind,
-                    store_class: true,
-                    space: Space::Global,
-                    addr,
-                    line: self.chip.line_of(addr),
-                    v1,
-                    v2,
-                    dst,
-                    id,
-                    stall: 0,
-                };
-                if !self.push_slot(t, slot) {
-                    return false;
-                }
-                let th = &self.threads[t as usize];
-                let idx = (th.regs_at + dst as u32) as usize;
-                self.pending[idx] = id;
-                self.note_global_issue(t, addr, true);
-                true
-            }
+            self.complete(lane, 0)?;
         }
+        // `Gpu::new` checked `chip.window <= MAX_WINDOW`, so the new slot
+        // fits in the lane's window.
+        lane.win[usize::from(lane.th.win_len)] = slot;
+        lane.th.win_len += 1;
+        Ok(true)
+    }
+
+    /// Record contention-tracker state for a global access issue by
+    /// thread `th`: a back-to-back transition when its previous access
+    /// is within the gap, or a loop-boundary (last/first) event when it
+    /// is not.
+    fn note_global_issue(&mut self, th: &mut ThreadCtx, addr: u32, is_store: bool) {
+        let channel = self.chip.channel_of(addr);
+        let within_gap = th.icount.wrapping_sub(th.last_icount) <= TRANSITION_GAP;
+        let transition = (th.has_last && th.last_channel == channel && within_gap)
+            .then_some((th.last_is_store, is_store));
+        if th.has_last && !within_gap {
+            self.mem.note_boundary(
+                self.chip,
+                th.last_addr,
+                th.last_is_store,
+                addr,
+                is_store,
+                self.turn,
+            );
+        }
+        self.mem
+            .note_access(self.chip, addr, is_store, transition, self.turn);
+        th.has_last = true;
+        th.last_channel = channel;
+        th.last_addr = addr;
+        th.last_is_store = is_store;
+        th.last_icount = th.icount;
+    }
+
+    /// The index of word `addr` of block `b`'s shared memory.
+    fn shared_index(&self, b: u32, addr: u32) -> Result<usize, OobError> {
+        if addr >= self.shared_words {
+            return Err(OobError {
+                addr,
+                len: self.shared_words,
+            });
+        }
+        Ok((self.blocks[b as usize].shared_at + addr) as usize)
+    }
+
+    fn fresh_op_id(&mut self) -> u32 {
+        let id = self.next_op_id;
+        self.next_op_id += 1;
+        id
     }
 }
 
@@ -1749,6 +1713,7 @@ fn classify(older_store: bool, younger_store: bool) -> ReorderKind {
 /// semantics (wrapping integer arithmetic, trap-free division, 5-bit
 /// shift masks, IEEE-754 bit-pattern floats). Public so static analyses
 /// can share the operational semantics instead of re-implementing them.
+#[inline]
 pub fn eval_bin(op: BinOp, a: Word, b: Word) -> Word {
     match op {
         BinOp::Add => a.wrapping_add(b),
@@ -2782,5 +2747,206 @@ mod tests {
         }
         let fault = gpu.run(&launches[3].1, 0);
         assert!(matches!(fault.status, RunStatus::OutOfBounds(_)));
+    }
+
+    /// What an edge-case run pins: status, instructions, app and total
+    /// turns, channels, and an FNV-1a digest of the memory image.
+    type Pin = (RunStatus, u64, u64, u64, ChannelCounts, u64);
+
+    fn pin(r: &RunResult) -> Pin {
+        let digest = r
+            .memory
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        (
+            r.status.clone(),
+            r.instructions,
+            r.app_turns,
+            r.total_turns,
+            r.channels,
+            digest,
+        )
+    }
+
+    /// Every lane loads its own word, except lane 31, whose load is far
+    /// out of bounds; then the warp runs a long stretch of register-only
+    /// instructions, during which the loads drain and lane 31 faults.
+    fn lane31_oob_kernel() -> Program {
+        let mut b = KernelBuilder::new("lane31-oob");
+        let tid = b.tid();
+        let c31 = b.const_(31);
+        let is31 = b.eq(tid, c31);
+        let far = b.const_(1 << 20);
+        let off = b.mul(is31, far);
+        let addr = b.add(tid, off);
+        let v = b.load_global(addr);
+        let mut x = b.const_(1);
+        for _ in 0..24 {
+            x = b.add(x, tid);
+        }
+        b.store_global(tid, x);
+        let c64 = b.const_(64);
+        let at = b.add(tid, c64);
+        b.store_global(at, v);
+        b.finish().unwrap()
+    }
+
+    /// Every thread stores its id, then half of each block takes the
+    /// barrier while the other half exits.
+    fn diverging_kernel() -> Program {
+        let mut b = KernelBuilder::new("diverge-store");
+        let g = b.global_tid();
+        b.store_global(g, g);
+        let tid = b.tid();
+        let half = b.const_(16);
+        let low = b.lt_u(tid, half);
+        b.if_(low, |b| {
+            b.barrier();
+        });
+        let one = b.const_(1);
+        let v = b.add(g, one);
+        b.store_global(g, v);
+        b.finish().unwrap()
+    }
+
+    /// Every thread bumps its own word forever.
+    fn endless_kernel() -> Program {
+        let mut b = KernelBuilder::new("endless");
+        let g = b.global_tid();
+        let one = b.const_(1);
+        b.while_(
+            |b| b.mov(one),
+            |b| {
+                let v = b.load_global(g);
+                let v = b.add(v, one);
+                b.store_global(g, v);
+            },
+        );
+        b.finish().unwrap()
+    }
+
+    /// Every thread bumps a word shared with other blocks, bumps a global
+    /// counter atomically and fences, `iters` times.
+    fn wave_kernel(iters: u32) -> Program {
+        let mut b = KernelBuilder::new("waves");
+        let g = b.global_tid();
+        let base = b.const_(256);
+        let m = b.const_(128);
+        let off = b.rem_u(g, m);
+        let addr = b.add(base, off);
+        let counter = b.const_(0);
+        let i = b.reg();
+        b.assign_const(i, 0);
+        let n = b.const_(iters);
+        let one = b.const_(1);
+        b.while_(
+            |b| b.lt_u(i, n),
+            |b| {
+                let v = b.load_global(addr);
+                let v = b.add(v, one);
+                b.store_global(addr, v);
+                let _ = b.atomic_add_global(counter, one);
+                b.fence_device();
+                b.bin_into(i, BinOp::Add, i, one);
+            },
+        );
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn edge_case_runs_are_pinned() {
+        // Absolute results of launches at the executor's edges, recorded
+        // on the lane-at-a-time executor: every later executor must
+        // reproduce them exactly.
+        let titan = Chip::by_short("Titan").unwrap();
+        let c2075 = Chip::by_short("C2075").unwrap();
+        let mut timeout = LaunchSpec::app(endless_kernel(), 2, 64, 256);
+        timeout.max_turns = 3_000;
+        let mut odd_block = LaunchSpec::app(mixed_stress_kernel(16), 1, 40, 1024);
+        odd_block.groups.push(KernelGroup {
+            program: Arc::new(mixed_stress_kernel(24)),
+            blocks: 12,
+            threads_per_block: 64,
+            role: Role::Stress,
+        });
+        odd_block.randomize_ids = true;
+        let cases = [
+            (
+                "lane-31 fault amid register-only steps",
+                titan.clone(),
+                LaunchSpec::app(lane31_oob_kernel(), 1, 32, 128),
+            ),
+            (
+                "barrier divergence",
+                titan.clone(),
+                LaunchSpec::app(diverging_kernel(), 2, 64, 256),
+            ),
+            ("timeout", titan.clone(), timeout),
+            ("40-thread block, randomized, stressed", titan, odd_block),
+            (
+                "oversubscribed grid in waves",
+                c2075,
+                LaunchSpec::app(wave_kernel(6), 12, 64, 512),
+            ),
+        ];
+        let quiet = ChannelCounts::default();
+        let expected: [Pin; 5] = [
+            (
+                RunStatus::OutOfBounds(OobError {
+                    addr: (1 << 20) + 31,
+                    len: 128,
+                }),
+                351,
+                176,
+                176,
+                quiet,
+                0x7da1_44b9_7d05_4b25,
+            ),
+            (
+                RunStatus::BarrierDivergence,
+                961,
+                128,
+                128,
+                quiet,
+                0xb7f9_4a57_5505_fbe6,
+            ),
+            (
+                RunStatus::TimedOut,
+                20_839,
+                3_000,
+                3_000,
+                quiet,
+                0x9d81_e0d0_2f58_b551,
+            ),
+            (
+                RunStatus::Completed,
+                61_260,
+                2_244,
+                2_245,
+                quiet,
+                0x7226_1fc4_0905_0a9b,
+            ),
+            (
+                RunStatus::Completed,
+                50_688,
+                14_194,
+                14_210,
+                ChannelCounts {
+                    window_global: 12,
+                    window_shared: 0,
+                    l1_stale: 133,
+                    fence_inval: 4_608,
+                    atomic_read_through: 4_608,
+                },
+                0x078f_5c04_8ac4_4c04,
+            ),
+        ];
+        for (seed, ((what, chip, spec), want)) in cases.into_iter().zip(expected).enumerate() {
+            let r = Gpu::new(chip).run(&spec, 40 + seed as u64);
+            assert_eq!(pin(&r), want, "{what}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Per-SM incoherent L1 caches: staleness parameters and runtime state.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::word::Word;
 
@@ -62,6 +63,31 @@ struct StaleEntry {
     turn: u64,
 }
 
+/// The stale store's hasher: one multiplication of the word address by
+/// a 64-bit odd constant, with the well-mixed high half rotated into
+/// the low bits that pick a bucket. Iteration order never matters (the
+/// FIFO rebuild sorts by `seq`), and the store holds at most
+/// [`L1Params::words`] entries, so SipHash's defence against crafted
+/// keys buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
+    }
+}
+
 /// Runtime L1 state of one run: the stale-line store, per-SM
 /// invalidation epochs, and per-SM decaying write pressure.
 ///
@@ -73,7 +99,7 @@ struct StaleEntry {
 pub struct L1System {
     params: L1Params,
     /// Address → youngest stale entry for that address.
-    entries: HashMap<u32, StaleEntry>,
+    entries: HashMap<u32, StaleEntry, BuildHasherDefault<AddrHasher>>,
     /// FIFO of (addr, seq) for capacity eviction; stale pairs whose
     /// seq no longer matches the live entry are skipped lazily.
     fifo: VecDeque<(u32, u64)>,
@@ -94,7 +120,7 @@ impl L1System {
     pub fn new(total_sms: u32, params: L1Params) -> Self {
         L1System {
             params,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             fifo: VecDeque::new(),
             cleared_at: vec![0; total_sms as usize],
             write_pressure: vec![0.0; total_sms as usize],

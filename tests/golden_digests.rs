@@ -16,7 +16,12 @@
 //!   that compiles a stress kernel per run);
 //! * the 7 intra-block shapes on Titan under `shm+sys-str+` (shared
 //!   window);
-//! * `app K20 sys-str+ cbe-dot 2 7` through `JobSpec::execute`.
+//! * `app K20 sys-str+ cbe-dot 2 7` through `JobSpec::execute`;
+//! * every application (the ten of Tab. 4 plus `shm-pipe`) on Titan and
+//!   the C2075 under `sys-str+`, and on the C2075 under `l1-str+`, at 2
+//!   runs and seed 7. These rows digest what each run executed, its
+//!   verdict and `app_turns`, not only the campaign's verdict counts:
+//!   most app campaigns pass every run, so their counts are equal.
 //!
 //! A cell's seed derives from its index in its block's chip list, so a
 //! chip joins a block at the end of the list: the cells already in the
@@ -26,12 +31,15 @@
 //! failure message prints the recomputed one, ready to paste over
 //! [`GOLDEN`], and `CHANGES.md` says why the results moved.
 
+use gpu_wmm::apps::{all_apps, app_by_name};
 use gpu_wmm::core::cache::ArtifactCache;
-use gpu_wmm::core::campaign::SummaryValue;
+use gpu_wmm::core::campaign::{Fnv64, SummaryValue};
 use gpu_wmm::core::suite::{run_suite_with_cache, SuiteConfig, SuiteStrategy};
+use gpu_wmm::core::{AppHarness, Application, Environment};
 use gpu_wmm::gen::Shape;
+use gpu_wmm::litmus::runner::mix_seed;
 use gpu_wmm::litmus::Placement;
-use gpu_wmm::server::JobSpec;
+use gpu_wmm::server::{EnvKind, JobSpec};
 use gpu_wmm::sim::chip::Chip;
 use std::collections::HashMap;
 
@@ -39,6 +47,13 @@ const SEED: u64 = 2016;
 const DISTANCE: u32 = 64;
 const ITERS: u32 = 40;
 const APP_JOB: &str = "app K20 sys-str+ cbe-dot 2 7";
+/// `(chip, environment)` pairs of the per-run application rows, which
+/// run every application twice at seed 7.
+const APP_RUN_ENVS: [(&str, &str); 3] = [
+    ("Titan", "sys-str+"),
+    ("C2075", "sys-str+"),
+    ("C2075", "l1-str+"),
+];
 
 /// One suite call of the grid: shapes × chips × one column, at its own
 /// execution count (stressed runs cost ~40× a native one).
@@ -121,7 +136,33 @@ fn recompute() -> Vec<(String, u64)> {
     let job: JobSpec = APP_JOB.parse().expect("valid job");
     let summary = job.execute(1, None).expect("the app job runs");
     out.push((APP_JOB.to_string(), summary.digest()));
+    let mut apps = all_apps();
+    apps.push(app_by_name("shm-pipe").expect("the scoped demonstration app"));
+    for (chip, env) in APP_RUN_ENVS {
+        let chip = Chip::by_short(chip).expect("known chip");
+        let env: EnvKind = env.parse().expect("known environment");
+        for app in &apps {
+            let job = format!("app {} {env} {} 2 7", chip.short, app.name());
+            let digest = app_run_digest(&chip, &env.environment(&chip), app.as_ref());
+            out.push((format!("{job} / runs"), digest));
+        }
+    }
     out
+}
+
+/// Digest each of the two runs of an application job at seed 7, in run
+/// order: its verdict and the scheduler turns its phases took. Run `i`
+/// is the job campaign's run `i` (`AppHarness::run_once` at
+/// `mix_seed(7, i)`).
+fn app_run_digest(chip: &Chip, env: &Environment, app: &dyn Application) -> u64 {
+    let harness = AppHarness::new(chip, app);
+    let mut f = Fnv64::new();
+    for i in 0..2 {
+        let run = harness.run_once(env, mix_seed(7, i));
+        f.write(format!("{:?}", run.verdict).as_bytes());
+        f.write_u64(run.app_turns);
+    }
+    f.finish()
 }
 
 fn render(cells: &[(String, u64)]) -> String {
@@ -163,8 +204,10 @@ fn grid_digests_match_the_committed_table() {
 /// The Titan/C2075 rows of `no-str-`/`sys-str+`, the C2075 `l1-str+` rows,
 /// the `shm+sys-str+` rows and the app job were recorded before the
 /// allocation-free executor landed; the 980, Titan `l1-str+` and
-/// `rand-str+` rows joined later on an unchanged model. Every later
-/// change must reproduce the table bit for bit.
+/// `rand-str+` rows joined later on an unchanged model, and so did the
+/// per-run application rows, before the executor stepped pc-uniform
+/// warps as a batch. Every later change must reproduce the table bit
+/// for bit.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("MP@Titan no-str-", 0x6831327bf4cbf280),
@@ -511,4 +554,37 @@ const GOLDEN: &[(&str, u64)] = &[
     ("MP.mixed@Titan shm+sys-str+", 0x8f73b5e5e69000d6),
     ("ISA2.scoped@Titan shm+sys-str+", 0x387814a4e19607f4),
     ("app K20 sys-str+ cbe-dot 2 7", 0x033d41ffa19c284e),
+    ("app Titan sys-str+ cbe-ht 2 7 / runs", 0x75ae495f0c8f912f),
+    ("app Titan sys-str+ cbe-dot 2 7 / runs", 0x2af60bae8d96679e),
+    ("app Titan sys-str+ ct-octree 2 7 / runs", 0xc3827794cafeedfd),
+    ("app Titan sys-str+ tpo-tm 2 7 / runs", 0x2519c014d9e77608),
+    ("app Titan sys-str+ sdk-red 2 7 / runs", 0x7d0b5917878ce08b),
+    ("app Titan sys-str+ sdk-red-nf 2 7 / runs", 0x0231b43e04dab327),
+    ("app Titan sys-str+ cub-scan 2 7 / runs", 0x5ea1c3a1be99f1a7),
+    ("app Titan sys-str+ cub-scan-nf 2 7 / runs", 0x6db72e2dfda66bdc),
+    ("app Titan sys-str+ ls-bh 2 7 / runs", 0xbb652896f2e281ce),
+    ("app Titan sys-str+ ls-bh-nf 2 7 / runs", 0x739e2e69bbc7f315),
+    ("app Titan sys-str+ shm-pipe 2 7 / runs", 0x7891dbad60375f21),
+    ("app C2075 sys-str+ cbe-ht 2 7 / runs", 0x9316a2f85d182553),
+    ("app C2075 sys-str+ cbe-dot 2 7 / runs", 0x9848346f92e7cef9),
+    ("app C2075 sys-str+ ct-octree 2 7 / runs", 0xeac70aeda5b29780),
+    ("app C2075 sys-str+ tpo-tm 2 7 / runs", 0x7987e7402bc918a8),
+    ("app C2075 sys-str+ sdk-red 2 7 / runs", 0x7ed47518e041069c),
+    ("app C2075 sys-str+ sdk-red-nf 2 7 / runs", 0x9775bf0ac67508b7),
+    ("app C2075 sys-str+ cub-scan 2 7 / runs", 0xf522545fb074de9f),
+    ("app C2075 sys-str+ cub-scan-nf 2 7 / runs", 0x35e9cd5cb81ff46c),
+    ("app C2075 sys-str+ ls-bh 2 7 / runs", 0x9b4aac6385db29db),
+    ("app C2075 sys-str+ ls-bh-nf 2 7 / runs", 0x187a4a62cd9c19b5),
+    ("app C2075 sys-str+ shm-pipe 2 7 / runs", 0x51d18b480b6b5488),
+    ("app C2075 l1-str+ cbe-ht 2 7 / runs", 0xc0dc6072362866b5),
+    ("app C2075 l1-str+ cbe-dot 2 7 / runs", 0x4fba9b20e27404d4),
+    ("app C2075 l1-str+ ct-octree 2 7 / runs", 0xbff4f4bdc23fd136),
+    ("app C2075 l1-str+ tpo-tm 2 7 / runs", 0x7750dbf96376f3b3),
+    ("app C2075 l1-str+ sdk-red 2 7 / runs", 0xaed3648fc3eb31aa),
+    ("app C2075 l1-str+ sdk-red-nf 2 7 / runs", 0x314b180e7e0d00de),
+    ("app C2075 l1-str+ cub-scan 2 7 / runs", 0x9c9bc9fc4c93fd62),
+    ("app C2075 l1-str+ cub-scan-nf 2 7 / runs", 0x6056a82e7ba02c67),
+    ("app C2075 l1-str+ ls-bh 2 7 / runs", 0xe3bef6f85acad754),
+    ("app C2075 l1-str+ ls-bh-nf 2 7 / runs", 0xdd365c250cf2000c),
+    ("app C2075 l1-str+ shm-pipe 2 7 / runs", 0xaba03b203bb767e0),
 ];
