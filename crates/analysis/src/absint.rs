@@ -11,8 +11,14 @@
 //! Binary operations are evaluated with [`wmm_sim::exec::eval_bin`] —
 //! the simulator's own operational semantics — so the abstraction can
 //! only lose precision, never diverge from execution.
+//!
+//! A value set lives inline ([`ValSet`], at most [`CONST_CAP`] words), so
+//! an [`AbsVal`] is `Copy`. The fixpoint keeps one flat table of register
+//! states and transfers each visit in one reused buffer, so no
+//! instruction visit allocates a register state.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::fmt;
 
 use wmm_sim::exec::eval_bin;
 use wmm_sim::ir::{Inst, Program, SpecialReg};
@@ -21,20 +27,126 @@ use wmm_sim::Word;
 /// Cap on the size of a concrete value set before widening to ⊤.
 pub const CONST_CAP: usize = 16;
 
+/// A sorted, duplicate-free set of at most [`CONST_CAP`] words, held
+/// inline. Equality compares the live words only.
+#[derive(Clone, Copy)]
+pub struct ValSet {
+    len: u8,
+    words: [Word; CONST_CAP],
+}
+
+const _: () = assert!(CONST_CAP <= u8::MAX as usize, "ValSet::len is a u8");
+
+impl ValSet {
+    const EMPTY: ValSet = ValSet {
+        len: 0,
+        words: [0; CONST_CAP],
+    };
+
+    /// The words, ascending.
+    pub fn as_slice(&self) -> &[Word] {
+        &self.words[..usize::from(self.len)]
+    }
+
+    /// Add `v`; false, leaving the set unchanged, when `v` is new and the
+    /// set already holds [`CONST_CAP`] words.
+    fn insert(&mut self, v: Word) -> bool {
+        let n = usize::from(self.len);
+        match self.as_slice().binary_search(&v) {
+            Ok(_) => true,
+            Err(_) if n == CONST_CAP => false,
+            Err(at) => {
+                self.words.copy_within(at..n, at + 1);
+                self.words[at] = v;
+                self.len += 1;
+                true
+            }
+        }
+    }
+
+    /// The union of two sets, or `None` past [`CONST_CAP`] words.
+    fn union(&self, other: &ValSet) -> Option<ValSet> {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let (mut i, mut j) = (0, 0);
+        let mut out = ValSet::EMPTY;
+        loop {
+            let v = match (a.get(i), b.get(j)) {
+                (None, None) => return Some(out),
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), Some(&y)) => {
+                    i += usize::from(x <= y);
+                    j += usize::from(y <= x);
+                    x.min(y)
+                }
+            };
+            if usize::from(out.len) == CONST_CAP {
+                return None;
+            }
+            out.words[usize::from(out.len)] = v;
+            out.len += 1;
+        }
+    }
+
+    /// Do the two sets share a word?
+    fn intersects(&self, other: &ValSet) -> bool {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+}
+
+impl PartialEq for ValSet {
+    fn eq(&self, other: &ValSet) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ValSet {}
+
+impl fmt::Debug for ValSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.as_slice()).finish()
+    }
+}
+
 /// Abstract value: a bounded set of possible words, or ⊤ (anything).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsVal {
     /// Unknown: any word.
     Top,
     /// One of finitely many concrete words.
-    Vals(BTreeSet<Word>),
+    Vals(ValSet),
 }
 
 impl AbsVal {
     /// The abstract value holding exactly `v`.
     pub fn singleton(v: Word) -> Self {
-        let mut s = BTreeSet::new();
-        s.insert(v);
+        AbsVal::of([v])
+    }
+
+    /// The set of `words`, or ⊤ as soon as it exceeds [`CONST_CAP`]
+    /// distinct words.
+    pub fn of(words: impl IntoIterator<Item = Word>) -> Self {
+        let mut s = ValSet::EMPTY;
+        for v in words {
+            if !s.insert(v) {
+                return AbsVal::Top;
+            }
+        }
         AbsVal::Vals(s)
     }
 
@@ -46,7 +158,7 @@ impl AbsVal {
     /// The single concrete value, if there is exactly one.
     pub fn as_singleton(&self) -> Option<Word> {
         match self {
-            AbsVal::Vals(s) if s.len() == 1 => s.iter().next().copied(),
+            AbsVal::Vals(s) if s.len == 1 => Some(s.words[0]),
             _ => None,
         }
     }
@@ -54,23 +166,16 @@ impl AbsVal {
     /// Least upper bound; widens to ⊤ past [`CONST_CAP`] values.
     pub fn join(&self, other: &AbsVal) -> AbsVal {
         match (self, other) {
-            (AbsVal::Top, _) | (_, AbsVal::Top) => AbsVal::Top,
-            (AbsVal::Vals(a), AbsVal::Vals(b)) => {
-                let u: BTreeSet<Word> = a.union(b).copied().collect();
-                if u.len() > CONST_CAP {
-                    AbsVal::Top
-                } else {
-                    AbsVal::Vals(u)
-                }
-            }
+            (AbsVal::Vals(a), AbsVal::Vals(b)) => a.union(b).map_or(AbsVal::Top, AbsVal::Vals),
+            _ => AbsVal::Top,
         }
     }
 
     /// May the two values denote a common word? ⊤ overlaps everything.
     pub fn overlaps(&self, other: &AbsVal) -> bool {
         match (self, other) {
-            (AbsVal::Top, _) | (_, AbsVal::Top) => true,
-            (AbsVal::Vals(a), AbsVal::Vals(b)) => !a.is_disjoint(b),
+            (AbsVal::Vals(a), AbsVal::Vals(b)) => a.intersects(b),
+            _ => true,
         }
     }
 }
@@ -113,30 +218,40 @@ pub struct ThreadAbs {
     pub succs: Vec<Vec<usize>>,
 }
 
+/// The `entry` offset of an instruction the fixpoint has not reached.
+const UNREACHED: usize = usize::MAX;
+
 /// Run the worklist fixpoint for one thread. Registers start at zero,
 /// matching the simulator.
 pub fn analyze_thread(p: &Program, ctx: &ThreadCtx) -> ThreadAbs {
     let n = p.insts.len();
-    let nregs = p.num_regs as usize;
-    let mut in_state: Vec<Option<Vec<AbsVal>>> = vec![None; n];
-    let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    let nregs = usize::from(p.num_regs);
+    // One flat table of register states: instruction `i`'s entry state
+    // is `table[entry[i]..][..nregs]`, appended when `i` is first
+    // reached, so unreached instructions cost no row.
+    let mut table: Vec<AbsVal> = Vec::with_capacity(n * nregs);
+    let mut entry = vec![UNREACHED; n];
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     if n > 0 {
-        in_state[0] = Some(vec![AbsVal::singleton(0); nregs]);
+        table.resize(nregs, AbsVal::singleton(0));
+        entry[0] = 0;
+        let mut st = vec![AbsVal::Top; nregs];
         let mut work = vec![0usize];
         while let Some(i) = work.pop() {
-            let st = in_state[i].clone().expect("worklist visits reached insts");
-            let (out, nexts) = transfer(p, ctx, i, &st);
-            for j in nexts {
-                succs[i].insert(j);
+            st.copy_from_slice(&table[entry[i]..][..nregs]);
+            for j in transfer(p, ctx, i, &mut st).into_iter().flatten() {
+                if let Err(at) = succs[i].binary_search(&j) {
+                    succs[i].insert(at, j);
+                }
                 if j >= n {
                     continue; // fell off the end: implicit halt
                 }
-                let changed = match &mut in_state[j] {
-                    slot @ None => {
-                        *slot = Some(out.clone());
-                        true
-                    }
-                    Some(cur) => join_states(cur, &out),
+                let changed = if entry[j] == UNREACHED {
+                    entry[j] = table.len();
+                    table.extend_from_slice(&st);
+                    true
+                } else {
+                    join_states(&mut table[entry[j]..][..nregs], &st)
                 };
                 if changed {
                     work.push(j);
@@ -144,16 +259,19 @@ pub fn analyze_thread(p: &Program, ctx: &ThreadCtx) -> ThreadAbs {
             }
         }
     }
-    let mut addr_at = vec![None; n];
-    for (i, inst) in p.insts.iter().enumerate() {
-        if let (Some(st), Some(r)) = (&in_state[i], inst.addr_reg()) {
-            addr_at[i] = Some(st[r as usize].clone());
-        }
-    }
+    let addr_at = p
+        .insts
+        .iter()
+        .zip(&entry)
+        .map(|(inst, &e)| {
+            let r = inst.addr_reg()?;
+            (e != UNREACHED).then(|| table[e + usize::from(r)])
+        })
+        .collect();
     ThreadAbs {
-        reachable: in_state.iter().map(Option::is_some).collect(),
+        reachable: entry.iter().map(|&e| e != UNREACHED).collect(),
         addr_at,
-        succs: succs.into_iter().map(|s| s.into_iter().collect()).collect(),
+        succs,
     }
 }
 
@@ -161,6 +279,9 @@ pub fn analyze_thread(p: &Program, ctx: &ThreadCtx) -> ThreadAbs {
 fn join_states(cur: &mut [AbsVal], out: &[AbsVal]) -> bool {
     let mut changed = false;
     for (c, o) in cur.iter_mut().zip(out) {
+        if c == o {
+            continue;
+        }
         let j = c.join(o);
         if j != *c {
             *c = j;
@@ -171,19 +292,14 @@ fn join_states(cur: &mut [AbsVal], out: &[AbsVal]) -> bool {
 }
 
 fn abs_bin(op: wmm_sim::ir::BinOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
-    let (AbsVal::Vals(va), AbsVal::Vals(vb)) = (a, b) else {
-        return AbsVal::Top;
-    };
-    let mut out = BTreeSet::new();
-    for &x in va {
-        for &y in vb {
-            out.insert(eval_bin(op, x, y));
-            if out.len() > CONST_CAP {
-                return AbsVal::Top;
-            }
-        }
+    match (a, b) {
+        (AbsVal::Vals(va), AbsVal::Vals(vb)) => AbsVal::of(
+            va.as_slice()
+                .iter()
+                .flat_map(|&x| vb.as_slice().iter().map(move |&y| eval_bin(op, x, y))),
+        ),
+        _ => AbsVal::Top,
     }
-    AbsVal::Vals(out)
 }
 
 /// Which way can a branch go, given the abstract condition?
@@ -191,69 +307,48 @@ fn branch_ways(cond: &AbsVal) -> (bool, bool) {
     // (may be zero, may be nonzero)
     match cond {
         AbsVal::Top => (true, true),
-        AbsVal::Vals(s) => (s.contains(&0), s.iter().any(|&v| v != 0)),
+        AbsVal::Vals(s) => (
+            s.as_slice().contains(&0),
+            s.as_slice().iter().any(|&v| v != 0),
+        ),
     }
 }
 
-fn transfer(p: &Program, ctx: &ThreadCtx, i: usize, st: &[AbsVal]) -> (Vec<AbsVal>, Vec<usize>) {
-    let mut out = st.to_vec();
+/// Apply instruction `i` to the register state `st` in place, and return
+/// its feasible successors in order.
+fn transfer(p: &Program, ctx: &ThreadCtx, i: usize, st: &mut [AbsVal]) -> [Option<usize>; 2] {
     let fall = i + 1;
-    let nexts = match &p.insts[i] {
-        Inst::Const { dst, value } => {
-            out[*dst as usize] = AbsVal::singleton(*value);
-            vec![fall]
-        }
-        Inst::Mov { dst, src } => {
-            out[*dst as usize] = st[*src as usize].clone();
-            vec![fall]
-        }
+    match &p.insts[i] {
+        Inst::Const { dst, value } => st[*dst as usize] = AbsVal::singleton(*value),
+        Inst::Mov { dst, src } => st[*dst as usize] = st[*src as usize],
         Inst::Bin { op, dst, a, b } => {
-            out[*dst as usize] = abs_bin(*op, &st[*a as usize], &st[*b as usize]);
-            vec![fall]
+            st[*dst as usize] = abs_bin(*op, &st[*a as usize], &st[*b as usize]);
         }
-        Inst::Special { dst, sr } => {
-            out[*dst as usize] = AbsVal::singleton(ctx.special(*sr));
-            vec![fall]
-        }
+        Inst::Special { dst, sr } => st[*dst as usize] = AbsVal::singleton(ctx.special(*sr)),
         Inst::Load { dst, .. }
         | Inst::AtomicCas { dst, .. }
         | Inst::AtomicExch { dst, .. }
-        | Inst::AtomicAdd { dst, .. } => {
-            out[*dst as usize] = AbsVal::Top;
-            vec![fall]
-        }
-        Inst::Store { .. } | Inst::Fence(_) | Inst::Barrier => vec![fall],
-        Inst::Jump { target } => vec![*target],
+        | Inst::AtomicAdd { dst, .. } => st[*dst as usize] = AbsVal::Top,
+        Inst::Store { .. } | Inst::Fence(_) | Inst::Barrier => {}
+        Inst::Jump { target } => return [Some(*target), None],
         Inst::BranchZ { cond, target } => {
             let (zero, nonzero) = branch_ways(&st[*cond as usize]);
-            let mut v = Vec::new();
-            if nonzero {
-                v.push(fall);
-            }
-            if zero {
-                v.push(*target);
-            }
-            v
+            return [nonzero.then_some(fall), zero.then_some(*target)];
         }
         Inst::BranchNZ { cond, target } => {
             let (zero, nonzero) = branch_ways(&st[*cond as usize]);
-            let mut v = Vec::new();
-            if zero {
-                v.push(fall);
-            }
-            if nonzero {
-                v.push(*target);
-            }
-            v
+            return [zero.then_some(fall), nonzero.then_some(*target)];
         }
-        Inst::Halt => Vec::new(),
-    };
-    (out, nexts)
+        Inst::Halt => return [None, None],
+    }
+    [Some(fall), None]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use wmm_sim::ir::{BinOp, Space};
     use wmm_sim::KernelBuilder;
 
@@ -367,7 +462,7 @@ mod tests {
     #[test]
     fn small_joins_stay_finite() {
         let a = AbsVal::singleton(1).join(&AbsVal::singleton(2));
-        assert_eq!(a, AbsVal::Vals([1, 2].into_iter().collect()));
+        assert_eq!(a, AbsVal::of([2, 1]));
         assert!(a.overlaps(&AbsVal::singleton(2)));
         assert!(!a.overlaps(&AbsVal::singleton(3)));
         assert!(a.overlaps(&AbsVal::Top));
@@ -381,5 +476,64 @@ mod tests {
         assert_eq!(eq.as_singleton(), Some(1));
         let ne = abs_bin(BinOp::CmpNe, &x, &y);
         assert_eq!(ne.as_singleton(), Some(0));
+    }
+
+    /// Up to `max_len` words from a narrow range, so that sets overlap
+    /// and unions straddle [`CONST_CAP`].
+    fn words(max_len: usize) -> impl Strategy<Value = Vec<Word>> {
+        collection::vec(0u32..24, 0..max_len + 1)
+    }
+
+    /// Does `v` abstract the reference set `m`: ⊤ exactly when `m`
+    /// exceeds [`CONST_CAP`], and otherwise `m`'s words in order?
+    fn agrees(v: AbsVal, m: &BTreeSet<Word>) -> bool {
+        match v {
+            AbsVal::Top => m.len() > CONST_CAP,
+            AbsVal::Vals(s) => s.as_slice().iter().eq(m),
+        }
+    }
+
+    const OPS: [BinOp; 14] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::DivU,
+        BinOp::RemU,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::MinU,
+        BinOp::MaxU,
+        BinOp::CmpEq,
+        BinOp::CmpLtU,
+    ];
+
+    proptest! {
+        #[test]
+        fn value_sets_follow_the_btreeset_model(a in words(20), b in words(20)) {
+            let ma: BTreeSet<Word> = a.iter().copied().collect();
+            let mb: BTreeSet<Word> = b.iter().copied().collect();
+            let (va, vb) = (AbsVal::of(a), AbsVal::of(b));
+            prop_assert!(agrees(va, &ma), "{va:?} vs {ma:?}");
+            let union: BTreeSet<Word> = ma.union(&mb).copied().collect();
+            prop_assert!(agrees(va.join(&vb), &union), "{va:?} ⊔ {vb:?} vs {union:?}");
+            let both_finite = ma.len() <= CONST_CAP && mb.len() <= CONST_CAP;
+            prop_assert_eq!(va.overlaps(&vb), !both_finite || !ma.is_disjoint(&mb));
+            let single = if ma.len() == 1 { ma.first().copied() } else { None };
+            prop_assert_eq!(va.as_singleton(), single);
+        }
+
+        #[test]
+        fn abs_bin_widens_exactly_past_the_cap(a in words(6), b in words(6), k in 0..OPS.len()) {
+            let op = OPS[k];
+            let product: BTreeSet<Word> = a
+                .iter()
+                .flat_map(|&x| b.iter().map(move |&y| eval_bin(op, x, y)))
+                .collect();
+            let v = abs_bin(op, &AbsVal::of(a), &AbsVal::of(b));
+            prop_assert!(agrees(v, &product), "{op:?}: {v:?} vs {product:?}");
+        }
     }
 }

@@ -44,8 +44,11 @@ pub struct ThreadModel {
     pub abs: ThreadAbs,
     /// Reachable memory-access instruction indices, in program order.
     pub accesses: Vec<usize>,
-    /// `reach[i][j]`: a CFG path of length ≥ 1 exists from `i` to `j`.
-    reach: Vec<Vec<bool>>,
+    /// Row-major bit matrix, `row_words` words per instruction: bit `j`
+    /// of row `i` is set when a CFG path of length ≥ 1 leads from `i` to
+    /// `j`.
+    reach: Vec<u64>,
+    row_words: usize,
 }
 
 impl ThreadModel {
@@ -58,14 +61,25 @@ impl ThreadModel {
             .into_iter()
             .filter(|&i| abs.reachable[i])
             .collect();
-        let mut reach = vec![vec![false; n]; n];
-        for (start, row) in reach.iter_mut().enumerate() {
-            // BFS over feasible successors; paths of length >= 1.
-            let mut stack: Vec<usize> = abs.succs[start].clone();
-            while let Some(j) = stack.pop() {
-                if j < n && !row[j] {
-                    row[j] = true;
-                    stack.extend(abs.succs[j].iter().copied());
+        let row_words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * row_words];
+        // The least fixpoint of reach(i) = ∪ {s} ∪ reach(s) over the
+        // feasible successors s of i. Sweeping backwards settles every
+        // forward edge in one pass; back edges take another.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in (0..n).rev() {
+                for &s in abs.succs[i].iter().filter(|&&s| s < n) {
+                    for w in 0..row_words {
+                        let mut add = reach[s * row_words + w];
+                        if w == s / 64 {
+                            add |= 1 << (s % 64);
+                        }
+                        let cur = &mut reach[i * row_words + w];
+                        changed |= *cur | add != *cur;
+                        *cur |= add;
+                    }
                 }
             }
         }
@@ -74,12 +88,18 @@ impl ThreadModel {
             abs,
             accesses,
             reach,
+            row_words,
         }
     }
 
     /// Is there a program-order path (length ≥ 1) from `i` to `j`?
     pub fn po(&self, i: usize, j: usize) -> bool {
-        self.reach[i][j]
+        let n = self.abs.reachable.len();
+        assert!(
+            i < n && j < n,
+            "po({i}, {j}) outside a {n}-instruction program"
+        );
+        self.reach[i * self.row_words + j / 64] & (1 << (j % 64)) != 0
     }
 }
 
@@ -157,24 +177,40 @@ fn orders(inst: &Inst, level: FenceLevel) -> bool {
     }
 }
 
+/// A visited set and a stack, reused across searches.
+#[derive(Default)]
+struct Dfs {
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+}
+
 /// True when every feasible CFG path `from` → `to` in thread `t`
 /// crosses an instruction that [`orders`] the edge.
-fn edge_fenced(p: &Program, t: &ThreadModel, from: usize, to: usize, level: FenceLevel) -> bool {
+fn edge_fenced(
+    p: &Program,
+    t: &ThreadModel,
+    from: usize,
+    to: usize,
+    level: FenceLevel,
+    dfs: &mut Dfs,
+) -> bool {
     let n = p.insts.len();
-    let mut seen = vec![false; n];
-    let mut stack: Vec<usize> = t.abs.succs[from].clone();
-    while let Some(i) = stack.pop() {
-        if i >= n || seen[i] {
+    dfs.seen.clear();
+    dfs.seen.resize(n, false);
+    dfs.stack.clear();
+    dfs.stack.extend_from_slice(&t.abs.succs[from]);
+    while let Some(i) = dfs.stack.pop() {
+        if i >= n || dfs.seen[i] {
             continue;
         }
-        seen[i] = true;
+        dfs.seen[i] = true;
         if i == to {
             return false; // found an unordered path
         }
         if orders(&p.insts[i], level) {
             continue; // paths through here are ordered
         }
-        stack.extend(t.abs.succs[i].iter().copied());
+        dfs.stack.extend_from_slice(&t.abs.succs[i]);
     }
     true
 }
@@ -209,6 +245,7 @@ pub fn l1_read_read_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
         )
     };
     let mut out = Vec::new();
+    let mut dfs = Dfs::default();
     for (t, tm) in ts.iter().enumerate() {
         for &i in &tm.accesses {
             if !is_plain_global_load(i) {
@@ -240,7 +277,7 @@ pub fn l1_read_read_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
                     from: i,
                     to: j,
                     level: FenceLevel::Device,
-                    fenced: edge_fenced(p, tm, i, j, FenceLevel::Device),
+                    fenced: edge_fenced(p, tm, i, j, FenceLevel::Device, &mut dfs),
                 });
             }
         }
@@ -250,16 +287,14 @@ pub fn l1_read_read_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
 
 /// Compute all delay edges of `p` under the given thread models.
 pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
-    // All events, and the conflict adjacency between them.
-    let events: Vec<Event> = ts
-        .iter()
-        .enumerate()
-        .flat_map(|(t, tm)| {
-            tm.accesses
-                .iter()
-                .map(move |&i| Event { thread: t, inst: i })
-        })
-        .collect();
+    // All events, grouped by thread in access order: thread `t`'s `k`-th
+    // access is event `base[t] + k`.
+    let mut base = Vec::with_capacity(ts.len());
+    let mut events = Vec::new();
+    for (t, tm) in ts.iter().enumerate() {
+        base.push(events.len());
+        events.extend(tm.accesses.iter().map(|&i| Event { thread: t, inst: i }));
+    }
     let ne = events.len();
     let mut conflict_adj: Vec<Vec<usize>> = vec![Vec::new(); ne];
     for x in 0..ne {
@@ -272,25 +307,23 @@ pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
     }
     // Program-order adjacency over the reachability closure.
     let mut po_adj: Vec<Vec<usize>> = vec![Vec::new(); ne];
-    let idx_of = |t: usize, i: usize| -> usize {
-        // Events are grouped by thread in `events`, in access order.
-        let base: usize = ts[..t].iter().map(|tm| tm.accesses.len()).sum();
-        base + ts[t].accesses.iter().position(|&a| a == i).unwrap()
-    };
     for (x, e) in events.iter().enumerate() {
         let tm = &ts[e.thread];
-        for &j in &tm.accesses {
+        for (k, &j) in tm.accesses.iter().enumerate() {
             if tm.po(e.inst, j) {
-                po_adj[x].push(idx_of(e.thread, j));
+                po_adj[x].push(base[e.thread] + k);
             }
         }
     }
 
     // A po pair (a, b) is a delay iff a mixed path b ⇝ a uses at least
-    // one conflict edge. BFS over (event, used-conflict) states.
-    let is_delay = |a: usize, b: usize| -> bool {
-        let mut seen = vec![[false; 2]; ne];
-        let mut stack: Vec<(usize, bool)> = vec![(b, false)];
+    // one conflict edge. DFS over (event, used-conflict) states.
+    let mut seen = vec![[false; 2]; ne];
+    let mut stack: Vec<(usize, bool)> = Vec::new();
+    let mut is_delay = |a: usize, b: usize| -> bool {
+        seen.fill([false; 2]);
+        stack.clear();
+        stack.push((b, false));
         seen[b][0] = true;
         while let Some((x, used)) = stack.pop() {
             if x == a && used {
@@ -313,14 +346,14 @@ pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
     };
 
     let mut out = Vec::new();
+    let mut dfs = Dfs::default();
     for (t, tm) in ts.iter().enumerate() {
-        for &i in &tm.accesses {
-            for &j in &tm.accesses {
+        for (ki, &i) in tm.accesses.iter().enumerate() {
+            for (kj, &j) in tm.accesses.iter().enumerate() {
                 if !tm.po(i, j) || provably_same_addr(ts, t, i, j) {
                     continue;
                 }
-                let (a, b) = (idx_of(t, i), idx_of(t, j));
-                if !is_delay(a, b) {
+                if !is_delay(base[t] + ki, base[t] + kj) {
                     continue;
                 }
                 let level = match (p.insts[i].space(), p.insts[j].space()) {
@@ -332,7 +365,7 @@ pub fn delay_edges(p: &Program, ts: &[ThreadModel]) -> Vec<DelayEdge> {
                     from: i,
                     to: j,
                     level,
-                    fenced: edge_fenced(p, tm, i, j, level),
+                    fenced: edge_fenced(p, tm, i, j, level, &mut dfs),
                 });
             }
         }

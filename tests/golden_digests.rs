@@ -27,18 +27,28 @@
 //! chip joins a block at the end of the list: the cells already in the
 //! table keep their digests.
 //!
-//! A change that alters the model on purpose regenerates the table: the
+//! A second table, [`ANALYSIS_GOLDEN`], pins the static analyzer the same
+//! way: one row per shape × {chip-independent, Titan, C2075} at the suite
+//! layout, and one per application (through `analyze_spec`). The analyzer
+//! reads only `Chip::l1_weak()`, so the coherent Titan and the
+//! incoherent C2075 cover every preset. A row digests the warnings, the
+//! site verdicts and the count of ordered edges.
+//!
+//! A change that alters the model on purpose regenerates a table: the
 //! failure message prints the recomputed one, ready to paste over
-//! [`GOLDEN`], and `CHANGES.md` says why the results moved.
+//! [`GOLDEN`] or [`ANALYSIS_GOLDEN`], and `CHANGES.md` says why the
+//! results moved.
 
+use gpu_wmm::analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
 use gpu_wmm::apps::{all_apps, app_by_name};
+use gpu_wmm::core::analyze_spec;
 use gpu_wmm::core::cache::ArtifactCache;
 use gpu_wmm::core::campaign::{Fnv64, SummaryValue};
 use gpu_wmm::core::suite::{run_suite_with_cache, SuiteConfig, SuiteStrategy};
 use gpu_wmm::core::{AppHarness, Application, Environment};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::runner::mix_seed;
-use gpu_wmm::litmus::Placement;
+use gpu_wmm::litmus::{LitmusLayout, Placement};
 use gpu_wmm::server::{EnvKind, JobSpec};
 use gpu_wmm::sim::chip::Chip;
 use std::collections::HashMap;
@@ -136,8 +146,7 @@ fn recompute() -> Vec<(String, u64)> {
     let job: JobSpec = APP_JOB.parse().expect("valid job");
     let summary = job.execute(1, None).expect("the app job runs");
     out.push((APP_JOB.to_string(), summary.digest()));
-    let mut apps = all_apps();
-    apps.push(app_by_name("shm-pipe").expect("the scoped demonstration app"));
+    let apps = apps();
     for (chip, env) in APP_RUN_ENVS {
         let chip = Chip::by_short(chip).expect("known chip");
         let env: EnvKind = env.parse().expect("known environment");
@@ -148,6 +157,13 @@ fn recompute() -> Vec<(String, u64)> {
         }
     }
     out
+}
+
+/// The ten applications of Tab. 4 plus the scoped `shm-pipe`.
+fn apps() -> Vec<Box<dyn Application>> {
+    let mut apps = all_apps();
+    apps.push(app_by_name("shm-pipe").expect("the scoped demonstration app"));
+    apps
 }
 
 /// Digest each of the two runs of an application job at seed 7, in run
@@ -165,8 +181,60 @@ fn app_run_digest(chip: &Chip, env: &Environment, app: &dyn Application) -> u64 
     f.finish()
 }
 
-fn render(cells: &[(String, u64)]) -> String {
-    let mut s = String::from("const GOLDEN: &[(&str, u64)] = &[\n");
+/// Digest one analysis: every warning (its pair, spaces, level and
+/// threads), every site verdict, and the count of ordered edges.
+fn digest_analysis(f: &mut Fnv64, a: &ProgramAnalysis) {
+    f.write_u64(a.warnings.len() as u64);
+    for w in &a.warnings {
+        f.write_u64(w.from as u64);
+        f.write_u64(w.to as u64);
+        f.write(format!("{:?} {:?} {:?}", w.from_space, w.to_space, w.level).as_bytes());
+        f.write_u64(w.threads.len() as u64);
+        for &t in &w.threads {
+            f.write_u64(t as u64);
+        }
+    }
+    f.write_u64(a.sites.len() as u64);
+    for s in &a.sites {
+        f.write_u64(s.index as u64);
+        f.write(format!("{:?} {:?}", s.space, s.verdict).as_bytes());
+    }
+    f.write_u64(a.ordered_edges as u64);
+}
+
+/// Analyze every shape at the suite layout, chip-independently and on
+/// the Titan and the C2075, then every application phase by phase.
+fn recompute_analysis() -> Vec<(String, u64)> {
+    let words = SuiteConfig::default().pad.required_words();
+    let chips = ["Titan", "C2075"].map(|c| Chip::by_short(c).expect("known chip"));
+    let mut out = Vec::new();
+    for shape in Shape::ALL {
+        let li = shape.instance(LitmusLayout::standard(DISTANCE, words));
+        let mut row = |name: String, a: ProgramAnalysis| {
+            let mut f = Fnv64::new();
+            digest_analysis(&mut f, &a);
+            out.push((name, f.finish()));
+        };
+        row(format!("analyze {shape}"), analyze_litmus(&li));
+        for chip in &chips {
+            row(
+                format!("analyze {shape}@{}", chip.short),
+                analyze_litmus_on_chip(&li, chip),
+            );
+        }
+    }
+    for app in apps() {
+        let mut f = Fnv64::new();
+        for phase in &analyze_spec(app.spec()).phases {
+            digest_analysis(&mut f, phase);
+        }
+        out.push((format!("analyze app {}", app.name()), f.finish()));
+    }
+    out
+}
+
+fn render(table: &str, cells: &[(String, u64)]) -> String {
+    let mut s = format!("const {table}: &[(&str, u64)] = &[\n");
     for (name, digest) in cells {
         s.push_str(&format!("    ({name:?}, 0x{digest:016x}),\n"));
     }
@@ -174,19 +242,19 @@ fn render(cells: &[(String, u64)]) -> String {
     s
 }
 
-#[test]
-fn grid_digests_match_the_committed_table() {
-    let cells = recompute();
-    let golden: HashMap<&str, u64> = GOLDEN.iter().copied().collect();
+/// Fail naming every row of `cells` that differs from the committed
+/// `golden` table, and print the recomputed table.
+fn assert_matches(table: &str, golden: &[(&str, u64)], cells: &[(String, u64)]) {
+    let want: HashMap<&str, u64> = golden.iter().copied().collect();
     let mut drift = Vec::new();
-    for (name, digest) in &cells {
-        match golden.get(name.as_str()) {
+    for (name, digest) in cells {
+        match want.get(name.as_str()) {
             Some(&want) if want == *digest => {}
             Some(&want) => drift.push(format!("{name}: 0x{digest:016x}, table 0x{want:016x}")),
             None => drift.push(format!("{name}: 0x{digest:016x}, not in the table")),
         }
     }
-    for (name, _) in GOLDEN {
+    for (name, _) in golden {
         if !cells.iter().any(|(n, _)| n == name) {
             drift.push(format!("{name}: in the table, no longer in the grid"));
         }
@@ -195,10 +263,20 @@ fn grid_digests_match_the_committed_table() {
         drift.is_empty(),
         "{} of {} golden cells drifted:\n  {}\n\nrecomputed table:\n{}",
         drift.len(),
-        GOLDEN.len(),
+        golden.len(),
         drift.join("\n  "),
-        render(&cells)
+        render(table, cells)
     );
+}
+
+#[test]
+fn grid_digests_match_the_committed_table() {
+    assert_matches("GOLDEN", GOLDEN, &recompute());
+}
+
+#[test]
+fn analysis_digests_match_the_committed_table() {
+    assert_matches("ANALYSIS_GOLDEN", ANALYSIS_GOLDEN, &recompute_analysis());
 }
 
 /// The Titan/C2075 rows of `no-str-`/`sys-str+`, the C2075 `l1-str+` rows,
@@ -587,4 +665,105 @@ const GOLDEN: &[(&str, u64)] = &[
     ("app C2075 l1-str+ ls-bh 2 7 / runs", 0xe3bef6f85acad754),
     ("app C2075 l1-str+ ls-bh-nf 2 7 / runs", 0xdd365c250cf2000c),
     ("app C2075 l1-str+ shm-pipe 2 7 / runs", 0xaba03b203bb767e0),
+];
+
+/// Recorded before the analyzer moved to inline value sets and a flat
+/// fixpoint table; every later change must reproduce it bit for bit.
+#[rustfmt::skip]
+const ANALYSIS_GOLDEN: &[(&str, u64)] = &[
+    ("analyze MP", 0x55bd0da55a3e1489),
+    ("analyze MP@Titan", 0x55bd0da55a3e1489),
+    ("analyze MP@C2075", 0x55bd0da55a3e1489),
+    ("analyze LB", 0xae7ff34a793b4ea7),
+    ("analyze LB@Titan", 0xae7ff34a793b4ea7),
+    ("analyze LB@C2075", 0xae7ff34a793b4ea7),
+    ("analyze SB", 0x85605e3e19e6fd8d),
+    ("analyze SB@Titan", 0x85605e3e19e6fd8d),
+    ("analyze SB@C2075", 0x85605e3e19e6fd8d),
+    ("analyze S", 0x4a0fd7f4ac93167b),
+    ("analyze S@Titan", 0x4a0fd7f4ac93167b),
+    ("analyze S@C2075", 0x4a0fd7f4ac93167b),
+    ("analyze R", 0xe9eb99ab6b98f277),
+    ("analyze R@Titan", 0xe9eb99ab6b98f277),
+    ("analyze R@C2075", 0xe9eb99ab6b98f277),
+    ("analyze 2+2W", 0x4e27055e4fb4c0f5),
+    ("analyze 2+2W@Titan", 0x4e27055e4fb4c0f5),
+    ("analyze 2+2W@C2075", 0x4e27055e4fb4c0f5),
+    ("analyze WRC", 0x02d485bb440c527d),
+    ("analyze WRC@Titan", 0x02d485bb440c527d),
+    ("analyze WRC@C2075", 0x02d485bb440c527d),
+    ("analyze RWC", 0x26eedc91932dc38e),
+    ("analyze RWC@Titan", 0x26eedc91932dc38e),
+    ("analyze RWC@C2075", 0x26eedc91932dc38e),
+    ("analyze ISA2", 0xf3407241c8cc9abc),
+    ("analyze ISA2@Titan", 0xf3407241c8cc9abc),
+    ("analyze ISA2@C2075", 0xf3407241c8cc9abc),
+    ("analyze IRIW", 0x01619fbe6c1880f3),
+    ("analyze IRIW@Titan", 0x01619fbe6c1880f3),
+    ("analyze IRIW@C2075", 0x01619fbe6c1880f3),
+    ("analyze CoRR", 0xbc78ff282e5d7ad1),
+    ("analyze CoRR@Titan", 0xbc78ff282e5d7ad1),
+    ("analyze CoRR@C2075", 0xace5476c7d3fc20f),
+    ("analyze CoWW", 0x113935f3eb7524ef),
+    ("analyze CoWW@Titan", 0x113935f3eb7524ef),
+    ("analyze CoWW@C2075", 0x113935f3eb7524ef),
+    ("analyze MP+fences", 0x941c5e39924b6153),
+    ("analyze MP+fences@Titan", 0x941c5e39924b6153),
+    ("analyze MP+fences@C2075", 0x941c5e39924b6153),
+    ("analyze SB+fences", 0xefa1632874224481),
+    ("analyze SB+fences@Titan", 0xefa1632874224481),
+    ("analyze SB+fences@C2075", 0xefa1632874224481),
+    ("analyze MP.shared", 0x21543e6fc55d9dcd),
+    ("analyze MP.shared@Titan", 0x21543e6fc55d9dcd),
+    ("analyze MP.shared@C2075", 0x21543e6fc55d9dcd),
+    ("analyze SB.shared", 0x2db94f145caee33f),
+    ("analyze SB.shared@Titan", 0x2db94f145caee33f),
+    ("analyze SB.shared@C2075", 0x2db94f145caee33f),
+    ("analyze CoRR.shared", 0xf93e3fd6a4657921),
+    ("analyze CoRR.shared@Titan", 0xf93e3fd6a4657921),
+    ("analyze CoRR.shared@C2075", 0xf93e3fd6a4657921),
+    ("analyze MP+CAS", 0x0f9da21448fa11a4),
+    ("analyze MP+CAS@Titan", 0x0f9da21448fa11a4),
+    ("analyze MP+CAS@C2075", 0x0f9da21448fa11a4),
+    ("analyze 2+2W.exch", 0x98c82f042951ed6b),
+    ("analyze 2+2W.exch@Titan", 0x98c82f042951ed6b),
+    ("analyze 2+2W.exch@C2075", 0x98c82f042951ed6b),
+    ("analyze CoAdd", 0x83b61606b7c9a3c4),
+    ("analyze CoAdd@Titan", 0x83b61606b7c9a3c4),
+    ("analyze CoAdd@C2075", 0x83b61606b7c9a3c4),
+    ("analyze MP.shared+fence_block", 0x7c7404cd44e1fd0f),
+    ("analyze MP.shared+fence_block@Titan", 0x7c7404cd44e1fd0f),
+    ("analyze MP.shared+fence_block@C2075", 0x7c7404cd44e1fd0f),
+    ("analyze SB.shared+fence_block", 0x35c9325693b01e43),
+    ("analyze SB.shared+fence_block@Titan", 0x35c9325693b01e43),
+    ("analyze SB.shared+fence_block@C2075", 0x35c9325693b01e43),
+    ("analyze MP.mixed", 0xd553d86902da6575),
+    ("analyze MP.mixed@Titan", 0xd553d86902da6575),
+    ("analyze MP.mixed@C2075", 0xd553d86902da6575),
+    ("analyze ISA2.scoped", 0xf8fd94dfedc5de44),
+    ("analyze ISA2.scoped@Titan", 0xf8fd94dfedc5de44),
+    ("analyze ISA2.scoped@C2075", 0xf8fd94dfedc5de44),
+    ("analyze WRC+fences", 0x62153a489fca3716),
+    ("analyze WRC+fences@Titan", 0x62153a489fca3716),
+    ("analyze WRC+fences@C2075", 0x62153a489fca3716),
+    ("analyze ISA2+fences", 0x1f7121c2631fe0ff),
+    ("analyze ISA2+fences@Titan", 0x1f7121c2631fe0ff),
+    ("analyze ISA2+fences@C2075", 0x1f7121c2631fe0ff),
+    ("analyze IRIW+fences", 0x4e777264dd8e5aa6),
+    ("analyze IRIW+fences@Titan", 0x4e777264dd8e5aa6),
+    ("analyze IRIW+fences@C2075", 0x4e777264dd8e5aa6),
+    ("analyze CoRR+fence", 0x7b24a962a17e5dbe),
+    ("analyze CoRR+fence@Titan", 0x7b24a962a17e5dbe),
+    ("analyze CoRR+fence@C2075", 0x566541fc740a90d0),
+    ("analyze app cbe-ht", 0xf0928e982bbcdecc),
+    ("analyze app cbe-dot", 0x664b7f16419051d6),
+    ("analyze app ct-octree", 0x0ccb0743ace18ac8),
+    ("analyze app tpo-tm", 0xea9da8f9d624b25b),
+    ("analyze app sdk-red", 0xd6e6e1b7f282ce39),
+    ("analyze app sdk-red-nf", 0x7e9e8c31a0b4dac3),
+    ("analyze app cub-scan", 0xa107059a4f3c1f60),
+    ("analyze app cub-scan-nf", 0x0bc2a1b537a02f50),
+    ("analyze app ls-bh", 0x509d483e9de07551),
+    ("analyze app ls-bh-nf", 0x617f02bb8c4c1004),
+    ("analyze app shm-pipe", 0x69741f3068c8e9e0),
 ];
