@@ -123,11 +123,6 @@ impl LsBh {
             expected_pot,
         }
     }
-
-    /// The expected total potential.
-    pub fn expected_potential(&self) -> Word {
-        self.expected_pot
-    }
 }
 
 impl Application for LsBh {

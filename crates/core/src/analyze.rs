@@ -43,11 +43,6 @@ pub struct SpecAnalysis {
 }
 
 impl SpecAnalysis {
-    /// Total unfenced delay warnings across phases.
-    pub fn warning_count(&self) -> usize {
-        self.phases.iter().map(|a| a.warnings.len()).sum()
-    }
-
     /// Quiet certificate: no phase warns.
     pub fn quiet(&self) -> bool {
         self.phases.iter().all(ProgramAnalysis::quiet)

@@ -48,6 +48,4 @@ pub use harden::{
     LeveledFenceSite, ScopedHardenResult,
 };
 pub use stress::{Scratchpad, StressArtifacts, StressStrategy, SystematicParams};
-pub use suite::{
-    run_suite, run_suite_observed, StaticVerdict, SuiteCell, SuiteConfig, SuiteStrategy,
-};
+pub use suite::{run_suite, StaticVerdict, SuiteCell, SuiteConfig, SuiteStrategy};

@@ -19,7 +19,6 @@ use std::sync::Arc;
 use wmm_gen::Shape;
 use wmm_litmus::runner::mix_seed;
 use wmm_litmus::{Histogram, LitmusLayout, Placement};
-use wmm_obs::{MetricsRegistry, SpanTimer};
 use wmm_sim::chip::Chip;
 use wmm_sim::ir::{FenceLevel, Space};
 
@@ -186,15 +185,6 @@ impl StaticVerdict {
         self.warnings == 0
     }
 
-    /// Compute the chip-independent verdict for one litmus instance.
-    pub fn of(inst: &wmm_litmus::LitmusInstance) -> StaticVerdict {
-        let a = wmm_analysis::analyze_litmus(inst);
-        StaticVerdict {
-            warnings: a.warnings.len(),
-            level: a.max_warning_level(),
-        }
-    }
-
     /// Compute the verdict for one litmus instance on a specific chip:
     /// on incoherent-L1 chips the analyzer adds the structural
     /// read-read channel, so `CoRR`-style rows warn there while staying
@@ -303,29 +293,6 @@ pub fn run_suite_with_cache(
     cfg: &SuiteConfig,
     cache: &ArtifactCache,
 ) -> Vec<SuiteCell> {
-    run_suite_observed(
-        shapes,
-        chips,
-        strategies,
-        cfg,
-        cache,
-        &mut MetricsRegistry::new(),
-    )
-}
-
-/// [`run_suite_with_cache`] that also records wall-clock telemetry
-/// into `metrics`: one `suite_cell` span sample per cell campaign and
-/// a `suite_cells` counter. The cells themselves are untouched — the
-/// registry is observation only, and its span values are wall-clock
-/// (machine-dependent), unlike everything else this function returns.
-pub fn run_suite_observed(
-    shapes: &[Shape],
-    chips: &[Chip],
-    strategies: &[SuiteStrategy],
-    cfg: &SuiteConfig,
-    cache: &ArtifactCache,
-    metrics: &mut MetricsRegistry,
-) -> Vec<SuiteCell> {
     let mut cells = Vec::new();
     for (si, shape) in shapes.iter().enumerate() {
         for &d in &cfg.distances {
@@ -335,7 +302,6 @@ pub fn run_suite_observed(
                 let static_verdict = StaticVerdict::of_chip(&inst, chip);
                 for (ki, strat) in strategies.iter().enumerate() {
                     let artifacts = cache.get(chip, &strat.environment(chip), cfg.pad, strat.iters);
-                    let span = SpanTimer::start();
                     let hist = CampaignBuilder::new(chip)
                         .stress((*artifacts).clone())
                         .randomize_ids(strat.randomize)
@@ -344,8 +310,6 @@ pub fn run_suite_observed(
                         .parallelism(cfg.workers)
                         .build()
                         .run_litmus(&inst);
-                    span.finish(metrics, "suite_cell");
-                    metrics.incr("suite_cells", 1);
                     cells.push(SuiteCell {
                         shape: *shape,
                         distance: d,

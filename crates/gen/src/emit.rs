@@ -1,32 +1,23 @@
 //! Lowering abstract shapes to runnable kernels.
 //!
-//! Two equivalent back ends:
-//!
-//! * [`build_program`] — direct `wmm-sim` IR construction through
-//!   [`KernelBuilder`], the path the campaign machinery uses;
-//! * [`to_lang_source`] — a `.litmus`-style textual form in the
-//!   `wmm-lang` kernel language, compiled back to IR with
-//!   [`wmm_lang::compile`], so every generated test round-trips through
-//!   the front end and can be inspected, versioned, or edited as text.
-//!
-//! Both back ends emit the same structure the paper's hand-written
-//! kernels used: under [`Placement::InterBlock`] every test thread is
-//! lane 0 of its own block; under [`Placement::IntraBlock`] all test
-//! threads share one block, test thread `t` being lane 0 of warp `t`
-//! (so scoped shapes can communicate through the block's shared
-//! memory). The threads rendezvous on a global atomic counter before
-//! racing (maximising temporal overlap, as the GPU LITMUS tool does);
-//! each thread issues its test events in program order — plain accesses
-//! and atomics in the event's space, RMW old values captured — and only
-//! then writes its observed values to the result region, keeping the
-//! test's accesses adjacent in the in-flight window exactly like the
-//! legacy trio kernels, which is what makes their reorderings
-//! observable.
+//! [`build_program`] constructs `wmm-sim` IR directly through
+//! [`KernelBuilder`], in the structure the paper's hand-written kernels
+//! used: under [`Placement::InterBlock`] every test thread is lane 0 of
+//! its own block; under [`Placement::IntraBlock`] all test threads
+//! share one block, test thread `t` being lane 0 of warp `t` (so scoped
+//! shapes can communicate through the block's shared memory). The
+//! threads rendezvous on a global atomic counter before racing
+//! (maximising temporal overlap, as the GPU LITMUS tool does); each
+//! thread issues its test events in program order — plain accesses and
+//! atomics in the event's space, RMW old values captured — and only then
+//! writes its observed values to the result region, keeping the test's
+//! accesses adjacent in the in-flight window exactly like the legacy
+//! trio kernels, which is what makes their reorderings observable.
 
 use crate::shape::{Event, TestEvents};
 use wmm_litmus::{LitmusLayout, Placement, MAX_OBSERVERS};
 use wmm_sim::ir::builder::KernelBuilder;
-use wmm_sim::ir::{Program, Space};
+use wmm_sim::ir::Program;
 
 /// Check the layout can host the shape (locations below the result
 /// region, reads within the observer slots, every location in a single
@@ -156,125 +147,6 @@ pub fn build_program(events: &TestEvents, layout: &LitmusLayout) -> Program {
         .expect("generated litmus kernel is valid by construction")
 }
 
-/// A kernel-language identifier for the shape (`2+2W` → `T2p2W`).
-fn lang_name(name: &str) -> String {
-    let mut s: String = name
-        .chars()
-        .map(|c| match c {
-            '+' => 'p',
-            c if c.is_ascii_alphanumeric() => c,
-            _ => '_',
-        })
-        .collect();
-    if s.starts_with(|c: char| c.is_ascii_digit()) {
-        s.insert(0, 'T');
-    }
-    s
-}
-
-/// The kernel-language array name for a space.
-fn space_array(space: Space) -> &'static str {
-    match space {
-        Space::Global => "global",
-        Space::Shared => "shared",
-    }
-}
-
-/// Emit the shape as `wmm-lang` kernel source under `layout` — the
-/// textual `.litmus`-style form of the test.
-///
-/// # Panics
-///
-/// Panics if the layout cannot host the shape.
-pub fn to_lang_source(events: &TestEvents, layout: &LitmusLayout) -> String {
-    check_layout(events, layout);
-    let nthreads = events.threads.len();
-    let sync = layout.sync_addr();
-    let mut s = String::new();
-    s.push_str(&format!(
-        "kernel {}_d{} {{\n",
-        lang_name(&events.name),
-        layout.distance
-    ));
-    let (active, me) = match events.placement {
-        Placement::InterBlock => ("tid() == 0", "bid()"),
-        Placement::IntraBlock => ("tid() % 32 == 0", "tid() / 32"),
-    };
-    s.push_str(&format!("    if {active} {{\n"));
-    s.push_str(&format!("        atomic_add({sync}, 1);\n"));
-    s.push_str(&format!(
-        "        while global[{sync}] != {nthreads} {{ }}\n"
-    ));
-    let mut next_read = 0u32;
-    for (t, evs) in events.threads.iter().enumerate() {
-        s.push_str(&format!("        if {me} == {t} {{\n"));
-        let mut read_names = Vec::new();
-        let bind_read = |s: &mut String, rhs: String, read_names: &mut Vec<String>| {
-            let name = format!("r{}", next_read + read_names.len() as u32);
-            s.push_str(&format!("            var {name} = {rhs};\n"));
-            read_names.push(name);
-        };
-        for ev in evs {
-            match *ev {
-                Event::W { loc, val, space } => {
-                    s.push_str(&format!(
-                        "            {}[{}] = {};\n",
-                        space_array(space),
-                        layout.loc_addr(loc),
-                        val
-                    ));
-                }
-                Event::R { loc, space } => {
-                    let rhs = format!("{}[{}]", space_array(space), layout.loc_addr(loc));
-                    bind_read(&mut s, rhs, &mut read_names);
-                }
-                Event::Fence => s.push_str("            fence();\n"),
-                Event::FenceBlock => s.push_str("            fence_block();\n"),
-                Event::Cas {
-                    loc,
-                    cmp,
-                    val,
-                    space,
-                } => {
-                    let call = match space {
-                        Space::Global => "cas",
-                        Space::Shared => "shared_cas",
-                    };
-                    let rhs = format!("{call}({}, {cmp}, {val})", layout.loc_addr(loc));
-                    bind_read(&mut s, rhs, &mut read_names);
-                }
-                Event::Exch { loc, val, space } => {
-                    let call = match space {
-                        Space::Global => "exch",
-                        Space::Shared => "shared_exch",
-                    };
-                    let rhs = format!("{call}({}, {val})", layout.loc_addr(loc));
-                    bind_read(&mut s, rhs, &mut read_names);
-                }
-                Event::Add { loc, val, space } => {
-                    let call = match space {
-                        Space::Global => "atomic_add",
-                        Space::Shared => "shared_add",
-                    };
-                    let rhs = format!("{call}({}, {val})", layout.loc_addr(loc));
-                    bind_read(&mut s, rhs, &mut read_names);
-                }
-            }
-        }
-        for (i, name) in read_names.iter().enumerate() {
-            s.push_str(&format!(
-                "            global[{}] = {};\n",
-                layout.result_base + next_read + i as u32,
-                name
-            ));
-        }
-        next_read += read_names.len() as u32;
-        s.push_str("        }\n");
-    }
-    s.push_str("    }\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,42 +166,6 @@ mod tests {
                 validate(&p).unwrap_or_else(|e| panic!("{shape} d={d}: {e:?}"));
                 assert!(p.len() > 8, "{shape} d={d} suspiciously small");
             }
-        }
-    }
-
-    #[test]
-    fn lang_source_compiles_for_every_shape() {
-        for shape in Shape::ALL {
-            let src = to_lang_source(&shape.events(), &layout(64));
-            let p = wmm_lang::compile(&src).unwrap_or_else(|e| panic!("{shape}: {e}\n{src}"));
-            validate(&p).unwrap();
-        }
-    }
-
-    #[test]
-    fn builder_and_lang_have_identical_global_access_counts() {
-        // Same loads/stores/atomics per shape regardless of back end.
-        fn footprint(p: &Program) -> (usize, usize, usize) {
-            let mut loads = 0;
-            let mut stores = 0;
-            let mut atomics = 0;
-            for i in &p.insts {
-                match i {
-                    Inst::Load { .. } => loads += 1,
-                    Inst::Store { .. } => stores += 1,
-                    Inst::AtomicAdd { .. } | Inst::AtomicCas { .. } | Inst::AtomicExch { .. } => {
-                        atomics += 1
-                    }
-                    _ => {}
-                }
-            }
-            (loads, stores, atomics)
-        }
-        for shape in Shape::ALL {
-            let ev = shape.events();
-            let a = build_program(&ev, &layout(64));
-            let b = wmm_lang::compile(&to_lang_source(&ev, &layout(64))).unwrap();
-            assert_eq!(footprint(&a), footprint(&b), "{shape}");
         }
     }
 
@@ -378,36 +214,6 @@ mod tests {
             .filter(|i| matches!(i, Inst::AtomicExch { .. }))
             .count();
         assert_eq!(exch, 4, "{p}");
-    }
-
-    #[test]
-    fn lang_names_are_identifiers() {
-        for shape in Shape::ALL {
-            let n = lang_name(shape.short());
-            assert!(n.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-            assert!(!n.starts_with(|c: char| c.is_ascii_digit()), "{n}");
-        }
-    }
-
-    #[test]
-    fn scoped_lang_source_gates_on_warps_and_uses_shared_arrays() {
-        let src = to_lang_source(&Shape::MpShared.events(), &layout(64));
-        assert!(src.contains("if tid() % 32 == 0 {"), "{src}");
-        assert!(src.contains("if tid() / 32 == 0 {"), "{src}");
-        assert!(src.contains("shared[0] = 1;"), "{src}");
-        assert!(src.contains("var r0 = shared[64];"), "{src}");
-        // The rendezvous stays in global memory.
-        assert!(src.contains("atomic_add(1032, 1);"), "{src}");
-    }
-
-    #[test]
-    fn rmw_lang_source_binds_old_values() {
-        let src = to_lang_source(&Shape::MpCas.events(), &layout(64));
-        assert!(src.contains("var r0 = cas(64, 0, 1);"), "{src}");
-        assert!(src.contains("var r1 = cas(64, 1, 2);"), "{src}");
-        let src = to_lang_source(&Shape::CoAdd.events(), &layout(64));
-        assert!(src.contains("var r0 = atomic_add(0, 1);"), "{src}");
-        assert!(src.contains("var r1 = atomic_add(0, 1);"), "{src}");
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //!   shared-space locations as per-block state); an observed outcome is
 //!   **weak** exactly when it is outside that set, so every weak
 //!   predicate is *derived*;
-//! * [`emit`] — lowering to runnable kernels, either directly as
-//!   `wmm-sim` IR via `KernelBuilder`, or as `.litmus`-style text in the
-//!   `wmm-lang` kernel language (round-tripped through
-//!   [`wmm_lang::compile`]).
+//! * [`emit`] — lowering to runnable kernels as `wmm-sim` IR through
+//!   `KernelBuilder`.
+//!
+//! [`TestEvents::instance`] ties the three together: it emits the kernel
+//! of any event list, catalogue shape or not, and derives its forbidden
+//! outcomes. [`Shape::instance`] calls it on the shape's events.
 //!
 //! Campaigning generated instances — across chips, stress strategies and
 //! worker counts — is the job of the unified campaign facade in
@@ -50,68 +52,39 @@ pub use wmm_litmus::Placement;
 
 use wmm_litmus::{LitmusInstance, LitmusLayout};
 
-impl Shape {
-    /// Build a runnable instance of this shape under `layout`: the
+impl TestEvents {
+    /// Build a runnable instance of these events under `layout`: the
     /// kernel is emitted through `KernelBuilder` and the weak predicate
     /// is derived by the SC oracle.
     ///
     /// # Panics
     ///
-    /// Panics if the layout cannot host the shape (communication
+    /// Panics if the layout cannot host the events (communication
     /// locations colliding with the result region).
     pub fn instance(&self, layout: LitmusLayout) -> LitmusInstance {
-        let ev = self.events();
-        let program = emit::build_program(&ev, &layout);
-        let threads = ev.threads.len() as u32;
-        let observers = ev.observers();
-        let allowed = oracle::sc_outcomes(&ev);
         LitmusInstance::with_placement(
-            self.short(),
+            self.name.clone(),
             layout,
-            program,
-            threads,
-            ev.num_locs(),
-            observers,
-            allowed,
-            ev.placement,
-            ev.shared_words_for(&layout),
+            emit::build_program(self, &layout),
+            self.threads.len() as u32,
+            self.num_locs(),
+            self.observers(),
+            oracle::sc_outcomes(self),
+            self.placement,
+            self.shared_words_for(&layout),
         )
     }
+}
 
-    /// Like [`Shape::instance`], but the kernel takes the textual route:
-    /// emitted as `wmm-lang` source ([`emit::to_lang_source`]) and
-    /// compiled back through the front end.
+impl Shape {
+    /// Build a runnable instance of this shape under `layout` (see
+    /// [`TestEvents::instance`]).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns the compiler's error if the emitted source is rejected
-    /// (which would be a generator bug — the round-trip is tested).
-    pub fn instance_via_lang(
-        &self,
-        layout: LitmusLayout,
-    ) -> Result<LitmusInstance, wmm_lang::Error> {
-        let ev = self.events();
-        let src = emit::to_lang_source(&ev, &layout);
-        let program = wmm_lang::compile(&src)?;
-        let threads = ev.threads.len() as u32;
-        let observers = ev.observers();
-        let allowed = oracle::sc_outcomes(&ev);
-        Ok(LitmusInstance::with_placement(
-            self.short(),
-            layout,
-            program,
-            threads,
-            ev.num_locs(),
-            observers,
-            allowed,
-            ev.placement,
-            ev.shared_words_for(&layout),
-        ))
-    }
-
-    /// The `.litmus`-style textual form of this shape under `layout`.
-    pub fn lang_source(&self, layout: LitmusLayout) -> String {
-        emit::to_lang_source(&self.events(), &layout)
+    /// Panics if the layout cannot host the shape.
+    pub fn instance(&self, layout: LitmusLayout) -> LitmusInstance {
+        self.events().instance(layout)
     }
 }
 
@@ -139,20 +112,6 @@ mod tests {
                 assert_eq!(i.threads as usize, s.events().threads.len());
                 assert!(!i.allowed.is_empty(), "{s}: empty SC set");
             }
-        }
-    }
-
-    #[test]
-    fn lang_route_agrees_on_metadata() {
-        let layout = LitmusLayout::standard(32, 4096);
-        for s in Shape::ALL {
-            let a = s.instance(layout);
-            let b = s.instance_via_lang(layout).unwrap();
-            assert_eq!(a.threads, b.threads, "{s}");
-            assert_eq!(a.observers, b.observers, "{s}");
-            assert_eq!(a.allowed, b.allowed, "{s}");
-            assert_eq!(a.placement, b.placement, "{s}");
-            assert_eq!(a.shared_words, b.shared_words, "{s}");
         }
     }
 

@@ -116,12 +116,6 @@ impl Histogram {
         self.provenance.get(obs)
     }
 
-    /// Iterate `(observer vector, provenance)` over the weak outcomes
-    /// in sorted order.
-    pub fn iter_provenance(&self) -> impl Iterator<Item = (&[u32], &Provenance)> {
-        self.provenance.iter().map(|(k, v)| (k.as_slice(), v))
-    }
-
     /// The attribution of every weak run, summed over all weak
     /// outcomes; its total always equals [`Histogram::weak`].
     pub fn provenance_total(&self) -> Provenance {

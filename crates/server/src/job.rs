@@ -24,16 +24,16 @@ use wmm_core::cache::{ArtifactCache, ArtifactKey};
 use wmm_core::campaign::{CampaignBuilder, CampaignJob, SummaryValue};
 use wmm_core::env::{AppHarness, Environment};
 use wmm_core::stress::{Scratchpad, StressArtifacts};
+use wmm_core::suite::SuiteConfig;
 use wmm_gen::Shape;
 use wmm_litmus::LitmusLayout;
 use wmm_sim::chip::Chip;
 
-/// The scratchpad litmus jobs stress — the same layout the one-shot
-/// suite runner defaults to
-/// ([`SuiteConfig::default`](wmm_core::suite::SuiteConfig)), so a
-/// queued suite cell and `run_suite` share artifact-cache entries.
+/// The scratchpad litmus jobs stress: the suite runner's default
+/// ([`SuiteConfig::default`]), so a queued suite cell and `run_suite`
+/// share artifact-cache entries.
 pub fn litmus_pad() -> Scratchpad {
-    Scratchpad::new(2048, 6144)
+    SuiteConfig::default().pad
 }
 
 /// The five suite environments a job can request — the four columns of

@@ -5,10 +5,9 @@
 //! with what sensitivity to memory-system contention, and with what
 //! structural quirks (critical patch size, effective access sequences, the
 //! GTX 980's ambient-MP noise). NVIDIA has never documented the
-//! microarchitectural causes, so — as laid out in DESIGN.md — these
-//! profiles *encode the paper's observations as parameters* and let the
-//! black-box tuning pipeline rediscover them, exactly as the paper's
-//! methodology does on silicon.
+//! microarchitectural causes, so these profiles *encode the paper's
+//! observations as parameters* and let the black-box tuning pipeline
+//! rediscover them, exactly as the paper's methodology does on silicon.
 //!
 //! The profile parameters fall into three groups:
 //!
@@ -118,7 +117,7 @@ pub struct Chip {
     /// `line % channels`. Contention is tracked per channel.
     pub channels: u32,
     /// Maximum concurrently-resident threads (scaled down ~50× from real
-    /// occupancies so a run simulates in microseconds; see DESIGN.md).
+    /// occupancies so a run simulates in microseconds).
     pub max_concurrent_threads: u32,
     /// L2 cache size in words, scaled with occupancy — the scratchpad
     /// size the `cache-str` strategy allocates (Sec. 4.2).

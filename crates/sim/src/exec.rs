@@ -146,14 +146,6 @@ impl LaunchSpec {
             randomize_ids: false,
         }
     }
-
-    /// Total threads across all groups.
-    pub fn total_threads(&self) -> u32 {
-        self.groups
-            .iter()
-            .map(|g| g.blocks * g.threads_per_block)
-            .sum()
-    }
 }
 
 /// How a run ended.

@@ -6,7 +6,6 @@
 //!
 //! * [`sim`] — the simulated GPU substrate (kernel IR, SIMT execution,
 //!   per-chip weak memory model, cost model);
-//! * [`lang`] — a small C-like kernel language lowering to the IR;
 //! * [`litmus`] — the generic litmus-instance runtime and the
 //!   deterministic parallel work-distribution layer;
 //! * [`gen`] — the litmus-test generator: the communication-cycle shape
@@ -32,15 +31,13 @@
 //!   histogram, wall-clock span histograms for the server, and the
 //!   bounded event log behind `repro trace`.
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for paper-vs-measured results. The
-//! `examples/` directory exercises the public API end to end.
+//! See `README.md` for a guided tour. The `examples/` directory
+//! exercises the public API end to end.
 
 pub use wmm_analysis as analysis;
 pub use wmm_apps as apps;
 pub use wmm_core as core;
 pub use wmm_gen as gen;
-pub use wmm_lang as lang;
 pub use wmm_litmus as litmus;
 pub use wmm_obs as obs;
 pub use wmm_server as server;

@@ -1,8 +1,7 @@
 //! The generator + oracle contract, end to end:
 //!
 //! * property tests (vendored `proptest`): every generated program
-//!   passes the IR validator, through both the builder and the
-//!   `wmm-lang` text back ends, and programs are unique per
+//!   passes the IR validator, and programs are unique per
 //!   `(shape, distance)`;
 //! * the extended-oracle properties: RMW events never interleave
 //!   internally (atomicAdd chains observe exact prefix sums),
@@ -33,22 +32,11 @@ fn shape_of(idx: usize) -> Shape {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every generated program validates, at arbitrary distances, via
-    /// the builder back end.
+    /// Every generated program validates, at arbitrary distances.
     #[test]
     fn generated_programs_validate(si in 0usize..Shape::ALL.len(), d in 0u32..256) {
         let inst = shape_of(si).instance(LitmusLayout::standard(d, 8192));
         prop_assert!(validate(&inst.program).is_ok());
-    }
-
-    /// …and via the wmm-lang textual round-trip.
-    #[test]
-    fn lang_round_trip_validates(si in 0usize..Shape::ALL.len(), d in 0u32..256) {
-        let shape = shape_of(si);
-        let layout = LitmusLayout::standard(d, 8192);
-        let inst = shape.instance_via_lang(layout);
-        prop_assert!(inst.is_ok(), "{shape} d={d}: {:?}", inst.err());
-        prop_assert!(validate(&inst.unwrap().program).is_ok());
     }
 
     /// The derived SC set never covers the whole observed-value space:

@@ -9,9 +9,12 @@
 //! baseline per job, and the aggregate soak digest must be a pure
 //! function of the (mix, seed) pair.
 
+use gpu_wmm::core::cache::ArtifactCache;
+use gpu_wmm::core::suite::{cell_seed, run_suite_with_cache, SuiteConfig, SuiteStrategy};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::server::soak::results_digest;
 use gpu_wmm::server::{Engine, EngineConfig, EnvKind, JobSpec, SoakMix, WorkloadSpec};
+use gpu_wmm::sim::chip::Chip;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -157,6 +160,58 @@ fn batched_jobs_share_artifact_builds() {
     assert_eq!(stats.builds, 10, "one build per chip × environment");
     assert_eq!(stats.hits, litmus_jobs.len() as u64 - 10);
     assert!(stats.hit_rate() > 0.6);
+}
+
+/// The suite and the job queue are two batch paths over one model: a
+/// litmus job seeded with a suite cell's `cell_seed` returns exactly
+/// that cell's histogram, and it finds every artifact it needs already
+/// in the suite's cache (job and suite stress the same scratchpad).
+#[test]
+fn litmus_jobs_reproduce_their_suite_cells() {
+    let shapes = [Shape::Mp, Shape::CoRR, Shape::MpShared];
+    let chips = [
+        Chip::by_short("Titan").unwrap(),
+        Chip::by_short("C2075").unwrap(),
+    ];
+    // The suite's columns, in `EnvKind::ALL` order.
+    let columns = [
+        SuiteStrategy::native(),
+        SuiteStrategy::sys_str_plus(40),
+        SuiteStrategy::rand_str_plus(40),
+        SuiteStrategy::shared_sys_str_plus(40),
+        SuiteStrategy::l1_str_plus(40),
+    ];
+    let cfg = SuiteConfig {
+        execs: 16,
+        ..Default::default()
+    };
+    let distance = cfg.distances[0];
+    let cache = ArtifactCache::new();
+    let cells = run_suite_with_cache(&shapes, &chips, &columns, &cfg, &cache);
+    let builds = cache.stats().builds;
+    assert!(
+        cells.iter().any(|c| c.hist.weak() > 0),
+        "the grid must hold weak cells for the comparison to bite"
+    );
+    let mut cells = cells.iter();
+    for (si, &shape) in shapes.iter().enumerate() {
+        for (ci, chip) in chips.iter().enumerate() {
+            for (ki, env) in EnvKind::ALL.into_iter().enumerate() {
+                let cell = cells.next().expect("one cell per coordinate");
+                assert_eq!(cell.strategy, env.name());
+                let job = JobSpec {
+                    chip: chip.short.to_string(),
+                    env,
+                    workload: WorkloadSpec::Litmus { shape, distance },
+                    execs: cfg.execs,
+                    seed: cell_seed(cfg.base_seed, si, distance, ci, ki),
+                };
+                let got = job.execute(1, Some(&cache)).expect("valid job");
+                assert_eq!(got.as_litmus(), Some(&cell.hist), "{job}");
+            }
+        }
+    }
+    assert_eq!(cache.stats().builds, builds, "a job rebuilt an artifact");
 }
 
 /// The soak mix a proptest case runs: litmus-only (fast) but spanning
