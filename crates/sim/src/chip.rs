@@ -245,7 +245,14 @@ impl Chip {
     /// The channel a word address maps to.
     #[inline]
     pub fn channel_of(&self, addr: u32) -> u32 {
-        self.line_of(addr) % self.channels
+        self.line_channel(self.line_of(addr))
+    }
+
+    /// The channel a line maps to: [`Chip::channel_of`] for a caller that
+    /// already holds the address's line.
+    #[inline]
+    pub(crate) fn line_channel(&self, line: u32) -> u32 {
+        line % self.channels
     }
 
     /// The paper's tuned systematic-stress parameters for this chip

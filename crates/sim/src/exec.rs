@@ -49,10 +49,22 @@
 //! are atomic at completion but do **not** order other accesses — the
 //! pre-Volta NVIDIA behaviour that makes spinlock idioms without fences
 //! incorrect, which is precisely what the paper's case studies exercise.
+//!
+//! A drain turn looks for a bypass candidate among window slots 1–3 and
+//! draws from the RNG only when it finds one. A slot cannot pass an older
+//! access on its own space and line, so a window whose slots are all
+//! non-fence accesses on the head's space and line has no candidate at
+//! all. Each thread flags that state (`ThreadCtx::one_line`), and the
+//! drain skips the scan while the flag is set. This is exact: the skipped
+//! scan would have found nothing and drawn nothing. It is also the common
+//! case, because a stressing thread hammers one location per patch. The
+//! flag costs O(1) when a slot enters the window. When a slot leaves, it
+//! is recomputed only while clear, since removing a slot from a one-line
+//! window leaves a one-line window.
 
 use crate::chip::{Chip, ReorderKind};
 use crate::ir::{BinOp, FenceLevel, Inst, Program, Reg, Space, SpecialReg};
-use crate::mem::{MemSystem, OobError};
+use crate::mem::{MemSystem, OobError, MAX_CHANNELS};
 use crate::topology::L1System;
 use crate::word::{from_f32, to_f32, Word};
 use rand::rngs::SmallRng;
@@ -252,6 +264,29 @@ struct Slot {
     stall: u32,
 }
 
+impl Slot {
+    /// True for a fence of either level.
+    #[inline]
+    fn is_fence(&self) -> bool {
+        matches!(self.kind, SlotKind::Fence | SlotKind::FenceBlock)
+    }
+
+    /// True if this slot is a non-fence access on `head`'s space and
+    /// line: a window of such slots behind a non-fence head can pass
+    /// nothing out of order.
+    #[inline]
+    fn on_line_of(&self, head: &Slot) -> bool {
+        !self.is_fence() && self.space == head.space && self.line == head.line
+    }
+}
+
+/// True if every slot of `win` is a non-fence access on the head's space
+/// and line (vacuously, for an empty window): the from-scratch value of
+/// [`ThreadCtx::one_line`].
+fn one_line(win: &[Slot]) -> bool {
+    win.iter().all(|s| s.on_line_of(&win[0]))
+}
+
 impl Default for Slot {
     fn default() -> Self {
         Slot {
@@ -292,7 +327,6 @@ struct ThreadCtx {
     icount: u32,
     last_is_store: bool,
     last_channel: u32,
-    last_addr: u32,
     last_icount: u32,
     has_last: bool,
     stalled: bool,
@@ -300,6 +334,12 @@ struct ThreadCtx {
     /// Occupied slots of the thread's in-flight window (see
     /// [`Lanes::windows`]).
     win_len: u8,
+    /// True exactly when every window slot is a non-fence access on the
+    /// head's space and line ([`one_line`]): then no slot may bypass the
+    /// head, and a drain turn skips its bypass scan. Kept by
+    /// [`Lane::enter`] and [`Lane::remove`], the only two places the
+    /// window changes length.
+    one_line: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -465,6 +505,33 @@ impl Lane<'_> {
         self.th.pc = next_pc;
         self.th.icount += 1;
     }
+
+    /// Append `slot` to a window with room for it. The flag costs O(1):
+    /// the new slot keeps it set only if it shares the head's line.
+    #[inline]
+    fn enter(&mut self, slot: Slot) {
+        let len = usize::from(self.th.win_len);
+        self.th.one_line = if len == 0 {
+            !slot.is_fence()
+        } else {
+            self.th.one_line && slot.on_line_of(&self.win[0])
+        };
+        self.win[len] = slot;
+        self.th.win_len += 1;
+    }
+
+    /// Remove window slot `j`, shifting the younger slots down. Removing
+    /// a slot from a one-line window leaves a one-line window, so the
+    /// flag is recomputed only while it is clear.
+    #[inline]
+    fn remove(&mut self, j: usize) {
+        let len = usize::from(self.th.win_len);
+        self.win.copy_within(j + 1..len, j);
+        self.th.win_len -= 1;
+        if !self.th.one_line {
+            self.th.one_line = one_line(self.window());
+        }
+    }
 }
 
 /// True for the instructions that read and write only their own lane's
@@ -588,7 +655,7 @@ fn exec_local(inst: Inst, g: &KernelGroup, lanes: &mut impl LaneSet) -> u64 {
 /// and global completion is modelled device-wide).
 fn can_bypass(win: &[Slot], j: usize) -> bool {
     let sj = win[j];
-    if matches!(sj.kind, SlotKind::Fence | SlotKind::FenceBlock) {
+    if sj.is_fence() {
         return false;
     }
     win[..j].iter().all(|si| match si.kind {
@@ -703,13 +770,23 @@ impl Gpu {
     ///
     /// # Panics
     ///
-    /// Panics if the chip's window is deeper than [`MAX_WINDOW`].
+    /// Panics if the chip's window is deeper than [`MAX_WINDOW`], if its
+    /// lines are empty (`patch_words == 0`), or if its channel count is
+    /// outside `1..=`[`MAX_CHANNELS`]: the address decode of every global
+    /// access divides by the one and indexes the trackers by the other.
     pub fn new(chip: Chip) -> Self {
         assert!(
             chip.window <= MAX_WINDOW,
             "{}: window {} exceeds MAX_WINDOW",
             chip.short,
             chip.window
+        );
+        assert!(chip.patch_words > 0, "{}: patch_words is 0", chip.short);
+        assert!(
+            (1..=MAX_CHANNELS as u32).contains(&chip.channels),
+            "{}: {} channels, outside 1..=MAX_CHANNELS",
+            chip.short,
+            chip.channels
         );
         Gpu {
             chip,
@@ -908,12 +985,17 @@ impl<'a> Run<'a> {
                 continue;
             };
             let Warp { first, live } = self.warps[w as usize];
-            if !self.step_uniform(first, live) {
+            // Every lane of a warp is in one block, so the group and its
+            // program are resolved once for the whole step.
+            let spec = self.spec;
+            let g = &spec.groups[self.lanes.threads[first as usize].group as usize];
+            let insts = g.program.insts.as_slice();
+            if !self.step_uniform(first, live, g, insts) {
                 // Step the live lanes in lane order. Skipping dead lanes
                 // changes nothing but the cost: a dead lane's step is a
                 // no-op, and a lane dies only during its own step.
                 for l in lanes_of(live) {
-                    self.step_thread(first + l);
+                    self.step_thread(first + l, g, insts);
                     if self.status.is_some() {
                         break;
                     }
@@ -1050,12 +1132,12 @@ impl<'a> Run<'a> {
                 icount: 0,
                 last_is_store: false,
                 last_channel: 0,
-                last_addr: 0,
                 last_icount: 0,
                 has_last: false,
                 stalled: false,
                 stalled_reg: 0,
                 win_len: 0,
+                one_line: true,
             });
         }
         self.m.blocks.push(BlockState {
@@ -1085,11 +1167,12 @@ impl<'a> Run<'a> {
 
     // -- thread stepping ---------------------------------------------------
 
-    /// Step a warp as a batch when its live lanes are all running,
-    /// unstalled and at the same [`register_local`] instruction: drain
-    /// every lane in lane order, then decode the instruction once and
-    /// execute it lane by lane. Returns false, having done nothing, for
-    /// any other warp, which steps lane by lane instead.
+    /// Step a warp of group `g`, whose program is `insts`, as a batch
+    /// when its live lanes are all running, unstalled and at the same
+    /// [`register_local`] instruction: drain every lane in lane order,
+    /// then decode the instruction once and execute it lane by lane.
+    /// Returns false, having done nothing, for any other warp, which
+    /// steps lane by lane instead.
     ///
     /// This is exact. Such an instruction reads and writes only its own
     /// lane's registers, `pc` and `icount`, plus the instruction counter,
@@ -1097,11 +1180,9 @@ impl<'a> Run<'a> {
     /// draws and the final state are those of stepping lane by lane. A
     /// drain that faults stops the batch at its lane, just as the lane
     /// loop breaks there: only the lanes before it execute.
-    fn step_uniform(&mut self, first: u32, live: u32) -> bool {
-        let spec = self.spec;
-        let th = &self.lanes.threads[(first + live.trailing_zeros()) as usize];
-        let (g, pc) = (&spec.groups[th.group as usize], th.pc);
-        let Some(&inst) = g.program.insts.get(pc as usize) else {
+    fn step_uniform(&mut self, first: u32, live: u32, g: &KernelGroup, insts: &[Inst]) -> bool {
+        let pc = self.lanes.threads[(first + live.trailing_zeros()) as usize].pc;
+        let Some(&inst) = insts.get(pc as usize) else {
             return false;
         };
         let threads = &self.lanes.threads;
@@ -1136,11 +1217,10 @@ impl<'a> Run<'a> {
         true
     }
 
-    /// Step thread `t` on its own: a drain turn (a demand drain while it
-    /// is stalled), then, if it is running and ready, the instruction at
-    /// its `pc`.
-    fn step_thread(&mut self, t: u32) {
-        let spec = self.spec;
+    /// Step thread `t` of group `g`, whose program is `insts`, on its
+    /// own: a drain turn (a demand drain while it is stalled), then, if
+    /// it is running and ready, the instruction at its `pc`.
+    fn step_thread(&mut self, t: u32, g: &KernelGroup, insts: &[Inst]) {
         let state = self.lanes.threads[t as usize].state;
         if matches!(state, TState::Dead | TState::BarrierWait) {
             return;
@@ -1166,8 +1246,7 @@ impl<'a> Run<'a> {
                 if lane.th.stalled || self.status.is_some() {
                     return;
                 }
-                let g = &spec.groups[lane.th.group as usize];
-                match g.program.insts.get(lane.th.pc as usize) {
+                match insts.get(lane.th.pc as usize) {
                     Some(&inst) if register_local(inst) => {
                         self.m.instructions += exec_local(inst, g, &mut lane);
                     }
@@ -1281,10 +1360,14 @@ impl Machine<'_> {
         }
         // One bypass attempt per turn, by the oldest candidate that may
         // pass every older in-flight op; only slots 1–3 are candidates.
-        if let Some(j) = (1..len.min(4)).find(|&j| can_bypass(win, j)) {
-            let p = self.bypass_prob(lane.th.block, win[0], win[j]);
-            if self.rng.gen::<f64>() < p {
-                return self.bypass(lane, j);
+        // In a one-line window the head blocks every candidate, so the
+        // scan would find none and draw nothing: it is skipped.
+        if !lane.th.one_line {
+            if let Some(j) = (1..len.min(4)).find(|&j| can_bypass(win, j)) {
+                let p = self.bypass_prob(lane.th.block, win[0], win[j]);
+                if self.rng.gen::<f64>() < p {
+                    return self.bypass(lane, j);
+                }
             }
         }
         // Head completion. `stall` covers both fence latency and the
@@ -1387,17 +1470,13 @@ impl Machine<'_> {
     fn complete(&mut self, lane: &mut Lane<'_>, j: usize) -> Result<(), OobError> {
         let slot = lane.win[j];
         let b = lane.th.block;
-        let value = if slot.space == Space::Shared
-            && !matches!(slot.kind, SlotKind::Fence | SlotKind::FenceBlock)
-        {
+        let value = if slot.space == Space::Shared && !slot.is_fence() {
             self.shared_index(b, slot.addr)
                 .map(|i| apply_shared(&mut self.shared[i], slot.kind, slot.v1, slot.v2))
         } else {
             self.complete_global(self.blocks[b as usize].home_sm, slot)
         };
-        let len = usize::from(lane.th.win_len);
-        lane.win.copy_within(j + 1..len, j);
-        lane.th.win_len -= 1;
+        lane.remove(j);
         if let Some(v) = value? {
             let r = lane.reg(slot.dst);
             if lane.pending[r] == slot.id {
@@ -1596,12 +1675,13 @@ impl Machine<'_> {
                 return Ok(true);
             }
         }
+        let line = self.chip.line_of(addr);
         let slot = Slot {
             kind,
             store_class: writes,
             space,
             addr,
-            line: self.chip.line_of(addr),
+            line,
             v1,
             v2,
             dst,
@@ -1616,7 +1696,10 @@ impl Machine<'_> {
             lane.pending[r] = slot.id;
         }
         match space {
-            Space::Global => self.note_global_issue(lane.th, addr, writes),
+            Space::Global => {
+                let channel = self.chip.line_channel(line);
+                self.note_global_issue(lane.th, channel, writes)
+            }
             Space::Shared => {
                 self.blocks[b as usize].note_shared(self.chip, reads, writes, self.turn)
             }
@@ -1639,35 +1722,32 @@ impl Machine<'_> {
         }
         // `Gpu::new` checked `chip.window <= MAX_WINDOW`, so the new slot
         // fits in the lane's window.
-        lane.win[usize::from(lane.th.win_len)] = slot;
-        lane.th.win_len += 1;
+        lane.enter(slot);
         Ok(true)
     }
 
     /// Record contention-tracker state for a global access issue by
-    /// thread `th`: a back-to-back transition when its previous access
-    /// is within the gap, or a loop-boundary (last/first) event when it
-    /// is not.
-    fn note_global_issue(&mut self, th: &mut ThreadCtx, addr: u32, is_store: bool) {
-        let channel = self.chip.channel_of(addr);
+    /// thread `th` on `channel`: a back-to-back transition when its
+    /// previous access is within the gap, or a loop-boundary (last/first)
+    /// event when it is not.
+    fn note_global_issue(&mut self, th: &mut ThreadCtx, channel: u32, is_store: bool) {
         let within_gap = th.icount.wrapping_sub(th.last_icount) <= TRANSITION_GAP;
         let transition = (th.has_last && th.last_channel == channel && within_gap)
             .then_some((th.last_is_store, is_store));
         if th.has_last && !within_gap {
             self.mem.note_boundary(
                 self.chip,
-                th.last_addr,
+                th.last_channel,
                 th.last_is_store,
-                addr,
+                channel,
                 is_store,
                 self.turn,
             );
         }
         self.mem
-            .note_access(self.chip, addr, is_store, transition, self.turn);
+            .note_access(self.chip, channel, is_store, transition, self.turn);
         th.has_last = true;
         th.last_channel = channel;
-        th.last_addr = addr;
         th.last_is_store = is_store;
         th.last_icount = th.icount;
     }
@@ -2849,11 +2929,150 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "patch_words is 0")]
+    fn chips_with_empty_lines_are_rejected() {
+        let mut chip = Chip::by_short("Titan").unwrap();
+        chip.patch_words = 0;
+        Gpu::new(chip);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=MAX_CHANNELS")]
+    fn chips_with_too_many_channels_are_rejected() {
+        let mut chip = Chip::by_short("Titan").unwrap();
+        chip.channels = MAX_CHANNELS as u32 + 1;
+        Gpu::new(chip);
+    }
+
+    /// A window slot as `exec_mem` builds one: `kind` 0–4 is a load, a
+    /// store, a CAS, a device fence or a block fence; an access is on
+    /// `line` of the global (`space` 0) or shared space.
+    fn window_slot(kind: usize, space: u32, line: u32) -> Slot {
+        let kind = [
+            SlotKind::Load,
+            SlotKind::Store,
+            SlotKind::Cas,
+            SlotKind::Fence,
+            SlotKind::FenceBlock,
+        ][kind];
+        let fence = matches!(kind, SlotKind::Fence | SlotKind::FenceBlock);
+        Slot {
+            kind,
+            store_class: kind != SlotKind::Load && !fence,
+            space: if space == 0 || fence {
+                Space::Global
+            } else {
+                Space::Shared
+            },
+            addr: line * 32,
+            line: if fence { u32::MAX } else { line },
+            ..Slot::default()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random pushes and completions through the update code of
+        /// `Machine::push` and `Machine::complete`: after every step the
+        /// flag must equal its definition, and a set flag must leave no
+        /// bypass candidate for the drain's skipped scan to find.
+        #[test]
+        fn one_line_flag_tracks_the_window(
+            steps in proptest::collection::vec(
+                (0u32..3, 0usize..5, 0u32..2, 0u32..3, 0usize..MAX_WINDOW),
+                1..48,
+            )
+        ) {
+            let mut th = ThreadCtx {
+                group: 0,
+                block: 0,
+                warp: 0,
+                pc: 0,
+                state: TState::Running,
+                regs_at: 0,
+                tid: 0,
+                bid: 0,
+                icount: 0,
+                last_is_store: false,
+                last_channel: 0,
+                last_icount: 0,
+                has_last: false,
+                stalled: false,
+                stalled_reg: 0,
+                win_len: 0,
+                one_line: true,
+            };
+            let mut win = [Slot::default(); MAX_WINDOW];
+            let mut lane = Lane {
+                th: &mut th,
+                regs: &mut [],
+                pending: &mut [],
+                win: &mut win,
+            };
+            for (op, kind, space, line, j) in steps {
+                let len = usize::from(lane.th.win_len);
+                // Two pushes to one completion, so windows fill up; a
+                // push into a full window first completes the head, as
+                // `Machine::push` does.
+                if op < 2 || len == 0 {
+                    if len == MAX_WINDOW {
+                        lane.remove(0);
+                    }
+                    lane.enter(window_slot(kind, space, line));
+                } else {
+                    lane.remove(j % len);
+                }
+                let win = lane.window();
+                let head = win.first();
+                let scratch = win.iter().all(|s| {
+                    !matches!(s.kind, SlotKind::Fence | SlotKind::FenceBlock)
+                        && head.is_some_and(|h| s.space == h.space && s.line == h.line)
+                });
+                proptest::prop_assert_eq!(lane.th.one_line, scratch, "{:?}", win);
+                if lane.th.one_line {
+                    for j in 1..win.len().min(4) {
+                        proptest::prop_assert!(!can_bypass(win, j), "slot {} of {:?}", j, win);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every thread stores twice to one line with a block fence between,
+    /// `iters` times: once the first store completes, the second may
+    /// pass the fence, which orders only shared-space operations.
+    fn block_fenced_line_kernel(iters: u32) -> Program {
+        let mut b = KernelBuilder::new("block-fenced-line");
+        let g = b.global_tid();
+        let two = b.const_(2);
+        let at = b.mul(g, two);
+        let one = b.const_(1);
+        let next = b.add(at, one);
+        let i = b.reg();
+        b.assign_const(i, 0);
+        let n = b.const_(iters);
+        b.while_(
+            |b| b.lt_u(i, n),
+            |b| {
+                b.store_global(at, i);
+                b.fence_block();
+                b.store_global(next, i);
+                b.bin_into(i, BinOp::Add, i, one);
+            },
+        );
+        b.finish().unwrap()
+    }
+
+    #[test]
     fn edge_case_runs_are_pinned() {
         // Absolute results of launches at the executor's edges, recorded
         // on the lane-at-a-time executor: every later executor must
         // reproduce them exactly.
         let titan = Chip::by_short("Titan").unwrap();
+        // Extreme global rates, so the second store does pass the fence.
+        let mut titan_fenced = titan.clone();
+        titan_fenced.reorder.base = [0.9; 4];
         let c2075 = Chip::by_short("C2075").unwrap();
         let mut timeout = LaunchSpec::app(endless_kernel(), 2, 64, 256);
         timeout.max_turns = 3_000;
@@ -2883,9 +3102,14 @@ mod tests {
                 c2075,
                 LaunchSpec::app(wave_kernel(6), 12, 64, 512),
             ),
+            (
+                "global stores passing a block fence",
+                titan_fenced,
+                LaunchSpec::app(block_fenced_line_kernel(12), 2, 64, 256),
+            ),
         ];
         let quiet = ChannelCounts::default();
-        let expected: [Pin; 5] = [
+        let expected: [Pin; 6] = [
             (
                 RunStatus::OutOfBounds(OobError {
                     addr: (1 << 20) + 31,
@@ -2934,6 +3158,17 @@ mod tests {
                     atomic_read_through: 4_608,
                 },
                 0x078f_5c04_8ac4_4c04,
+            ),
+            (
+                RunStatus::Completed,
+                12_032,
+                12_470,
+                12_486,
+                ChannelCounts {
+                    window_global: 2_944,
+                    ..quiet
+                },
+                0x3b82_6f2d_54cc_fb25,
             ),
         ];
         for (seed, ((what, chip, spec), want)) in cases.into_iter().zip(expected).enumerate() {

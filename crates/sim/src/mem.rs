@@ -160,23 +160,27 @@ impl MemSystem {
         std::mem::take(&mut self.mem)
     }
 
-    /// Record an access *issue* for the contention trackers.
+    /// Record an access *issue* on `channel` ([`Chip::channel_of`] of its
+    /// address) for the contention trackers.
     ///
     /// `transition` is `Some((from_is_store, to_is_store))` when the same
     /// thread issued its previous access to the same channel within the
     /// loop-boundary gap (see `exec`), i.e. the accesses are back-to-back
     /// in the instruction stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not below [`MAX_CHANNELS`].
     #[inline]
     pub fn note_access(
         &mut self,
         chip: &Chip,
-        addr: u32,
+        channel: u32,
         is_store: bool,
         transition: Option<(bool, bool)>,
         turn: u64,
     ) {
-        let ch = chip.channel_of(addr) as usize;
-        let c = &mut self.channels[ch];
+        let c = &mut self.channels[channel as usize];
         c.decay_to(turn, chip.pressure_tau);
         if is_store {
             c.w += 1.0;
@@ -201,26 +205,28 @@ impl MemSystem {
         self.global_pressure += 1.0;
     }
 
-    /// Record a loop-boundary event: the thread's previous access (to
-    /// `prev_addr`, a store iff `prev_is_store`) was the *last* access of
-    /// a loop body, and the new access (to `addr`) is the *first* of the
-    /// next. Detected by the executor via the instruction-count gap.
+    /// Record a loop-boundary event: the thread's previous access (on
+    /// `prev_channel`, a store iff `prev_is_store`) was the *last* access
+    /// of a loop body, and the new access (on `channel`) is the *first* of
+    /// the next. Detected by the executor via the instruction-count gap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either channel is not below [`MAX_CHANNELS`].
     #[inline]
     pub fn note_boundary(
         &mut self,
         chip: &Chip,
-        prev_addr: u32,
+        prev_channel: u32,
         prev_is_store: bool,
-        addr: u32,
+        channel: u32,
         is_store: bool,
         turn: u64,
     ) {
-        let pch = chip.channel_of(prev_addr) as usize;
-        let c = &mut self.channels[pch];
+        let c = &mut self.channels[prev_channel as usize];
         c.decay_to(turn, chip.pressure_tau);
         c.fl[2 + usize::from(prev_is_store)] += 1.0;
-        let nch = chip.channel_of(addr) as usize;
-        let c = &mut self.channels[nch];
+        let c = &mut self.channels[channel as usize];
         c.decay_to(turn, chip.pressure_tau);
         c.fl[usize::from(is_store)] += 1.0;
     }
@@ -397,16 +403,15 @@ mod tests {
         // (ld st2 ld, back-to-back transitions), at the density many
         // stressing threads produce (several accesses per turn), with
         // loop-boundary events.
-        let addr = 0u32; // line 0, channel 0
         let pat = [false, true, true, false];
         let mut prev: Option<bool> = None;
         for step in 0..20_000u64 {
             let turn = step / 8;
             let is_store = pat[(step % 4) as usize];
             let tr = prev.map(|p| (p, is_store));
-            m.note_access(&chip, addr, is_store, tr, turn);
+            m.note_access(&chip, 0, is_store, tr, turn);
             if step % 4 == 3 {
-                m.note_boundary(&chip, addr, is_store, addr, false, turn);
+                m.note_boundary(&chip, 0, is_store, 0, false, turn);
                 prev = None;
             } else {
                 prev = Some(is_store);
@@ -467,8 +472,8 @@ mod tests {
         // Saturate every channel so both pairs see stress.
         for turn in 0..4000u64 {
             let is_store = turn % 5 == 4; // ld4 st-ish
-            let addr = ((turn / 5) % 8) as u32 * 64;
-            m.note_access(&chip, addr, is_store, prev.map(|p| (p, is_store)), turn);
+            let channel = chip.channel_of(((turn / 5) % 8) as u32 * 64);
+            m.note_access(&chip, channel, is_store, prev.map(|p| (p, is_store)), turn);
             prev = if turn % 5 == 4 { None } else { Some(is_store) };
         }
         let near = m.chi(&chip, ReorderKind::StSt, 0, 128, 4000);

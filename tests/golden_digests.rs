@@ -27,7 +27,16 @@
 //! chip joins a block at the end of the list: the cells already in the
 //! table keep their digests.
 //!
-//! A second table, [`ANALYSIS_GOLDEN`], pins the static analyzer the same
+//! A litmus row digests only what the runs observed, so an executor that
+//! miscounts instructions or turns without moving an outcome would pass
+//! it. A second table, [`WORK_GOLDEN`], pins that work: for a few shapes of
+//! every stressed channel (Titan `sys-str+`, `rand-str+` and
+//! `shm+sys-str+`, C2075 `l1-str+`) it replays the first two runs of the
+//! grid cell through a [`Workload`] that draws exactly what
+//! `LitmusWorkload` draws, and digests each run's status, instructions,
+//! application and total turns, and channel counters.
+//!
+//! A third table, [`ANALYSIS_GOLDEN`], pins the static analyzer the same
 //! way: one row per shape × {chip-independent, Titan, C2075} at the suite
 //! layout, and one per application (through `analyze_spec`). The analyzer
 //! reads only `Chip::l1_weak()`, so the coherent Titan and the
@@ -36,21 +45,25 @@
 //!
 //! A change that alters the model on purpose regenerates a table: the
 //! failure message prints the recomputed one, ready to paste over
-//! [`GOLDEN`] or [`ANALYSIS_GOLDEN`], and `CHANGES.md` says why the
-//! results moved.
+//! [`GOLDEN`], [`WORK_GOLDEN`] or [`ANALYSIS_GOLDEN`], and `CHANGES.md`
+//! says why the results moved.
 
 use gpu_wmm::analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
 use gpu_wmm::apps::{all_apps, app_by_name};
 use gpu_wmm::core::analyze_spec;
 use gpu_wmm::core::cache::ArtifactCache;
-use gpu_wmm::core::campaign::{Fnv64, SummaryValue};
-use gpu_wmm::core::suite::{run_suite_with_cache, SuiteConfig, SuiteStrategy};
+use gpu_wmm::core::campaign::{CampaignBuilder, Fnv64, RunCtx, SummaryValue, Workload};
+use gpu_wmm::core::stress::litmus_stress_threads;
+use gpu_wmm::core::suite::{cell_seed, run_suite_with_cache, SuiteConfig, SuiteStrategy};
 use gpu_wmm::core::{AppHarness, Application, Environment};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::runner::mix_seed;
-use gpu_wmm::litmus::{LitmusLayout, Placement};
+use gpu_wmm::litmus::{Histogram, LitmusInstance, LitmusLayout, LitmusOutcome, Placement};
 use gpu_wmm::server::{EnvKind, JobSpec};
 use gpu_wmm::sim::chip::Chip;
+use gpu_wmm::sim::exec::{Gpu, RunResult};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use std::collections::HashMap;
 
 const SEED: u64 = 2016;
@@ -64,6 +77,21 @@ const APP_RUN_ENVS: [(&str, &str); 3] = [
     ("C2075", "sys-str+"),
     ("C2075", "l1-str+"),
 ];
+
+/// `(chip, column, shapes)` of the work rows. Each shape's row replays
+/// the first [`WORK_RUNS`] runs of its cell in the grid block of that
+/// column.
+const WORK_CELLS: [(&str, &str, &[&str]); 4] = [
+    ("Titan", "sys-str+", &["MP", "SB", "CoRR", "MP+fences"]),
+    ("Titan", "rand-str+", &["MP", "SB"]),
+    (
+        "Titan",
+        "shm+sys-str+",
+        &["MP.shared", "MP.shared+fence_block", "MP.mixed"],
+    ),
+    ("C2075", "l1-str+", &["CoRR", "MP", "CoRR+fence"]),
+];
+const WORK_RUNS: u32 = 2;
 
 /// One suite call of the grid: shapes × chips × one column, at its own
 /// execution count (stressed runs cost ~40× a native one).
@@ -181,6 +209,121 @@ fn app_run_digest(chip: &Chip, env: &Environment, app: &dyn Application) -> u64 
     f.finish()
 }
 
+/// What one run did: its status, instructions, application and total
+/// turns and channel counters, next to what it observed.
+struct RunWork {
+    result: RunResult,
+    outcome: LitmusOutcome,
+}
+
+/// A litmus instance as a [`Workload`] that keeps each run's
+/// [`RunResult`]. It draws exactly what `LitmusWorkload::run_once` draws
+/// (the stress thread count, the stress set-up, the launch seed), so run
+/// `i` is run `i` of the grid cell; [`recompute_work`] checks that its
+/// outcomes fold into the cell's own histogram.
+struct WorkOf<'a>(&'a LitmusInstance);
+
+impl Workload for WorkOf<'_> {
+    type Verdict = RunWork;
+    type Summary = Vec<RunWork>;
+
+    fn summary(&self) -> Vec<RunWork> {
+        Vec::new()
+    }
+
+    fn run_once(&self, gpu: &mut Gpu, ctx: &RunCtx<'_>, rng: &mut SmallRng) -> RunWork {
+        let (groups, init) = if ctx.stress.is_native() {
+            (Vec::new(), Vec::new())
+        } else {
+            let threads = litmus_stress_threads(ctx.chip, rng);
+            let s = ctx.stress.make(threads, rng);
+            (s.groups, s.init)
+        };
+        let seed = rng.gen();
+        let result = gpu.run(&self.0.launch(groups, init, ctx.randomize_ids), seed);
+        let obs = self.0.observe(&result);
+        let outcome = LitmusOutcome {
+            weak: self.0.is_weak(&obs),
+            obs,
+            channels: result.channels,
+        };
+        RunWork { result, outcome }
+    }
+
+    fn fold(&self, into: &mut Vec<RunWork>, run: RunWork) {
+        into.push(run);
+    }
+
+    fn merge(&self, into: &mut Vec<RunWork>, shard: Vec<RunWork>) {
+        into.extend(shard);
+    }
+}
+
+/// Replay the work rows: `(row name, digest)` in [`WORK_CELLS`] order.
+fn recompute_work() -> Vec<(String, u64)> {
+    let cache = ArtifactCache::new();
+    let pad = SuiteConfig::default().pad;
+    let blocks = blocks();
+    let mut out = Vec::new();
+    for (chip_name, column, shapes) in WORK_CELLS {
+        let block = blocks
+            .iter()
+            .find(|b| b.column.name == column)
+            .expect("a grid block per work column");
+        let ci = block
+            .chips
+            .iter()
+            .position(|&c| c == chip_name)
+            .expect("the chip is in the block");
+        let chip = Chip::by_short(chip_name).expect("known chip");
+        let artifacts = cache.get(
+            &chip,
+            &block.column.environment(&chip),
+            pad,
+            block.column.iters,
+        );
+        for &name in shapes {
+            let si = block
+                .shapes
+                .iter()
+                .position(|s| s.to_string() == name)
+                .expect("the shape is in the block");
+            let inst =
+                block.shapes[si].instance(LitmusLayout::standard(DISTANCE, pad.required_words()));
+            // One worker, so the runs come back in index order.
+            let campaign = CampaignBuilder::new(&chip)
+                .stress((*artifacts).clone())
+                .randomize_ids(block.column.randomize)
+                .count(WORK_RUNS)
+                .base_seed(cell_seed(SEED, si, DISTANCE, ci, 0))
+                .parallelism(1)
+                .build();
+            let stressed = campaign.litmus_instance(&inst);
+            let runs = campaign.run(&WorkOf(stressed.as_ref().unwrap_or(&inst)));
+            let mut hist = Histogram::new();
+            let mut f = Fnv64::new();
+            for RunWork { result: r, outcome } in runs {
+                f.write(format!("{:?}", r.status).as_bytes());
+                for v in [r.instructions, r.app_turns, r.total_turns] {
+                    f.write_u64(v);
+                }
+                for v in r.channels.as_array() {
+                    f.write_u64(v);
+                }
+                hist.record(outcome);
+            }
+            let row = format!("{name}@{chip_name} {column} / runs");
+            assert_eq!(
+                hist,
+                campaign.run_litmus(&inst),
+                "{row}: not the cell's runs"
+            );
+            out.push((row, f.finish()));
+        }
+    }
+    out
+}
+
 /// Digest one analysis: every warning (its pair, spaces, level and
 /// threads), every site verdict, and the count of ordered edges.
 fn digest_analysis(f: &mut Fnv64, a: &ProgramAnalysis) {
@@ -272,6 +415,11 @@ fn assert_matches(table: &str, golden: &[(&str, u64)], cells: &[(String, u64)]) 
 #[test]
 fn grid_digests_match_the_committed_table() {
     assert_matches("GOLDEN", GOLDEN, &recompute());
+}
+
+#[test]
+fn work_digests_match_the_committed_table() {
+    assert_matches("WORK_GOLDEN", WORK_GOLDEN, &recompute_work());
 }
 
 #[test]
@@ -665,6 +813,25 @@ const GOLDEN: &[(&str, u64)] = &[
     ("app C2075 l1-str+ ls-bh 2 7 / runs", 0xe3bef6f85acad754),
     ("app C2075 l1-str+ ls-bh-nf 2 7 / runs", 0xdd365c250cf2000c),
     ("app C2075 l1-str+ shm-pipe 2 7 / runs", 0xaba03b203bb767e0),
+];
+
+/// Recorded before the lane-by-lane memory step skipped the bypass scans
+/// a one-line window cannot pass; every later change must reproduce it
+/// bit for bit.
+#[rustfmt::skip]
+const WORK_GOLDEN: &[(&str, u64)] = &[
+    ("MP@Titan sys-str+ / runs", 0xa1c95773f1f692ad),
+    ("SB@Titan sys-str+ / runs", 0xccabc0cdc0740e50),
+    ("CoRR@Titan sys-str+ / runs", 0xf448ea4ecf9a6dd7),
+    ("MP+fences@Titan sys-str+ / runs", 0x45386222ffefecde),
+    ("MP@Titan rand-str+ / runs", 0xcefafe29fdf568c6),
+    ("SB@Titan rand-str+ / runs", 0xc79e303e6e452d0b),
+    ("MP.shared@Titan shm+sys-str+ / runs", 0xc8eb5b6fe9e98e7d),
+    ("MP.shared+fence_block@Titan shm+sys-str+ / runs", 0x7e26fcf783b1bdbe),
+    ("MP.mixed@Titan shm+sys-str+ / runs", 0x403c830900aedece),
+    ("CoRR@C2075 l1-str+ / runs", 0x62ee5481f7887595),
+    ("MP@C2075 l1-str+ / runs", 0xf2052567890382f0),
+    ("CoRR+fence@C2075 l1-str+ / runs", 0x300dc0a11625bd27),
 ];
 
 /// Recorded before the analyzer moved to inline value sets and a flat
