@@ -265,9 +265,9 @@ fn usage() {
          \x20              of job lines or an inline `;`-separated spec; exits 1 on a bad job\n\
          soak           deterministic soak harness; --quick/--extended/--stress\n\
          \x20              pick the mix, seed from --seed else SOAK_SEED else 2016;\n\
-         \x20              writes tests/artifacts/soak/<profile>-seed<seed>/report.json,\n\
-         \x20              appends to BENCH_soak.json; exits 1 on a failed gate, 2 on a\n\
-         \x20              run that could not finish\n\
+         \x20              writes tests/artifacts/soak/<profile>-seed<seed>/report.json\n\
+         \x20              and nothing else; exits 1 on a failed gate, 2 on a run that\n\
+         \x20              could not finish\n\
          \n\
          A bad command line exits 2."
     );

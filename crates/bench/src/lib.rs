@@ -12,10 +12,10 @@
 //! | [`table6`] | Tab. 6 — empirical fence insertion results |
 //! | [`fig5`] | Fig. 5 — fence runtime/energy cost scatter |
 //! | [`running`] | Sec. 1 — the cbe-dot running example |
-//! | [`suite`] | generated litmus suite: shapes × chips × strategies |
+//! | [`suite`] | generated litmus suite: shapes × chips × the five `EnvKind` columns |
 //! | [`analyze`] | static delay-set analyzer over shapes and app kernels |
 //! | [`serve`] | `repro serve` — batch jobs through the campaign engine |
-//! | [`soak`] | `repro soak` — deterministic soak/throughput harness (`BENCH_soak.json`) |
+//! | [`soak`] | `repro soak` — deterministic soak/throughput harness, gated report under `tests/artifacts/soak/` |
 //! | [`trace`] | `repro trace` — replay one campaign with a bounded event log |
 //!
 //! Every generator takes a [`Scale`] so the half-billion-execution grids

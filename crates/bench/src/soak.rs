@@ -2,21 +2,18 @@
 //!
 //! Streams a profile's seeded job mix (`--quick`, `--extended` or
 //! `--stress`; see [`wmm_server::soak`]) through the campaign engine,
-//! prints the throughput/latency/cache summary, writes the gated
-//! report to `tests/artifacts/soak/<profile>-seed<seed>/report.json`,
-//! and appends a trajectory point to `BENCH_soak.json`. The base seed
-//! comes from `--seed`, else the `SOAK_SEED` env var, else 2016.
+//! prints the throughput/latency/cache summary, and writes the gated
+//! report to `tests/artifacts/soak/<profile>-seed<seed>/report.json`
+//! (relative to the current directory; nothing else is written). The
+//! base seed comes from `--seed`, else the `SOAK_SEED` env var, else
+//! 2016.
 //!
 //! Returns whether every gate passed, or the error that stopped the
 //! run; the `repro` binary exits 1 on a failed gate and 2 on an error.
 
 use crate::serve::effective_workers;
 use std::path::Path;
-use wmm_server::soak::append_trajectory_point;
 use wmm_server::{run_soak, SoakConfig, SoakProfile};
-
-/// The trajectory file each `repro soak` run appends a point to.
-pub const TRAJECTORY_PATH: &str = "BENCH_soak.json";
 
 /// Run a soak profile end to end. Prints the report, writes the
 /// artifacts, and returns `Ok(true)` iff every gate passed, or `Err`
@@ -64,10 +61,6 @@ pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> Result<bool, Stri
     match report.write_report(Path::new(".")) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write report: {e}"),
-    }
-    match append_trajectory_point(Path::new(TRAJECTORY_PATH), &report.trajectory_point()) {
-        Ok(()) => println!("appended trajectory point to {TRAJECTORY_PATH}"),
-        Err(e) => eprintln!("failed to append to {TRAJECTORY_PATH}: {e}"),
     }
     if report.gates.pass {
         println!("soak: PASS");

@@ -11,6 +11,7 @@
 //! bench trajectories can be captured as `BENCH_*.json` artifacts.
 
 use crate::Scale;
+use wmm_core::env::EnvKind;
 use wmm_core::stress::Scratchpad;
 use wmm_core::suite::{run_suite, SuiteCell, SuiteConfig, SuiteStrategy};
 use wmm_gen::{Placement, Shape};
@@ -29,23 +30,18 @@ pub(crate) fn suite_scratchpad(chips: &[Chip]) -> Scratchpad {
     Scratchpad::new(2048, words)
 }
 
-/// The suite's default strategy column set: native, the paper's tuned
-/// systematic environment and the random baseline (both with thread
-/// randomisation), the shared-stress column `shm+sys-str+` —
-/// systematic global stress with the block's idle lanes hammering a
-/// shared scratchpad, the configuration under which the scoped
-/// (intra-block, shared-memory) rows go observably weak — and the
-/// structural column `l1-str+`, whose write-only cross-SM traffic
-/// pressures incoherent SM-private L1s so the same-address read pairs
-/// (`CoRR`) go weak on the Tesla-class chips.
+/// The suite's default strategy column set, one column per
+/// [`EnvKind`] in [`EnvKind::ALL`] order at [`EnvKind::litmus_iters`]:
+/// native, the paper's tuned systematic environment and the random
+/// baseline (both with thread randomisation), the shared-stress column
+/// `shm+sys-str+` — systematic global stress with the block's idle
+/// lanes hammering a shared scratchpad, the configuration under which
+/// the scoped (intra-block, shared-memory) rows go observably weak —
+/// and the structural column `l1-str+`, whose write-only cross-SM
+/// traffic pressures incoherent SM-private L1s so the same-address read
+/// pairs (`CoRR`) go weak on the Tesla-class chips.
 pub fn default_strategies() -> Vec<SuiteStrategy> {
-    vec![
-        SuiteStrategy::native(),
-        SuiteStrategy::sys_str_plus(40),
-        SuiteStrategy::rand_str_plus(40),
-        SuiteStrategy::shared_sys_str_plus(40),
-        SuiteStrategy::l1_str_plus(40),
-    ]
+    EnvKind::ALL.map(SuiteStrategy::from).to_vec()
 }
 
 /// Run the suite for the requested chips (default: Titan and K20, one
@@ -133,7 +129,7 @@ fn print_matrix(
     print!("{:>13} {:>7} {:>12}", "shape", "place", "static");
     for chip in chips {
         for s in strategies {
-            print!(" {:>15}", format!("{}/{}", chip.short, s.name));
+            print!(" {:>15}", format!("{}/{}", chip.short, s.env));
         }
     }
     if provenance {
@@ -313,6 +309,19 @@ mod tests {
             );
         }
         assert_eq!(weak_of(Shape::CoAdd, "sys-str+"), 0, "CoAdd must be atomic");
+    }
+
+    #[test]
+    fn default_strategies_are_the_env_kinds_at_litmus_iters() {
+        let columns: Vec<(EnvKind, u32)> = default_strategies()
+            .iter()
+            .map(|s| (s.env, s.iters))
+            .collect();
+        let kinds: Vec<(EnvKind, u32)> = EnvKind::ALL
+            .iter()
+            .map(|&k| (k, k.litmus_iters()))
+            .collect();
+        assert_eq!(columns, kinds);
     }
 
     #[test]

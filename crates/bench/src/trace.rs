@@ -22,7 +22,9 @@ use std::fmt::Write as _;
 
 use crate::suite::{default_strategies, suite_scratchpad};
 use crate::Scale;
+use wmm_core::cache::ArtifactKey;
 use wmm_core::campaign::CampaignBuilder;
+use wmm_core::env::EnvKind;
 use wmm_core::suite::cell_seed;
 use wmm_gen::{Placement, Shape};
 use wmm_litmus::LitmusLayout;
@@ -74,23 +76,22 @@ pub struct TraceReport {
 }
 
 /// Resolve the environment column's index among the default suite
-/// strategies: an explicit `--env NAME` must name one of them;
-/// otherwise the default is the column under which the shape's
-/// placement actually relaxes (`shm+sys-str+` for intra-block rows,
-/// `sys-str+` for the rest).
+/// strategies ([`EnvKind::ALL`]): an explicit `--env NAME` must name
+/// one of them; otherwise the default is the column under which the
+/// shape's placement actually relaxes (`shm+sys-str+` for intra-block
+/// rows, `sys-str+` for the rest).
 fn resolve_env(shape: Shape, env: Option<&str>) -> Result<usize, String> {
-    let strategies = default_strategies();
-    let name = env.unwrap_or(match shape.placement() {
-        Placement::IntraBlock => "shm+sys-str+",
-        Placement::InterBlock => "sys-str+",
-    });
-    strategies
+    let kind = match env {
+        Some(name) => name.parse()?,
+        None => match shape.placement() {
+            Placement::IntraBlock => EnvKind::ShmSysStrPlus,
+            Placement::InterBlock => EnvKind::SysStrPlus,
+        },
+    };
+    Ok(EnvKind::ALL
         .iter()
-        .position(|s| s.name == name)
-        .ok_or_else(|| {
-            let names: Vec<&str> = strategies.iter().map(|s| s.name.as_str()).collect();
-            format!("unknown env `{name}` (want one of: {})", names.join(", "))
-        })
+        .position(|&k| k == kind)
+        .expect("ALL lists every environment"))
 }
 
 /// Replay the suite cell of `shape` on `chip` under default column
@@ -103,7 +104,8 @@ pub fn trace(shape: Shape, chip: &Chip, column: usize, scale: Scale) -> TraceRep
         .expect("every shape is in the catalogue");
     let pad = suite_scratchpad(std::slice::from_ref(chip));
     let inst = shape.instance(LitmusLayout::standard(DISTANCE, pad.required_words()));
-    let artifacts = strategy.artifacts(chip, pad);
+    let artifacts =
+        ArtifactKey::new(chip, &strategy.environment(chip), pad, strategy.iters).build();
     let mut events = EventLog::new(EVENT_CAPACITY);
     let hist = CampaignBuilder::new(chip)
         .stress(artifacts)
@@ -122,7 +124,7 @@ pub fn trace(shape: Shape, chip: &Chip, column: usize, scale: Scale) -> TraceRep
     TraceReport {
         shape: shape.short().to_string(),
         chip: chip.short.to_string(),
-        env: strategy.name.clone(),
+        env: strategy.env.name().to_string(),
         hist,
         events,
         execs: scale.execs,
@@ -294,7 +296,7 @@ mod tests {
     fn trace_logs_every_run() {
         let chip = Chip::by_short("Titan").unwrap();
         let column = resolve_env(Shape::Mp, None).unwrap();
-        assert_eq!(default_strategies()[column].name, "sys-str+");
+        assert_eq!(default_strategies()[column].env.name(), "sys-str+");
         let r = trace(Shape::Mp, &chip, column, quick(24, 2016));
         assert_eq!(r.hist.total(), 24);
         assert!(
@@ -329,7 +331,7 @@ mod tests {
     #[test]
     fn scoped_shapes_default_to_the_shared_stress_column() {
         let column = resolve_env(Shape::MpShared, None).unwrap();
-        assert_eq!(default_strategies()[column].name, "shm+sys-str+");
+        assert_eq!(default_strategies()[column].env.name(), "shm+sys-str+");
         assert!(resolve_env(Shape::Mp, Some("nope")).is_err());
     }
 

@@ -71,9 +71,21 @@ impl Hash for ArtifactKey {
 }
 
 impl ArtifactKey {
-    /// Build the artifacts this key describes — the single construction
-    /// site both the cache and an uncached caller go through, so a hit
-    /// and a fresh build are the same value by construction.
+    /// The key of `env`'s artifacts on `chip`, sized to `pad` and
+    /// `iters`.
+    pub fn new(chip: &Chip, env: &Environment, pad: Scratchpad, iters: u32) -> Self {
+        ArtifactKey {
+            chip: chip.clone(),
+            env: env.clone(),
+            pad,
+            iters,
+        }
+    }
+
+    /// Build the artifacts this key describes — the one place an
+    /// environment becomes stress artifacts, whether for the cache, a
+    /// job without one, a campaign builder or an application harness,
+    /// so a hit and a fresh build are the same value by construction.
     pub fn build(&self) -> StressArtifacts {
         StressArtifacts::for_strategy(&self.chip, &self.env.stress, self.pad, self.iters)
             .with_shared_stress(self.env.shared)
@@ -160,12 +172,7 @@ impl ArtifactCache {
         pad: Scratchpad,
         iters: u32,
     ) -> Arc<StressArtifacts> {
-        self.get_key(&ArtifactKey {
-            chip: chip.clone(),
-            env: env.clone(),
-            pad,
-            iters,
-        })
+        self.get_key(&ArtifactKey::new(chip, env, pad, iters))
     }
 
     /// Hit/build counters and current entry count.

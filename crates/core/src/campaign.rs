@@ -55,10 +55,12 @@
 //! assert_eq!(hist.total(), 40);
 //! ```
 
+use crate::cache::ArtifactKey;
 use crate::env::Environment;
 use crate::stress::{litmus_stress_threads, StressArtifacts};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use wmm_litmus::runner::{mix_seed, run_instance};
 use wmm_litmus::{Histogram, LitmusInstance, LitmusOutcome};
 use wmm_sim::chip::Chip;
@@ -180,8 +182,7 @@ impl Default for Fnv64 {
 /// [`Histogram`]) and application campaigns (summarised by a
 /// [`CampaignResult`](crate::env::CampaignResult)). [`Workload`] keeps
 /// its associated `Summary` type for the strongly-typed one-shot paths;
-/// this enum is the boundary type of the object-safe [`CampaignJob`]
-/// dispatch the server uses.
+/// this enum is the boundary type of the server's job results.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SummaryValue {
     /// A litmus campaign's outcome histogram.
@@ -243,39 +244,13 @@ impl SummaryValue {
     }
 }
 
-/// An object-safe campaign job: "run yourself on this campaign". The
-/// [`Workload`] trait's associated types make it impossible to queue
-/// heterogeneous workloads behind one `dyn`; this trait erases the
-/// summary type so the server's queue can hold litmus instances and
-/// application harnesses side by side. Each impl routes through exactly
-/// the same strongly-typed path a standalone caller would use —
-/// [`Campaign::run_litmus`] (shared-stress injection included) for
-/// litmus, [`Campaign::run`] for applications — so queued and one-shot
-/// results are identical by construction.
-pub trait CampaignJob: Sync {
-    /// Execute the campaign's full run count on this job and summarise.
-    fn run_on(&self, campaign: &Campaign<'_>) -> SummaryValue;
-}
-
-impl CampaignJob for LitmusInstance {
-    fn run_on(&self, campaign: &Campaign<'_>) -> SummaryValue {
-        SummaryValue::Litmus(campaign.run_litmus(self))
-    }
-}
-
-impl CampaignJob for crate::env::AppHarness<'_> {
-    fn run_on(&self, campaign: &Campaign<'_>) -> SummaryValue {
-        SummaryValue::App(campaign.run(self))
-    }
-}
-
 /// Builder for a [`Campaign`]: chip, environment (as prepared stress
 /// artifacts plus the randomisation toggle), execution count, base seed
 /// and parallelism.
 #[derive(Clone)]
 pub struct CampaignBuilder<'a> {
     chip: &'a Chip,
-    stress: StressArtifacts,
+    stress: Arc<StressArtifacts>,
     randomize_ids: bool,
     count: u32,
     base_seed: u64,
@@ -288,7 +263,7 @@ impl<'a> CampaignBuilder<'a> {
     pub fn new(chip: &'a Chip) -> Self {
         CampaignBuilder {
             chip,
-            stress: StressArtifacts::none(),
+            stress: Arc::new(StressArtifacts::none()),
             randomize_ids: false,
             count: 100,
             base_seed: 0,
@@ -297,24 +272,25 @@ impl<'a> CampaignBuilder<'a> {
     }
 
     /// Configure from an [`Environment`]: builds the strategy's stress
-    /// artifacts once for the given scratchpad and iteration count, and
-    /// takes the environment's randomisation toggle and (if any) its
-    /// intra-block shared-space stress.
+    /// artifacts once for the given scratchpad and iteration count
+    /// ([`ArtifactKey::build`]), and takes the environment's
+    /// randomisation toggle and (if any) its intra-block shared-space
+    /// stress.
     pub fn environment(
         self,
         env: &Environment,
         pad: crate::stress::Scratchpad,
         iters: u32,
     ) -> Self {
-        let stress = StressArtifacts::for_strategy(self.chip, &env.stress, pad, iters)
-            .with_shared_stress(env.shared);
+        let stress = ArtifactKey::new(self.chip, env, pad, iters).build();
         self.stress(stress).randomize_ids(env.randomize)
     }
 
-    /// Use pre-built stress artifacts (e.g. pinned tuning stress, or
-    /// artifacts shared across several campaigns).
-    pub fn stress(mut self, artifacts: StressArtifacts) -> Self {
-        self.stress = artifacts;
+    /// Use pre-built stress artifacts (e.g. pinned tuning stress), or
+    /// share an [`ArtifactCache`](crate::cache::ArtifactCache) entry by
+    /// handing over its `Arc`.
+    pub fn stress(mut self, artifacts: impl Into<Arc<StressArtifacts>>) -> Self {
+        self.stress = artifacts.into();
         self
     }
 
@@ -361,7 +337,7 @@ impl<'a> CampaignBuilder<'a> {
 /// workloads (its artifacts are built once).
 pub struct Campaign<'a> {
     chip: &'a Chip,
-    stress: StressArtifacts,
+    stress: Arc<StressArtifacts>,
     randomize_ids: bool,
     count: u32,
     base_seed: u64,

@@ -2,18 +2,23 @@
 //!
 //! An [`Environment`] pairs a stressing strategy with the thread
 //! randomisation toggle; the paper evaluates eight (`{no,sys,rand,cache}-str`
-//! × `{+,-}`). The [`AppHarness`] runs an application repeatedly under an
-//! environment — injecting per-run stressing blocks sized per Sec. 4.2 —
-//! and counts erroneous runs, applying the paper's *effectiveness*
-//! criterion (errors in more than 5% of executions).
+//! × `{+,-}`). [`EnvKind`] names the five the generated suite and the
+//! campaign server run, and is the one table from those names to an
+//! [`Environment`]. The [`AppHarness`] runs an application repeatedly
+//! under an environment — injecting per-run stressing blocks sized per
+//! Sec. 4.2 — and counts erroneous runs, applying the paper's
+//! *effectiveness* criterion (errors in more than 5% of executions).
 
 use crate::app::{AppSpec, Application};
+use crate::cache::ArtifactKey;
 use crate::campaign::{CampaignBuilder, RunCtx, Workload};
 use crate::stress::{
     app_stress_blocks, Scratchpad, SharedStress, StressArtifacts, StressStrategy, SystematicParams,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
+use std::str::FromStr;
 use wmm_sim::chip::Chip;
 use wmm_sim::exec::{Gpu, KernelGroup, LaunchSpec, Role, RunStatus};
 use wmm_sim::Word;
@@ -131,9 +136,100 @@ impl Environment {
     }
 }
 
-impl std::fmt::Display for Environment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Environment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name())
+    }
+}
+
+/// The five environments the generated suite campaigns and a job can
+/// request — the four columns of the generated-suite evaluation plus the
+/// native baseline. A closed enum (rather than a free-form
+/// [`Environment`]) keeps suite columns and job specs textual, hashable
+/// and chip-portable: the tuned parameters are resolved per chip by
+/// [`EnvKind::environment`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EnvKind {
+    /// `no-str-`: native execution.
+    Native,
+    /// `sys-str+`: tuned systematic stress + thread randomisation.
+    SysStrPlus,
+    /// `rand-str+`: random stress + thread randomisation.
+    RandStrPlus,
+    /// `shm+sys-str+`: tuned systematic stress + intra-block
+    /// shared-space stress.
+    ShmSysStrPlus,
+    /// `l1-str+`: write-only cross-SM stress (the structural channel).
+    L1StrPlus,
+}
+
+impl EnvKind {
+    /// All five, in the suite's column order.
+    pub const ALL: [EnvKind; 5] = [
+        EnvKind::Native,
+        EnvKind::SysStrPlus,
+        EnvKind::RandStrPlus,
+        EnvKind::ShmSysStrPlus,
+        EnvKind::L1StrPlus,
+    ];
+
+    /// The column/environment name (`no-str-`, `sys-str+`, …).
+    pub fn name(self) -> &'static str {
+        match self {
+            EnvKind::Native => "no-str-",
+            EnvKind::SysStrPlus => "sys-str+",
+            EnvKind::RandStrPlus => "rand-str+",
+            EnvKind::ShmSysStrPlus => "shm+sys-str+",
+            EnvKind::L1StrPlus => "l1-str+",
+        }
+    }
+
+    /// Stressing-loop iterations for litmus campaigns (0 for native —
+    /// the suite columns' calibration).
+    pub fn litmus_iters(self) -> u32 {
+        match self {
+            EnvKind::Native => 0,
+            _ => 40,
+        }
+    }
+
+    /// Resolve to a concrete [`Environment`] on `chip` (the systematic
+    /// strategy's parameters are per-chip, Tab. 2).
+    pub fn environment(self, chip: &Chip) -> Environment {
+        match self {
+            EnvKind::Native => Environment::native(),
+            EnvKind::SysStrPlus => Environment::sys_str_plus(chip),
+            EnvKind::RandStrPlus => Environment {
+                stress: StressStrategy::Random,
+                randomize: true,
+                shared: None,
+            },
+            EnvKind::ShmSysStrPlus => Environment::shared_sys_str_plus(chip),
+            EnvKind::L1StrPlus => Environment::l1_str_plus(),
+        }
+    }
+}
+
+impl fmt::Display for EnvKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.name())
+    }
+}
+
+impl FromStr for EnvKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        EnvKind::ALL
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = EnvKind::ALL.iter().map(|e| e.name()).collect();
+                format!(
+                    "unknown environment {s:?} (expected one of {})",
+                    names.join(", ")
+                )
+            })
     }
 }
 
@@ -278,8 +374,7 @@ impl<'a> AppHarness<'a> {
     /// `env`: the strategy's kernels compiled once, sized to this
     /// harness's scratchpad and calibrated stressing-loop length.
     pub fn artifacts(&self, env: &Environment) -> StressArtifacts {
-        StressArtifacts::for_strategy(self.chip, &env.stress, self.pad, self.calibrated_iters())
-            .with_shared_stress(env.shared)
+        ArtifactKey::new(self.chip, env, self.pad, self.calibrated_iters()).build()
     }
 
     /// Execute the application once under `env` with a deterministic
@@ -539,6 +634,24 @@ mod tests {
         // Extensions stay out of the paper's pinned eight.
         assert_eq!(Environment::l1_str_plus().name(), "l1-str+");
         assert!(!names.contains(&"l1-str+".to_string()));
+    }
+
+    #[test]
+    fn env_kinds_match_suite_column_names() {
+        let names: Vec<&str> = EnvKind::ALL.iter().map(|e| e.name()).collect();
+        assert_eq!(
+            names,
+            vec![
+                "no-str-",
+                "sys-str+",
+                "rand-str+",
+                "shm+sys-str+",
+                "l1-str+"
+            ]
+        );
+        for kind in EnvKind::ALL {
+            assert_eq!(kind.name().parse::<EnvKind>().unwrap(), kind);
+        }
     }
 
     #[test]

@@ -10,16 +10,21 @@
 //!   environment;
 //! * [`cache`] — the shared, structurally-keyed [`ArtifactCache`] the
 //!   campaign server and the one-shot suite runner deduplicate stress
-//!   kernel builds through;
+//!   kernel builds through; [`ArtifactKey::build`] is the one place an
+//!   environment becomes stress artifacts, and campaigns hold the
+//!   cache's `Arc` rather than a copy;
 //! * [`stress`] — the four memory stressing strategies (`no-str`,
 //!   `rand-str`, `cache-str`, and the tuned `sys-str`) targeting a
 //!   scratchpad disjoint from the application (Sec. 3, 4.2), plus the
 //!   per-environment [`StressArtifacts`] cache;
-//! * [`mod@env`] — the Tab. 5 testing environments and the application
-//!   harness;
+//! * [`mod@env`] — the Tab. 5 testing environments, [`EnvKind`] (the
+//!   one table from the five suite and job environment names to an
+//!   [`Environment`], with the litmus iteration policy) and the
+//!   application harness;
 //! * [`tuning`] — the per-chip tuning pipeline (Sec. 3);
 //! * [`suite`] — the generated-litmus-suite campaign runner, each row
-//!   cross-checked against the static analyzer's verdict;
+//!   cross-checked against the static analyzer's verdict; a column
+//!   ([`SuiteStrategy`]) is an [`EnvKind`] plus its iteration count;
 //! * [`harden`] — empirical fence insertion (Alg. 1, Sec. 5), plus the
 //!   analyzer-seeded scoped variant that places the cheap block-level
 //!   rung where communication is provably intra-block;
@@ -39,10 +44,8 @@ pub mod tuning;
 pub use analyze::{analyze_spec, representatives, SpecAnalysis};
 pub use app::{AppSpec, Application, Phase};
 pub use cache::{ArtifactCache, ArtifactKey, CacheStats};
-pub use campaign::{
-    Campaign, CampaignBuilder, CampaignJob, Fnv64, LitmusWorkload, SummaryValue, Workload,
-};
-pub use env::{AppHarness, CampaignResult, Environment, RunVerdict};
+pub use campaign::{Campaign, CampaignBuilder, Fnv64, LitmusWorkload, SummaryValue, Workload};
+pub use env::{AppHarness, CampaignResult, EnvKind, Environment, RunVerdict};
 pub use harden::{
     empirical_fence_insertion, empirical_fence_insertion_scoped, HardenConfig, HardenResult,
     LeveledFenceSite, ScopedHardenResult,

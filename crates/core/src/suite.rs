@@ -2,83 +2,68 @@
 //!
 //! Campaigns every generated litmus shape across a grid of chips ×
 //! stress strategies × distances through the unified
-//! [`Campaign`](crate::campaign::Campaign) facade. The stress artifacts
-//! of each `(chip, strategy)` column are built **once** and shared by
-//! every cell (and every run) in that column.
-//!
-//! This runner used to live in `wmm-gen` behind per-run closure
-//! factories (so that crate could stay below `wmm-core` in the crate
-//! graph); with the campaign facade in `wmm-core` the runner lives here
-//! and the columns are plain [`StressStrategy`] values.
+//! [`Campaign`](crate::campaign::Campaign) facade. A column is a plain
+//! [`SuiteStrategy`] value: an [`EnvKind`] plus its iteration count.
+//! The stress artifacts of each `(chip, strategy)` column are built
+//! **once** and shared, as the cache's `Arc`, by every cell (and every
+//! run) in that column.
 
 use crate::cache::ArtifactCache;
 use crate::campaign::CampaignBuilder;
-use crate::env::Environment;
-use crate::stress::{Scratchpad, SharedStress, StressArtifacts, StressStrategy, SystematicParams};
-use std::sync::Arc;
+use crate::env::{EnvKind, Environment};
+use crate::stress::Scratchpad;
 use wmm_gen::Shape;
 use wmm_litmus::runner::mix_seed;
 use wmm_litmus::{Histogram, LitmusLayout, Placement};
 use wmm_sim::chip::Chip;
 use wmm_sim::ir::{FenceLevel, Space};
 
-/// A named suite column: a stress strategy (computed per chip — the
-/// systematic strategy's parameters are per-chip, Tab. 2) plus the
-/// thread-randomisation toggle of the paper's environment names.
-#[derive(Clone)]
+/// A suite column: the [`EnvKind`] it runs (its name is the column
+/// name; the systematic strategy's parameters are resolved per chip,
+/// Tab. 2), its thread-randomisation toggle and its stressing-loop
+/// length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuiteStrategy {
-    /// Display name, e.g. `"sys-str+"`.
-    pub name: String,
+    /// The environment this column runs.
+    pub env: EnvKind,
     /// Whether thread ids are randomised (the `+`/`-` suffix).
     pub randomize: bool,
     /// Stressing-loop iterations per stressing thread.
     pub iters: u32,
-    /// Intra-block shared-space stress applied to intra-block rows
-    /// (`None` for the paper's global-only columns).
-    pub shared: Option<SharedStress>,
-    strategy_of: Arc<dyn Fn(&Chip) -> StressStrategy + Send + Sync>,
+}
+
+impl From<EnvKind> for SuiteStrategy {
+    /// The column for `env` at [`EnvKind::litmus_iters`].
+    fn from(env: EnvKind) -> Self {
+        SuiteStrategy {
+            env,
+            randomize: env != EnvKind::Native,
+            iters: env.litmus_iters(),
+        }
+    }
 }
 
 impl SuiteStrategy {
     /// The native column: no stressing blocks, no randomisation.
     pub fn native() -> Self {
-        SuiteStrategy {
-            name: "no-str-".to_string(),
-            randomize: false,
-            iters: 0,
-            shared: None,
-            strategy_of: Arc::new(|_| StressStrategy::None),
-        }
-    }
-
-    /// A column from a per-chip strategy constructor; the display name
-    /// is the strategy's short name plus the `+`/`-` suffix.
-    pub fn new(
-        short: &str,
-        randomize: bool,
-        iters: u32,
-        strategy_of: impl Fn(&Chip) -> StressStrategy + Send + Sync + 'static,
-    ) -> Self {
-        SuiteStrategy {
-            name: format!("{short}{}", if randomize { "+" } else { "-" }),
-            randomize,
-            iters,
-            shared: None,
-            strategy_of: Arc::new(strategy_of),
-        }
+        EnvKind::Native.into()
     }
 
     /// The paper's tuned systematic environment, `sys-str+` (Tab. 2
     /// parameters per chip).
     pub fn sys_str_plus(iters: u32) -> Self {
-        SuiteStrategy::new("sys-str", true, iters, |chip| {
-            StressStrategy::Systematic(SystematicParams::from_paper(chip))
-        })
+        SuiteStrategy {
+            iters,
+            ..EnvKind::SysStrPlus.into()
+        }
     }
 
     /// The random-stress baseline with randomisation, `rand-str+`.
     pub fn rand_str_plus(iters: u32) -> Self {
-        SuiteStrategy::new("rand-str", true, iters, |_| StressStrategy::Random)
+        SuiteStrategy {
+            iters,
+            ..EnvKind::RandStrPlus.into()
+        }
     }
 
     /// The shared-stress column `shm+sys-str+`: the tuned systematic
@@ -88,53 +73,30 @@ impl SuiteStrategy {
     /// scoped shapes go observably weak while their `+fence_block`
     /// twins stay at zero.
     pub fn shared_sys_str_plus(iters: u32) -> Self {
-        let mut s = SuiteStrategy::sys_str_plus(iters);
-        s.name = format!("{}{}", SharedStress::NAME_PREFIX, s.name);
-        s.shared = Some(SharedStress::standard());
-        s
+        SuiteStrategy {
+            iters,
+            ..EnvKind::ShmSysStrPlus.into()
+        }
     }
 
     /// The structural-channel column `l1-str+`: write-only cross-SM
     /// stress feeding incoherent-L1 write pressure (see
-    /// [`StressStrategy::L1`]). The column under which `CoRR`-style
-    /// same-address read pairs go observably weak on Tesla-class
-    /// (incoherent-L1) chips while their `+fence` twins and the
-    /// coherent-L1 chips stay at zero.
+    /// [`StressStrategy::L1`](crate::stress::StressStrategy::L1)). The
+    /// column under which `CoRR`-style same-address read pairs go
+    /// observably weak on Tesla-class (incoherent-L1) chips while their
+    /// `+fence` twins and the coherent-L1 chips stay at zero.
     pub fn l1_str_plus(iters: u32) -> Self {
-        SuiteStrategy::new("l1-str", true, iters, |_| StressStrategy::L1)
-    }
-
-    /// The strategy this column applies on `chip`.
-    pub fn strategy(&self, chip: &Chip) -> StressStrategy {
-        (self.strategy_of)(chip)
+        SuiteStrategy {
+            iters,
+            ..EnvKind::L1StrPlus.into()
+        }
     }
 
     /// The [`Environment`] this column realises on `chip` — the
     /// structural key under which its artifacts are shared (see
     /// [`ArtifactCache`]).
     pub fn environment(&self, chip: &Chip) -> Environment {
-        Environment {
-            stress: self.strategy(chip),
-            randomize: self.randomize,
-            shared: self.shared,
-        }
-    }
-
-    /// Build this column's stress artifacts for `chip`, compiled once
-    /// for the whole column.
-    pub fn artifacts(&self, chip: &Chip, pad: Scratchpad) -> StressArtifacts {
-        StressArtifacts::for_strategy(chip, &self.strategy(chip), pad, self.iters)
-            .with_shared_stress(self.shared)
-    }
-}
-
-impl std::fmt::Debug for SuiteStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuiteStrategy")
-            .field("name", &self.name)
-            .field("randomize", &self.randomize)
-            .field("iters", &self.iters)
-            .finish_non_exhaustive()
+        self.env.environment(chip)
     }
 }
 
@@ -303,7 +265,7 @@ pub fn run_suite_with_cache(
                 for (ki, strat) in strategies.iter().enumerate() {
                     let artifacts = cache.get(chip, &strat.environment(chip), cfg.pad, strat.iters);
                     let hist = CampaignBuilder::new(chip)
-                        .stress((*artifacts).clone())
+                        .stress(artifacts)
                         .randomize_ids(strat.randomize)
                         .count(cfg.execs)
                         .base_seed(cell_seed(cfg.base_seed, si, d, ci, ki))
@@ -316,7 +278,7 @@ pub fn run_suite_with_cache(
                         placement: shape.placement(),
                         spaces: shape.spaces(),
                         chip: chip.short.to_string(),
-                        strategy: strat.name.clone(),
+                        strategy: strat.env.name().to_string(),
                         hist,
                         static_verdict: static_verdict.clone(),
                     });
@@ -483,11 +445,14 @@ mod tests {
 
     #[test]
     fn strategy_names_carry_the_suffix() {
-        assert_eq!(SuiteStrategy::native().name, "no-str-");
-        assert_eq!(SuiteStrategy::sys_str_plus(40).name, "sys-str+");
-        assert_eq!(SuiteStrategy::rand_str_plus(40).name, "rand-str+");
-        assert_eq!(SuiteStrategy::shared_sys_str_plus(40).name, "shm+sys-str+");
-        assert_eq!(SuiteStrategy::l1_str_plus(40).name, "l1-str+");
+        assert_eq!(SuiteStrategy::native().env.name(), "no-str-");
+        assert_eq!(SuiteStrategy::sys_str_plus(40).env.name(), "sys-str+");
+        assert_eq!(SuiteStrategy::rand_str_plus(40).env.name(), "rand-str+");
+        assert_eq!(
+            SuiteStrategy::shared_sys_str_plus(40).env.name(),
+            "shm+sys-str+"
+        );
+        assert_eq!(SuiteStrategy::l1_str_plus(40).env.name(), "l1-str+");
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   folded commutatively, so they are bit-identical across worker
 //!   counts and reruns at a fixed seed — safe to assert on in tests
 //!   and to grep in CI.
-//! * **Wall-clock spans** ([`LatencyHistogram`], [`SpanTimer`],
-//!   [`MetricsRegistry`] spans): machine-dependent timings. They are
-//!   kept out of every digest and every equivalence check, and every
-//!   JSON rendering labels them as such (`spans_us`).
+//! * **Wall-clock spans** ([`LatencyHistogram`], [`MetricsRegistry`]
+//!   spans): machine-dependent timings. They are kept out of every
+//!   digest and every equivalence check, and every JSON rendering
+//!   labels them as such (the soak report's `wall_clock_us`).
 //!
 //! Everything is allocation-light: counters are plain `u64` fields,
 //! histograms are fixed arrays, and the event log is a bounded ring
@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Channel provenance counters (deterministic)
@@ -412,27 +412,6 @@ impl fmt::Display for LatencyHistogram {
     }
 }
 
-/// A started monotonic span; finish it into a [`MetricsRegistry`].
-#[derive(Debug)]
-pub struct SpanTimer(Instant);
-
-impl SpanTimer {
-    /// Start timing now.
-    pub fn start() -> Self {
-        SpanTimer(Instant::now())
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
-
-    /// Stop and record the elapsed time under `name` in `reg`.
-    pub fn finish(self, reg: &mut MetricsRegistry, name: &str) {
-        reg.record_span(name, self.0.elapsed());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Metrics registry
 // ---------------------------------------------------------------------------
@@ -441,10 +420,9 @@ impl SpanTimer {
 /// histograms (non-deterministic), kept strictly apart.
 ///
 /// The registry itself is plain data; callers that share one across
-/// threads wrap it in a `Mutex` (the campaign server does). The JSON
-/// rendering separates the two kinds under `"counters"` and
-/// `"spans_us"` so a report can never accidentally fold wall-clock
-/// values into a deterministic digest.
+/// threads wrap it in a `Mutex` (the campaign server does). Counters
+/// and spans live in separate maps with separate accessors, so a
+/// wall-clock value can never be read back as a deterministic count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -485,50 +463,6 @@ impl MetricsRegistry {
     /// The span histogram for `name`, if any sample was recorded.
     pub fn span(&self, name: &str) -> Option<&LatencyHistogram> {
         self.spans.get(name)
-    }
-
-    /// Iterate spans in name order.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.spans.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merge another registry into this one (commutative).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.incr(k, *v);
-        }
-        for (k, h) in &other.spans {
-            if let Some(mine) = self.spans.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.spans.insert(k.clone(), h.clone());
-            }
-        }
-    }
-
-    /// Single-line JSON object with deterministic counters under
-    /// `"counters"` and wall-clock histograms under `"spans_us"`.
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|(k, h)| format!("\"{k}\": {}", h.to_json()))
-            .collect();
-        format!(
-            "{{\"counters\": {{{}}}, \"spans_us\": {{{}}}}}",
-            counters.join(", "),
-            spans.join(", ")
-        )
     }
 }
 
@@ -737,28 +671,6 @@ mod tests {
         assert_eq!(r.counter("jobs"), 3);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.span("execute").unwrap().count(), 1);
-        let j = r.to_json();
-        assert!(j.contains("\"counters\": {\"jobs\": 3}"));
-        assert!(j.contains("\"spans_us\": {\"execute\": {"));
-        assert!(!j.contains('\n'));
-    }
-
-    #[test]
-    fn registry_merge_is_commutative() {
-        let mut a = MetricsRegistry::new();
-        a.incr("x", 1);
-        a.record_span("s", Duration::from_micros(10));
-        let mut b = MetricsRegistry::new();
-        b.incr("x", 2);
-        b.incr("y", 5);
-        b.record_span("s", Duration::from_micros(20));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counter("x"), 3);
-        assert_eq!(ab.span("s").unwrap().count(), 2);
     }
 
     #[test]
@@ -774,14 +686,5 @@ mod tests {
         zero.push(1);
         assert!(zero.is_empty());
         assert_eq!(zero.dropped(), 1);
-    }
-
-    #[test]
-    fn span_timer_records_into_the_registry() {
-        let mut r = MetricsRegistry::new();
-        let t = SpanTimer::start();
-        assert!(t.elapsed() < Duration::from_secs(60));
-        t.finish(&mut r, "compile");
-        assert_eq!(r.span("compile").unwrap().count(), 1);
     }
 }

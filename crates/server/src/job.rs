@@ -20,10 +20,12 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 use wmm_core::cache::{ArtifactCache, ArtifactKey};
-use wmm_core::campaign::{CampaignBuilder, CampaignJob, SummaryValue};
-use wmm_core::env::{AppHarness, Environment};
-use wmm_core::stress::{Scratchpad, StressArtifacts};
+use wmm_core::campaign::{CampaignBuilder, SummaryValue};
+use wmm_core::env::AppHarness;
+pub use wmm_core::env::EnvKind;
+use wmm_core::stress::Scratchpad;
 use wmm_core::suite::SuiteConfig;
 use wmm_gen::Shape;
 use wmm_litmus::LitmusLayout;
@@ -34,97 +36,6 @@ use wmm_sim::chip::Chip;
 /// share artifact-cache entries.
 pub fn litmus_pad() -> Scratchpad {
     SuiteConfig::default().pad
-}
-
-/// The five suite environments a job can request — the four columns of
-/// the generated-suite evaluation plus the native baseline. A closed
-/// enum (rather than a free-form [`Environment`]) keeps job specs
-/// textual, hashable and chip-portable: the tuned parameters are
-/// resolved per chip at execution time, exactly as the suite columns
-/// resolve theirs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EnvKind {
-    /// `no-str-`: native execution.
-    Native,
-    /// `sys-str+`: tuned systematic stress + thread randomisation.
-    SysStrPlus,
-    /// `rand-str+`: random stress + thread randomisation.
-    RandStrPlus,
-    /// `shm+sys-str+`: tuned systematic stress + intra-block
-    /// shared-space stress.
-    ShmSysStrPlus,
-    /// `l1-str+`: write-only cross-SM stress (the structural channel).
-    L1StrPlus,
-}
-
-impl EnvKind {
-    /// All five, in the suite's column order.
-    pub const ALL: [EnvKind; 5] = [
-        EnvKind::Native,
-        EnvKind::SysStrPlus,
-        EnvKind::RandStrPlus,
-        EnvKind::ShmSysStrPlus,
-        EnvKind::L1StrPlus,
-    ];
-
-    /// The column/environment name (`no-str-`, `sys-str+`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            EnvKind::Native => "no-str-",
-            EnvKind::SysStrPlus => "sys-str+",
-            EnvKind::RandStrPlus => "rand-str+",
-            EnvKind::ShmSysStrPlus => "shm+sys-str+",
-            EnvKind::L1StrPlus => "l1-str+",
-        }
-    }
-
-    /// Stressing-loop iterations for litmus jobs (0 for native — the
-    /// suite columns' calibration).
-    pub fn litmus_iters(self) -> u32 {
-        match self {
-            EnvKind::Native => 0,
-            _ => 40,
-        }
-    }
-
-    /// Resolve to a concrete [`Environment`] on `chip` (the systematic
-    /// strategy's parameters are per-chip, Tab. 2).
-    pub fn environment(self, chip: &Chip) -> Environment {
-        match self {
-            EnvKind::Native => Environment::native(),
-            EnvKind::SysStrPlus => Environment::sys_str_plus(chip),
-            EnvKind::RandStrPlus => Environment {
-                stress: wmm_core::stress::StressStrategy::Random,
-                randomize: true,
-                shared: None,
-            },
-            EnvKind::ShmSysStrPlus => Environment::shared_sys_str_plus(chip),
-            EnvKind::L1StrPlus => Environment::l1_str_plus(),
-        }
-    }
-}
-
-impl fmt::Display for EnvKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
-
-impl FromStr for EnvKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        EnvKind::ALL
-            .into_iter()
-            .find(|e| e.name() == s)
-            .ok_or_else(|| {
-                let names: Vec<&str> = EnvKind::ALL.iter().map(|e| e.name()).collect();
-                format!(
-                    "unknown environment {s:?} (expected one of {})",
-                    names.join(", ")
-                )
-            })
-    }
 }
 
 /// What a job runs: a generated litmus test (a suite cell) or an
@@ -163,35 +74,17 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Check the spec resolves (chip exists, application exists,
-    /// non-zero execution count) without running anything. The engine
-    /// validates at submission so workers never meet an unrunnable job.
+    /// non-zero execution count, a litmus layout that fits) without
+    /// running anything. The engine validates at submission so workers
+    /// never meet an unrunnable job.
     pub fn validate(&self) -> Result<(), String> {
-        let chip =
-            Chip::by_short(&self.chip).ok_or_else(|| format!("unknown chip {:?}", self.chip))?;
-        let _ = chip;
+        Chip::by_short(&self.chip).ok_or_else(|| format!("unknown chip {:?}", self.chip))?;
         if self.execs == 0 {
             return Err(format!("{self}: execution count must be positive"));
         }
         match &self.workload {
             WorkloadSpec::Litmus { shape, distance } => {
-                if *distance == 0 {
-                    return Err(format!("{self}: distance must be positive"));
-                }
-                // The shape's last location must sit below the result
-                // region, or emitting the kernel would panic a worker.
-                let layout = LitmusLayout::standard(*distance, litmus_pad().required_words());
-                let last = shape.events().num_locs() - 1;
-                let fits = last
-                    .checked_mul(*distance)
-                    .and_then(|offset| offset.checked_add(layout.comm_base))
-                    .is_some_and(|addr| addr < layout.result_base);
-                if !fits {
-                    return Err(format!(
-                        "{self}: distance {distance} puts {shape}'s location {last} \
-                         past the result region at word {}",
-                        layout.result_base
-                    ));
-                }
+                self.litmus_layout(*shape, *distance)?;
             }
             WorkloadSpec::App { name } => {
                 if wmm_apps::app_by_name(name).is_none() {
@@ -202,14 +95,40 @@ impl JobSpec {
         Ok(())
     }
 
+    /// The layout a litmus job runs `shape` under at `distance`, or why
+    /// it cannot: the shape's last location must sit below the result
+    /// region, or emitting the kernel would panic a worker.
+    fn litmus_layout(&self, shape: Shape, distance: u32) -> Result<LitmusLayout, String> {
+        if distance == 0 {
+            return Err(format!("{self}: distance must be positive"));
+        }
+        let layout = LitmusLayout::standard(distance, litmus_pad().required_words());
+        let last = shape.events().num_locs() - 1;
+        let fits = last
+            .checked_mul(distance)
+            .and_then(|offset| offset.checked_add(layout.comm_base))
+            .is_some_and(|addr| addr < layout.result_base);
+        if !fits {
+            return Err(format!(
+                "{self}: distance {distance} puts {shape}'s location {last} \
+                 past the result region at word {}",
+                layout.result_base
+            ));
+        }
+        Ok(layout)
+    }
+
     /// Execute the campaign this spec describes and summarise it.
+    /// A litmus spec whose layout [`JobSpec::validate`] refuses is
+    /// refused here too, never run.
     ///
-    /// With a cache, the environment's stress artifacts are shared with
-    /// every other job keying to the same [`ArtifactKey`]; without one,
-    /// they are built fresh. Both routes go through
-    /// [`ArtifactKey::build`], and every per-run value is drawn from the
-    /// run's own seeded RNG, so the result is identical either way —
-    /// the equivalence the server's determinism guarantee rests on.
+    /// With a cache, the environment's stress artifacts are the cache's
+    /// entry, shared with every other job keying to the same
+    /// [`ArtifactKey`]; without one, they are built fresh. Both routes
+    /// go through [`ArtifactKey::build`], and every per-run value is
+    /// drawn from the run's own seeded RNG, so the result is identical
+    /// either way — the equivalence the server's determinism guarantee
+    /// rests on.
     pub fn execute(
         &self,
         parallelism: usize,
@@ -218,61 +137,34 @@ impl JobSpec {
         let chip =
             Chip::by_short(&self.chip).ok_or_else(|| format!("unknown chip {:?}", self.chip))?;
         let env = self.env.environment(&chip);
+        let campaign = |pad: Scratchpad, iters: u32| {
+            let key = ArtifactKey::new(&chip, &env, pad, iters);
+            let artifacts = match cache {
+                Some(c) => c.get_key(&key),
+                None => Arc::new(key.build()),
+            };
+            CampaignBuilder::new(&chip)
+                .stress(artifacts)
+                .randomize_ids(env.randomize)
+                .count(self.execs)
+                .base_seed(self.seed)
+                .parallelism(parallelism)
+                .build()
+        };
         match &self.workload {
             WorkloadSpec::Litmus { shape, distance } => {
-                let pad = litmus_pad();
-                let inst = shape.instance(LitmusLayout::standard(*distance, pad.required_words()));
-                let artifacts = resolve_artifacts(cache, &chip, &env, pad, self.env.litmus_iters());
-                let campaign = CampaignBuilder::new(&chip)
-                    .stress(artifacts)
-                    .randomize_ids(env.randomize)
-                    .count(self.execs)
-                    .base_seed(self.seed)
-                    .parallelism(parallelism)
-                    .build();
-                Ok(inst.run_on(&campaign))
+                let inst = shape.instance(self.litmus_layout(*shape, *distance)?);
+                let campaign = campaign(litmus_pad(), self.env.litmus_iters());
+                Ok(SummaryValue::Litmus(campaign.run_litmus(&inst)))
             }
             WorkloadSpec::App { name } => {
                 let app = wmm_apps::app_by_name(name)
                     .ok_or_else(|| format!("unknown application {name:?}"))?;
                 let harness = AppHarness::new(&chip, app.as_ref());
-                let artifacts = resolve_artifacts(
-                    cache,
-                    &chip,
-                    &env,
-                    harness.scratchpad(),
-                    harness.calibrated_iters(),
-                );
-                let campaign = CampaignBuilder::new(&chip)
-                    .stress(artifacts)
-                    .randomize_ids(env.randomize)
-                    .count(self.execs)
-                    .base_seed(self.seed)
-                    .parallelism(parallelism)
-                    .build();
-                Ok(harness.run_on(&campaign))
+                let campaign = campaign(harness.scratchpad(), harness.calibrated_iters());
+                Ok(SummaryValue::App(campaign.run(&harness)))
             }
         }
-    }
-}
-
-/// Cache-or-build: both arms produce [`ArtifactKey::build`]'s value.
-fn resolve_artifacts(
-    cache: Option<&ArtifactCache>,
-    chip: &Chip,
-    env: &Environment,
-    pad: Scratchpad,
-    iters: u32,
-) -> StressArtifacts {
-    match cache {
-        Some(c) => (*c.get(chip, env, pad, iters)).clone(),
-        None => ArtifactKey {
-            chip: chip.clone(),
-            env: env.clone(),
-            pad,
-            iters,
-        }
-        .build(),
     }
 }
 
@@ -438,28 +330,23 @@ mod tests {
     }
 
     #[test]
-    fn env_kinds_match_suite_column_names() {
-        let names: Vec<&str> = EnvKind::ALL.iter().map(|e| e.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "no-str-",
-                "sys-str+",
-                "rand-str+",
-                "shm+sys-str+",
-                "l1-str+"
-            ]
-        );
-        for kind in EnvKind::ALL {
-            assert_eq!(kind.name().parse::<EnvKind>().unwrap(), kind);
-        }
-    }
-
-    #[test]
-    fn env_kind_resolves_to_the_matching_environment() {
-        let chip = Chip::by_short("Titan").unwrap();
-        for kind in EnvKind::ALL {
-            assert_eq!(kind.environment(&chip).name(), kind.name());
+    fn execution_refuses_what_validation_refuses() {
+        // Every field is public, so a spec can reach `execute` without
+        // passing `validate`: a layout past the result region must come
+        // back as an error, not a panic in kernel emission.
+        for distance in [8192, u32::MAX] {
+            let spec = JobSpec {
+                chip: "Titan".into(),
+                env: EnvKind::SysStrPlus,
+                workload: WorkloadSpec::Litmus {
+                    shape: Shape::Mp,
+                    distance,
+                },
+                execs: 2,
+                seed: 1,
+            };
+            assert!(spec.validate().is_err(), "distance {distance}");
+            assert!(spec.execute(1, None).is_err(), "distance {distance}");
         }
     }
 

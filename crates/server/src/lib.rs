@@ -8,8 +8,13 @@
 //!
 //! * [`job`] — [`JobSpec`]: one queued campaign request (a litmus/suite
 //!   cell or an application campaign) on a chip under one of the five
-//!   suite environments, carrying its own seed; parse/display a compact
-//!   text form for `repro serve --jobs`.
+//!   suite environments ([`EnvKind`], defined in `wmm_core::env` and
+//!   re-exported here, so a job and a suite column name and resolve an
+//!   environment the same way), carrying its own seed; parse/display a
+//!   compact text form for `repro serve --jobs`. A job runs on the
+//!   cache's shared artifacts (an `Arc`, never a copy), and returns an
+//!   error for a litmus layout [`JobSpec::validate`] refuses instead of
+//!   running it.
 //! * [`engine`] — [`Engine`]: a fixed pool of deterministic workers
 //!   draining a job queue, with stress artifacts shared across jobs
 //!   through a concurrent [`ArtifactCache`](wmm_core::cache::ArtifactCache)

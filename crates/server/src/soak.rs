@@ -59,7 +59,7 @@ impl SoakProfile {
     }
 
     /// Default gate thresholds. Throughput floors are calibrated far
-    /// below the measured soak points in `BENCH_soak.json` (the quick
+    /// below the soak points recorded in `BENCH_soak.json` (the quick
     /// mix sustains about 160 jobs/sec on one worker, against a floor
     /// of 2), so only a collapse — not a slow CI box — trips them. The
     /// cache floor is the artifact cache's contract: five-ish
@@ -547,45 +547,6 @@ impl SoakReport {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-
-    /// The single-line trajectory point `repro soak` appends to
-    /// `BENCH_soak.json`.
-    pub fn trajectory_point(&self) -> String {
-        format!(
-            "{{\"source\": \"soak\", \"profile\": \"{}\", \"seed\": {}, \"workers\": {}, \"jobs\": {}, \"jobs_per_sec\": {:.1}, \"latency_ms_p50\": {:.3}, \"cache_hit_rate\": {:.4}, \"results_digest\": \"{}\", \"channels\": {}, \"pass\": {}}}",
-            self.profile,
-            self.seed,
-            self.workers,
-            self.jobs,
-            self.jobs_per_sec,
-            self.latency_ms_p50,
-            self.cache.hit_rate(),
-            self.results_digest,
-            self.metrics.channels.to_json(),
-            self.gates.pass
-        )
-    }
-}
-
-/// Append one single-line JSON `point` to a `{"points": [...]}`
-/// trajectory file, creating the file if missing — the appender
-/// behind `repro soak`'s `BENCH_soak.json`.
-pub fn append_trajectory_point(path: &Path, point: &str) -> io::Result<()> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => "{\n  \"points\": [\n  ]\n}\n".to_string(),
-        Err(e) => return Err(e),
-    };
-    let close = text.rfind(']').ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: no points array to append to", path.display()),
-        )
-    })?;
-    let head = text[..close].trim_end();
-    let sep = if head.ends_with('[') { "" } else { "," };
-    let rebuilt = format!("{head}{sep}\n    {point}\n  ]\n}}\n");
-    std::fs::write(path, rebuilt)
 }
 
 #[cfg(test)]
@@ -736,26 +697,6 @@ mod tests {
         assert_eq!(a.metrics.execute.count(), a.jobs as u64);
         assert_eq!(a.metrics.queue_wait.count(), a.jobs as u64);
         assert!(a.metrics.compile.count() > 0);
-        // ...and the trajectory point carries the channel counters.
-        let point = a.trajectory_point();
-        assert!(point.contains("\"channels\": {\"window_global\":"));
-        assert!(!point.contains('\n'));
-    }
-
-    #[test]
-    fn trajectory_appender_grows_the_points_array() {
-        let dir = std::env::temp_dir().join(format!("wmm-soak-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_soak.json");
-        let _ = std::fs::remove_file(&path);
-        append_trajectory_point(&path, "{\"source\": \"soak\", \"n\": 1}").unwrap();
-        append_trajectory_point(&path, "{\"source\": \"bench\", \"n\": 2}").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.matches("\"source\"").count(), 2);
-        assert!(text.trim_start().starts_with("{\n  \"points\": ["));
-        assert!(text.contains("{\"source\": \"soak\", \"n\": 1},\n"));
-        assert!(text.trim_end().ends_with("]\n}"));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -65,6 +65,7 @@ use gpu_wmm::sim::exec::{Gpu, RunResult};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const SEED: u64 = 2016;
 const DISTANCE: u32 = 64;
@@ -268,7 +269,7 @@ fn recompute_work() -> Vec<(String, u64)> {
     for (chip_name, column, shapes) in WORK_CELLS {
         let block = blocks
             .iter()
-            .find(|b| b.column.name == column)
+            .find(|b| b.column.env.name() == column)
             .expect("a grid block per work column");
         let ci = block
             .chips
@@ -292,7 +293,7 @@ fn recompute_work() -> Vec<(String, u64)> {
                 block.shapes[si].instance(LitmusLayout::standard(DISTANCE, pad.required_words()));
             // One worker, so the runs come back in index order.
             let campaign = CampaignBuilder::new(&chip)
-                .stress((*artifacts).clone())
+                .stress(Arc::clone(&artifacts))
                 .randomize_ids(block.column.randomize)
                 .count(WORK_RUNS)
                 .base_seed(cell_seed(SEED, si, DISTANCE, ci, 0))
