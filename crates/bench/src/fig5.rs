@@ -76,7 +76,7 @@ pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<Point> {
             let app = app_by_name(name).expect("fig5 app");
             let base = app.spec().clone();
             let emp = table6::harden_one(app.as_ref(), chip, scale);
-            let emp_spec = base.with_fences(&emp.fences);
+            let emp_spec = base.with_leveled_fences(&emp.fences);
             let cons_spec = base.with_all_fences();
             let (t_no, e_no) = measure(chip, app.as_ref(), base, runs, scale.seed);
             let (t_emp, e_emp) = measure(chip, app.as_ref(), emp_spec, runs, scale.seed + 1);

@@ -2,8 +2,8 @@
 
 use crate::Scale;
 use wmm_apps::app_by_name;
-use wmm_core::app::{Application, FenceSite};
-use wmm_core::harden::{empirical_fence_insertion, HardenConfig, HardenResult};
+use wmm_core::app::Application;
+use wmm_core::harden::{empirical_fence_insertion, HardenConfig, HardenResult, LeveledFenceSite};
 use wmm_sim::chip::Chip;
 
 /// The seven fence-free applications the paper runs insertion on
@@ -72,7 +72,7 @@ pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<Entry> {
         println!(
             "{:12} {:>6} {:>12} {:>9} {:>10} {:>8.1}s{}",
             name,
-            reference.initial_fences,
+            reference.initial.len(),
             reference.fences.len(),
             agreeing,
             reference.executions,
@@ -90,17 +90,18 @@ pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<Entry> {
     out
 }
 
-fn same_sites(a: &[FenceSite], b: &[FenceSite]) -> bool {
-    let mut a: Vec<FenceSite> = a.to_vec();
-    let mut b: Vec<FenceSite> = b.to_vec();
-    a.sort_unstable();
-    b.sort_unstable();
+fn same_sites(a: &[LeveledFenceSite], b: &[LeveledFenceSite]) -> bool {
+    let mut a = a.to_vec();
+    let mut b = b.to_vec();
+    a.sort_unstable_by_key(|&(site, _)| site);
+    b.sort_unstable_by_key(|&(site, _)| site);
     a == b
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmm_sim::ir::FenceLevel;
 
     #[test]
     fn insertion_apps_are_the_fence_free_seven() {
@@ -112,7 +113,12 @@ mod tests {
 
     #[test]
     fn site_comparison_is_order_insensitive() {
-        assert!(same_sites(&[(0, 1), (0, 5)], &[(0, 5), (0, 1)]));
-        assert!(!same_sites(&[(0, 1)], &[(0, 2)]));
+        let d = FenceLevel::Device;
+        assert!(same_sites(
+            &[((0, 1), d), ((0, 5), d)],
+            &[((0, 5), d), ((0, 1), d)]
+        ));
+        assert!(!same_sites(&[((0, 1), d)], &[((0, 2), d)]));
+        assert!(!same_sites(&[((0, 1), d)], &[((0, 1), FenceLevel::Block)]));
     }
 }

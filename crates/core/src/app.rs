@@ -11,11 +11,10 @@
 //!
 //! * [`AppSpec::strip`] — remove all fences (how the `-nf` variants were
 //!   manufactured, Sec. 4.1);
-//! * [`AppSpec::with_fences`] — insert a device fence after a chosen
-//!   subset of memory accesses (`emp fences`);
-//! * [`AppSpec::with_leveled_fences`] — insert fences at chosen levels
-//!   (`block`/`device`), for the scoped hardening search;
-//! * [`AppSpec::with_all_fences`] — a fence after every access
+//! * [`AppSpec::with_leveled_fences`] — insert a fence at a chosen level
+//!   (`block`/`device`) after each of a chosen subset of memory accesses
+//!   (`emp fences`, the output of the hardening search);
+//! * [`AppSpec::with_all_fences`] — a device fence after every access
 //!   (`cons fences`, Sec. 6).
 
 use wmm_sim::ir::{transform, FenceLevel, Program};
@@ -91,36 +90,9 @@ impl AppSpec {
         out
     }
 
-    /// Insert a device fence after each listed site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this spec still contains fences, or a site is out of
-    /// range.
-    pub fn with_fences(&self, sites: &[FenceSite]) -> AppSpec {
-        assert_eq!(
-            self.fence_count(),
-            0,
-            "fences are inserted into the fence-free program"
-        );
-        let mut out = self.clone();
-        for (pi, p) in out.phases.iter_mut().enumerate() {
-            let local: Vec<usize> = sites
-                .iter()
-                .filter(|(sp, _)| *sp == pi)
-                .map(|&(_, idx)| idx)
-                .collect();
-            if !local.is_empty() {
-                p.program = transform::with_fences(&p.program, &local);
-            }
-        }
-        out
-    }
-
-    /// Insert a fence of the chosen level after each listed site —
-    /// the scoped variant of [`AppSpec::with_fences`], used by the
-    /// analyzer-seeded hardening search to place cheap block fences
-    /// where the communication is provably intra-block.
+    /// Insert a fence of the chosen level after each listed site. The
+    /// hardening search places cheap block fences this way where the
+    /// communication is provably intra-block.
     ///
     /// # Panics
     ///
@@ -153,8 +125,12 @@ impl AppSpec {
         } else {
             self.clone()
         };
-        let sites = stripped.fence_sites();
-        stripped.with_fences(&sites)
+        let sites: Vec<(FenceSite, FenceLevel)> = stripped
+            .fence_sites()
+            .into_iter()
+            .map(|site| (site, FenceLevel::Device))
+            .collect();
+        stripped.with_leveled_fences(&sites)
     }
 }
 
@@ -238,10 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn with_fences_inserts_subset() {
+    fn with_leveled_fences_inserts_subset() {
         let s = two_phase_spec().strip();
         let sites = s.fence_sites();
-        let f = s.with_fences(&sites[..2]);
+        let f = s.with_leveled_fences(&[
+            (sites[0], FenceLevel::Device),
+            (sites[1], FenceLevel::Block),
+        ]);
         assert_eq!(f.fence_count(), 2);
     }
 

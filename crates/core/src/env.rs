@@ -330,7 +330,8 @@ impl<'a> AppHarness<'a> {
     }
 
     /// Harness for a program variant (e.g. a fencing variant produced by
-    /// [`AppSpec::with_fences`]) checked against the same post-condition.
+    /// [`AppSpec::with_leveled_fences`]) checked against the same
+    /// post-condition.
     pub fn with_spec(chip: &'a Chip, app: &'a dyn Application, spec: AppSpec) -> Self {
         // Scratchpad after the app's memory, line-aligned generously.
         let base = (spec.global_words + 127) / 64 * 64 + 64;
@@ -544,7 +545,7 @@ impl Workload for AppHarness<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::app::Phase;
     use wmm_sim::ir::builder::KernelBuilder;
@@ -552,13 +553,13 @@ mod tests {
     /// A miniature lock-protected accumulator: every thread takes a
     /// global spinlock and adds 1 to a cell non-atomically. The idiom of
     /// the paper's running example (Fig. 1), so it is weak-memory-buggy
-    /// by design.
-    struct LockCounter {
+    /// by design. Shared with `harden`'s tests.
+    pub(crate) struct LockCounter {
         spec: AppSpec,
         expected: u32,
     }
 
-    fn lock_counter() -> LockCounter {
+    pub(crate) fn lock_counter() -> LockCounter {
         let mut b = KernelBuilder::new("lock-counter");
         let tid = b.tid();
         let zero = b.const_(0);

@@ -1,25 +1,27 @@
 //! Empirical fence insertion — Algorithm 1 (Sec. 5).
 //!
-//! Starting from a fence after every global memory access, repeatedly
-//! remove fences — first halving the set (*binary reduction*), then one
-//! at a time (*linear reduction*) — using the testing environment to
-//! check, empirically, whether each removal introduces errors. The
-//! procedure converges to a set of fences that is *empirically stable*
-//! (no errors over a long campaign) and minimal in the sense that
-//! removing any single fence exposed errors during reduction. If the
-//! final stability check fails, the whole reduction restarts with a
-//! doubled per-check iteration count, exactly as in Alg. 1.
+//! One search, two starting sets. The search starts from a fence after
+//! every memory access and repeatedly removes fences — first halving the
+//! set (*binary reduction*), then one at a time (*linear reduction*) —
+//! using the testing environment to check, empirically, whether each
+//! removal introduces errors. It converges to a set of fences that is
+//! *empirically stable* (no errors over a long campaign) and minimal in
+//! the sense that removing any single fence exposed errors during
+//! reduction. If the final stability check fails, the whole reduction
+//! restarts with a doubled per-check iteration count, exactly as in
+//! Alg. 1. Every tested candidate feeds a Pareto front over (residual
+//! errors, total fence cost).
 //!
-//! [`empirical_fence_insertion_scoped`] extends the algorithm with the
-//! static scoped-communication analyzer (`wmm-analysis`): the initial
-//! set covers **all** memory accesses (shared included) at
-//! analyzer-chosen levels, a demotion pass downgrades provably
-//! intra-block fences to the cheap `fence_block()` rung before any
-//! removal is attempted, and every tested candidate feeds a Pareto
-//! front over (residual errors, total fence cost).
+//! * [`empirical_fence_insertion`] is the paper's Alg. 1: every site
+//!   starts at device level.
+//! * [`empirical_fence_insertion_scoped`] seeds the search with the
+//!   static scoped-communication analyzer (`wmm-analysis`): each site
+//!   starts at its verdict's level, and before any removal a demotion
+//!   pass tries the cheap `fence_block()` rung at every site the
+//!   analyzer proves intra-block.
 
-use crate::analyze::{analyze_spec, SpecAnalysis};
-use crate::app::{AppSpec, Application, FenceSite};
+use crate::analyze::analyze_spec;
+use crate::app::{Application, FenceSite};
 use crate::env::{AppHarness, Environment};
 use wmm_analysis::{fence_cost, Verdict};
 use wmm_sim::chip::Chip;
@@ -53,154 +55,6 @@ impl Default for HardenConfig {
     }
 }
 
-/// The outcome of empirical fence insertion.
-#[derive(Debug, Clone)]
-pub struct HardenResult {
-    /// The initial fence count (one per global access).
-    pub initial_fences: usize,
-    /// The surviving (empirically required) fence sites.
-    pub fences: Vec<FenceSite>,
-    /// Whether the final set passed the empirical stability check.
-    pub converged: bool,
-    /// Doubling rounds used.
-    pub rounds: u32,
-    /// Total application executions spent.
-    pub executions: u64,
-    /// Wall-clock time spent.
-    pub elapsed: std::time::Duration,
-}
-
-/// Internal driver: owns the counters shared by the reduction passes.
-struct Reducer<'a> {
-    chip: &'a Chip,
-    app: &'a dyn Application,
-    base: AppSpec,
-    env: Environment,
-    cfg: &'a HardenConfig,
-    executions: u64,
-    check_counter: u64,
-}
-
-impl<'a> Reducer<'a> {
-    /// `CheckApplication(A, F, I)`: run `A + F` for `iters` executions;
-    /// true iff no errors are observed.
-    fn check_application(&mut self, fences: &[FenceSite], iters: u32) -> bool {
-        let spec = self.base.with_fences(fences);
-        let harness = AppHarness::with_spec(self.chip, self.app, spec);
-        self.check_counter += 1;
-        let seed = self
-            .cfg
-            .base_seed
-            .wrapping_mul(31)
-            .wrapping_add(self.check_counter);
-        let result = harness.campaign(&self.env, iters, seed, self.cfg.parallelism);
-        self.executions += u64::from(result.runs);
-        !result.any_error()
-    }
-
-    /// `BinaryReduction(A, F, I)`: repeatedly try to discard half the
-    /// remaining fences.
-    fn binary_reduction(&mut self, mut fences: Vec<FenceSite>, iters: u32) -> Vec<FenceSite> {
-        while fences.len() > 1 {
-            let mid = fences.len() / 2;
-            // SplitFences: fences are kept sorted by program location;
-            // F1 is the first half, F2 the second.
-            let without_first: Vec<FenceSite> = fences[mid..].to_vec();
-            if self.check_application(&without_first, iters) {
-                fences = without_first;
-                continue;
-            }
-            let without_second: Vec<FenceSite> = fences[..mid].to_vec();
-            if self.check_application(&without_second, iters) {
-                fences = without_second;
-                continue;
-            }
-            return fences;
-        }
-        fences
-    }
-
-    /// `LinearReduction(A, F, I)`: try to remove fences one at a time.
-    fn linear_reduction(&mut self, fences: Vec<FenceSite>, iters: u32) -> Vec<FenceSite> {
-        let mut kept: Vec<FenceSite> = fences;
-        let mut i = 0;
-        while i < kept.len() {
-            let mut candidate = kept.clone();
-            candidate.remove(i);
-            if self.check_application(&candidate, iters) {
-                kept = candidate; // fence removed; do not advance
-            } else {
-                i += 1;
-            }
-        }
-        kept
-    }
-
-    /// `EmpiricallyStable(A, F)`: the long final check.
-    fn empirically_stable(&mut self, fences: &[FenceSite]) -> bool {
-        self.check_application(fences, self.cfg.stable_runs)
-    }
-}
-
-/// Empirical fence insertion (Alg. 1) for `app` on `chip`, testing under
-/// `sys-str+`. The application must be fence-free (strip it first for
-/// the shipped `sdk-red`/`cub-scan`/`ls-bh`).
-///
-/// # Panics
-///
-/// Panics if `app`'s spec still contains fences.
-pub fn empirical_fence_insertion(
-    chip: &Chip,
-    app: &dyn Application,
-    cfg: &HardenConfig,
-) -> HardenResult {
-    let start = std::time::Instant::now();
-    let base = app.spec().clone();
-    assert_eq!(
-        base.fence_count(),
-        0,
-        "empirical fence insertion starts from the fence-free program"
-    );
-    let all_sites = base.fence_sites();
-    let mut reducer = Reducer {
-        chip,
-        app,
-        base,
-        env: Environment::sys_str_plus(chip),
-        cfg,
-        executions: 0,
-        check_counter: 0,
-    };
-    let mut iters = cfg.initial_iters;
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        let fb = reducer.binary_reduction(all_sites.clone(), iters);
-        let fl = reducer.linear_reduction(fb, iters);
-        if reducer.empirically_stable(&fl) {
-            return HardenResult {
-                initial_fences: all_sites.len(),
-                fences: fl,
-                converged: true,
-                rounds,
-                executions: reducer.executions,
-                elapsed: start.elapsed(),
-            };
-        }
-        if rounds >= cfg.max_rounds {
-            return HardenResult {
-                initial_fences: all_sites.len(),
-                fences: fl,
-                converged: false,
-                rounds,
-                executions: reducer.executions,
-                elapsed: start.elapsed(),
-            };
-        }
-        iters *= 2; // Alg. 1, line 5
-    }
-}
-
 /// A fence site paired with the level to place there.
 pub type LeveledFenceSite = (FenceSite, FenceLevel);
 
@@ -210,9 +64,9 @@ pub fn leveled_set_cost(fences: &[LeveledFenceSite]) -> u64 {
     fences.iter().map(|&(_, l)| fence_cost(l)).sum()
 }
 
-/// One candidate fence set the scoped search actually tested.
+/// One candidate fence set the search actually tested.
 #[derive(Debug, Clone)]
-pub struct ScopedCandidate {
+pub struct Candidate {
     /// The leveled fence set.
     pub fences: Vec<LeveledFenceSite>,
     /// Errors observed while checking it.
@@ -221,62 +75,77 @@ pub struct ScopedCandidate {
     pub cost: u64,
 }
 
-/// The outcome of analyzer-seeded scoped fence insertion.
+/// The outcome of empirical fence insertion.
 #[derive(Debug, Clone)]
-pub struct ScopedHardenResult {
-    /// The analyzer-chosen initial set: every memory access, fenced at
-    /// its verdict's level.
+pub struct HardenResult {
+    /// The initial fence set: one per memory access, at its starting
+    /// level.
     pub initial: Vec<LeveledFenceSite>,
-    /// The surviving fence set with levels.
+    /// The surviving (empirically required) fence set with levels.
     pub fences: Vec<LeveledFenceSite>,
-    /// Analyzer-sanctioned demotions (`Device` → `Block`) that stuck.
-    pub demotions: usize,
     /// Whether the final set passed the empirical stability check.
     pub converged: bool,
     /// Doubling rounds used.
     pub rounds: u32,
     /// Total application executions spent.
     pub executions: u64,
-    /// Total fence cost of the surviving set.
-    pub fence_cost: u64,
-    /// Cost of the same surviving sites fenced at device level — the
-    /// baseline the two-rung hierarchy is measured against.
-    pub device_baseline_cost: u64,
     /// The Pareto front over (errors, cost) of every candidate set the
     /// search tested, via [`crate::tuning::pareto::pareto_min_front`].
-    pub pareto: Vec<ScopedCandidate>,
+    pub pareto: Vec<Candidate>,
     /// Wall-clock time spent.
     pub elapsed: std::time::Duration,
 }
 
-/// Internal driver for the scoped search: like [`Reducer`] but over
-/// leveled sites, recording every tested candidate for the Pareto
-/// front.
-struct ScopedReducer<'a> {
-    chip: &'a Chip,
-    app: &'a dyn Application,
-    base: AppSpec,
-    analysis: SpecAnalysis,
-    env: Environment,
-    cfg: &'a HardenConfig,
-    executions: u64,
-    check_counter: u64,
-    candidates: Vec<ScopedCandidate>,
+impl HardenResult {
+    /// Total fence cost of the surviving set.
+    pub fn fence_cost(&self) -> u64 {
+        leveled_set_cost(&self.fences)
+    }
+
+    /// Cost of the same surviving sites fenced at device level — the
+    /// baseline the two-rung hierarchy is measured against.
+    pub fn device_baseline_cost(&self) -> u64 {
+        self.fences.len() as u64 * fence_cost(FenceLevel::Device)
+    }
+
+    /// Demotions that stuck: surviving block fences at sites that
+    /// started at device level.
+    pub fn demotions(&self) -> usize {
+        self.fences
+            .iter()
+            .filter(|&&(site, level)| {
+                level == FenceLevel::Block && self.initial.contains(&(site, FenceLevel::Device))
+            })
+            .count()
+    }
 }
 
-impl<'a> ScopedReducer<'a> {
-    fn check_leveled(&mut self, fences: &[LeveledFenceSite], iters: u32) -> bool {
-        let spec = self.base.with_leveled_fences(fences);
+/// Internal driver: owns the counters shared by the reduction passes.
+struct Reducer<'a> {
+    chip: &'a Chip,
+    app: &'a dyn Application,
+    env: Environment,
+    cfg: &'a HardenConfig,
+    demotable: &'a [FenceSite],
+    executions: u64,
+    candidates: Vec<Candidate>,
+}
+
+impl<'a> Reducer<'a> {
+    /// `CheckApplication(A, F, I)`: run `A + F` for `iters` executions;
+    /// true iff no errors are observed. Every check is recorded as a
+    /// candidate, and the `n`-th check runs at seed `base_seed · 31 + n`.
+    fn check(&mut self, fences: &[LeveledFenceSite], iters: u32) -> bool {
+        let spec = self.app.spec().with_leveled_fences(fences);
         let harness = AppHarness::with_spec(self.chip, self.app, spec);
-        self.check_counter += 1;
         let seed = self
             .cfg
             .base_seed
             .wrapping_mul(31)
-            .wrapping_add(self.check_counter);
+            .wrapping_add(self.candidates.len() as u64 + 1);
         let result = harness.campaign(&self.env, iters, seed, self.cfg.parallelism);
         self.executions += u64::from(result.runs);
-        self.candidates.push(ScopedCandidate {
+        self.candidates.push(Candidate {
             fences: fences.to_vec(),
             errors: result.errors,
             cost: leveled_set_cost(fences),
@@ -284,31 +153,29 @@ impl<'a> ScopedReducer<'a> {
         !result.any_error()
     }
 
-    /// Try every analyzer-sanctioned demotion (`DemotableToBlock`
-    /// sites currently fenced at device level) before any removal.
+    /// Try every analyzer-sanctioned demotion (demotable sites currently
+    /// fenced at device level) before any removal.
     fn demotion_pass(
         &mut self,
         mut fences: Vec<LeveledFenceSite>,
         iters: u32,
-    ) -> (Vec<LeveledFenceSite>, usize) {
-        let mut demotions = 0;
+    ) -> Vec<LeveledFenceSite> {
         for i in 0..fences.len() {
             let (site, level) = fences[i];
-            if level != FenceLevel::Device
-                || self.analysis.verdict_of(site) != Some(Verdict::DemotableToBlock)
-            {
+            if level != FenceLevel::Device || !self.demotable.contains(&site) {
                 continue;
             }
             let mut candidate = fences.clone();
             candidate[i].1 = FenceLevel::Block;
-            if self.check_leveled(&candidate, iters) {
+            if self.check(&candidate, iters) {
                 fences = candidate;
-                demotions += 1;
             }
         }
-        (fences, demotions)
+        fences
     }
 
+    /// `BinaryReduction(A, F, I)`: repeatedly try to discard half the
+    /// remaining fences.
     fn binary_reduction(
         &mut self,
         mut fences: Vec<LeveledFenceSite>,
@@ -316,13 +183,15 @@ impl<'a> ScopedReducer<'a> {
     ) -> Vec<LeveledFenceSite> {
         while fences.len() > 1 {
             let mid = fences.len() / 2;
-            let without_first: Vec<LeveledFenceSite> = fences[mid..].to_vec();
-            if self.check_leveled(&without_first, iters) {
+            // SplitFences: fences are kept sorted by program location;
+            // F1 is the first half, F2 the second.
+            let without_first = fences[mid..].to_vec();
+            if self.check(&without_first, iters) {
                 fences = without_first;
                 continue;
             }
-            let without_second: Vec<LeveledFenceSite> = fences[..mid].to_vec();
-            if self.check_leveled(&without_second, iters) {
+            let without_second = fences[..mid].to_vec();
+            if self.check(&without_second, iters) {
                 fences = without_second;
                 continue;
             }
@@ -331,88 +200,59 @@ impl<'a> ScopedReducer<'a> {
         fences
     }
 
+    /// `LinearReduction(A, F, I)`: try to remove fences one at a time.
     fn linear_reduction(
         &mut self,
-        fences: Vec<LeveledFenceSite>,
+        mut kept: Vec<LeveledFenceSite>,
         iters: u32,
     ) -> Vec<LeveledFenceSite> {
-        let mut kept = fences;
         let mut i = 0;
         while i < kept.len() {
             let mut candidate = kept.clone();
             candidate.remove(i);
-            if self.check_leveled(&candidate, iters) {
-                kept = candidate;
+            if self.check(&candidate, iters) {
+                kept = candidate; // fence removed; do not advance
             } else {
                 i += 1;
             }
         }
         kept
     }
-
-    fn empirically_stable(&mut self, fences: &[LeveledFenceSite]) -> bool {
-        self.check_leveled(fences, self.cfg.stable_runs)
-    }
 }
 
-/// Analyzer-seeded scoped fence insertion: Algorithm 1 extended with
-/// the static scoped-communication analyzer.
-///
-/// The initial set covers **all** memory accesses — shared included —
-/// at analyzer-chosen levels: `Required` sites keep their proven
-/// level, `DemotableToBlock` sites start at device (the demotion is
-/// tried empirically, not assumed), and `RemovalCandidate` sites start
-/// at the cheapest rung admissible for their space. Each round then
-/// runs an analyzer-sanctioned *demotion pass* (device → block where
-/// the analysis proves the communication intra-block) before the usual
-/// binary/linear removal reductions and stability check. Every tested
-/// candidate is recorded, and the result carries the Pareto front over
-/// (residual errors, total fence cost).
-///
-/// # Panics
-///
-/// Panics if `app`'s spec still contains fences.
-pub fn empirical_fence_insertion_scoped(
+/// Alg. 1 from `initial`, testing under `sys-str+`: each round demotes
+/// what it can among the `demotable` sites, reduces, and ends in the
+/// stability check; a failed check doubles the per-check iterations.
+fn insert_fences(
     chip: &Chip,
     app: &dyn Application,
     cfg: &HardenConfig,
-) -> ScopedHardenResult {
+    initial: Vec<LeveledFenceSite>,
+    demotable: &[FenceSite],
+) -> HardenResult {
     let start = std::time::Instant::now();
-    let base = app.spec().clone();
-    assert_eq!(
-        base.fence_count(),
-        0,
-        "empirical fence insertion starts from the fence-free program"
-    );
-    let analysis = analyze_spec(&base);
-    let initial: Vec<LeveledFenceSite> = base
-        .fence_sites()
-        .into_iter()
-        .map(|site| (site, analysis.initial_level(site)))
-        .collect();
-    let mut reducer = ScopedReducer {
+    let mut reducer = Reducer {
         chip,
         app,
-        base,
-        analysis,
         env: Environment::sys_str_plus(chip),
         cfg,
+        demotable,
         executions: 0,
-        check_counter: 0,
         candidates: Vec::new(),
     };
     let mut iters = cfg.initial_iters;
     let mut rounds = 0;
-    let (fences, demotions, converged) = loop {
+    let (fences, converged) = loop {
         rounds += 1;
-        let (fd, demotions) = reducer.demotion_pass(initial.clone(), iters);
+        let fd = reducer.demotion_pass(initial.clone(), iters);
         let fb = reducer.binary_reduction(fd, iters);
         let fl = reducer.linear_reduction(fb, iters);
-        if reducer.empirically_stable(&fl) {
-            break (fl, demotions, true);
+        // EmpiricallyStable(A, F): the long final check.
+        if reducer.check(&fl, cfg.stable_runs) {
+            break (fl, true);
         }
         if rounds >= cfg.max_rounds {
-            break (fl, demotions, false);
+            break (fl, false);
         }
         iters *= 2; // Alg. 1, line 5
     };
@@ -425,12 +265,9 @@ pub fn empirical_fence_insertion_scoped(
         .into_iter()
         .map(|i| reducer.candidates[i].clone())
         .collect();
-    ScopedHardenResult {
+    HardenResult {
         initial,
-        fence_cost: leveled_set_cost(&fences),
-        device_baseline_cost: fences.len() as u64 * fence_cost(FenceLevel::Device),
         fences,
-        demotions,
         converged,
         rounds,
         executions: reducer.executions,
@@ -439,73 +276,71 @@ pub fn empirical_fence_insertion_scoped(
     }
 }
 
+/// Empirical fence insertion (Alg. 1) for `app` on `chip`, testing under
+/// `sys-str+`, from a device fence after every memory access. The
+/// application must be fence-free (strip it first for the shipped
+/// `sdk-red`/`cub-scan`/`ls-bh`).
+///
+/// # Panics
+///
+/// Panics if `app`'s spec still contains fences.
+pub fn empirical_fence_insertion(
+    chip: &Chip,
+    app: &dyn Application,
+    cfg: &HardenConfig,
+) -> HardenResult {
+    let initial = app
+        .spec()
+        .fence_sites()
+        .into_iter()
+        .map(|site| (site, FenceLevel::Device))
+        .collect();
+    insert_fences(chip, app, cfg, initial, &[])
+}
+
+/// Analyzer-seeded scoped fence insertion: Alg. 1 started from the
+/// static scoped-communication analyzer's verdicts.
+///
+/// The initial set covers every memory access — shared included — at
+/// its verdict's level: `Required` sites keep their proven level,
+/// `DemotableToBlock` sites start at device (the demotion is tried
+/// empirically, not assumed), and `RemovalCandidate` sites start at the
+/// cheapest rung admissible for their space. Each round's demotion pass
+/// tries device → block at the `DemotableToBlock` sites before the
+/// removal reductions.
+///
+/// # Panics
+///
+/// Panics if `app`'s spec still contains fences.
+pub fn empirical_fence_insertion_scoped(
+    chip: &Chip,
+    app: &dyn Application,
+    cfg: &HardenConfig,
+) -> HardenResult {
+    let sites = app.spec().fence_sites();
+    let analysis = analyze_spec(app.spec());
+    let initial = sites
+        .iter()
+        .map(|&site| (site, analysis.initial_level(site)))
+        .collect();
+    let demotable: Vec<FenceSite> = sites
+        .into_iter()
+        .filter(|&site| analysis.verdict_of(site) == Some(Verdict::DemotableToBlock))
+        .collect();
+    insert_fences(chip, app, cfg, initial, &demotable)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{AppSpec, Phase};
-    use wmm_sim::ir::builder::KernelBuilder;
+    use crate::app::AppSpec;
+    use crate::env::tests::lock_counter;
     use wmm_sim::Word;
-
-    /// The miniature lock counter of `env`'s tests: one real fence site
-    /// (between the critical-section store and the unlock) suffices.
-    struct LockCounter {
-        spec: AppSpec,
-        expected: u32,
-    }
-
-    fn lock_counter(blocks: u32) -> LockCounter {
-        let mut b = KernelBuilder::new("lock-counter");
-        let tid = b.tid();
-        let zero = b.const_(0);
-        let is0 = b.eq(tid, zero);
-        b.if_(is0, |b| {
-            let lock = b.const_(0);
-            let cell = b.const_(128);
-            b.spin_lock(lock);
-            let v = b.load_global(cell);
-            let one = b.const_(1);
-            let v1 = b.add(v, one);
-            b.store_global(cell, v1);
-            b.unlock(lock);
-        });
-        let program = b.finish().unwrap();
-        LockCounter {
-            spec: AppSpec {
-                name: "lock-counter".into(),
-                phases: vec![Phase {
-                    program,
-                    blocks,
-                    threads_per_block: 32,
-                    shared_words: 0,
-                }],
-                global_words: 192,
-                init: vec![],
-                max_turns_per_phase: 2_000_000,
-            },
-            expected: blocks,
-        }
-    }
-
-    impl crate::app::Application for LockCounter {
-        fn name(&self) -> &str {
-            "lock-counter"
-        }
-        fn spec(&self) -> &AppSpec {
-            &self.spec
-        }
-        fn check(&self, memory: &[Word]) -> Result<(), String> {
-            if memory[128] == self.expected {
-                Ok(())
-            } else {
-                Err(format!("{} != {}", memory[128], self.expected))
-            }
-        }
-    }
 
     #[test]
     fn insertion_finds_small_stable_set() {
         let chip = Chip::by_short("Titan").unwrap();
-        let app = lock_counter(8);
+        let app = lock_counter();
         let cfg = HardenConfig {
             initial_iters: 24,
             stable_runs: 60,
@@ -514,13 +349,18 @@ mod tests {
             parallelism: 0,
         };
         let r = empirical_fence_insertion(&chip, &app, &cfg);
-        assert!(r.initial_fences >= 4);
+        assert!(r.initial.len() >= 4);
         assert!(
-            r.fences.len() < r.initial_fences,
+            r.fences.len() < r.initial.len(),
             "reduction removed nothing: {r:?}"
         );
+        // Pinned absolutely: the fence between the critical-section
+        // store and the unlock, found in one round.
+        assert_eq!(r.fences, [((0, 15), FenceLevel::Device)], "{r:?}");
+        assert!(r.converged, "{r:?}");
+        assert_eq!((r.rounds, r.executions), (1, 156), "{r:?}");
         // The surviving set must keep the application stable.
-        let spec = app.spec().with_fences(&r.fences);
+        let spec = app.spec().with_leveled_fences(&r.fences);
         let h = AppHarness::with_spec(&chip, &app, spec);
         let check = h.campaign(&Environment::sys_str_plus(&chip), 60, 99, 0);
         assert_eq!(check.errors, 0, "{check:?}");
@@ -533,7 +373,7 @@ mod tests {
         // reduction — while exercising the verdict-seeded initial set
         // and the Pareto bookkeeping.
         let chip = Chip::by_short("Titan").unwrap();
-        let app = lock_counter(8);
+        let app = lock_counter();
         let cfg = HardenConfig {
             initial_iters: 24,
             stable_runs: 60,
@@ -550,20 +390,26 @@ mod tests {
             r.fences
         );
         assert_eq!(
-            r.fence_cost, r.device_baseline_cost,
+            r.fence_cost(),
+            r.device_baseline_cost(),
             "all-device sets meet the baseline exactly"
         );
         // The front always contains a zero-error candidate (the search
         // only returns converged sets it has checked).
         assert!(r.pareto.iter().any(|c| c.errors == 0), "{:?}", r.pareto);
+        // Pinned absolutely: the same set and search as Alg. 1's.
+        assert_eq!(r.fences, [((0, 15), FenceLevel::Device)], "{r:?}");
+        assert_eq!(r.demotions(), 0, "{r:?}");
+        assert_eq!((r.rounds, r.executions), (1, 156), "{r:?}");
+        let front: Vec<(u32, u64)> = r.pareto.iter().map(|c| (c.errors, c.cost)).collect();
+        assert_eq!(front, [(0, 4), (3, 0), (0, 4)], "{:?}", r.pareto);
     }
 
     #[test]
     #[should_panic(expected = "fence-free")]
     fn fenced_input_rejected() {
         let chip = Chip::by_short("K20").unwrap();
-        let app = lock_counter(4);
-        let fenced = app.spec().with_all_fences();
+        let fenced = lock_counter().spec().with_all_fences();
         struct Fenced(AppSpec);
         impl crate::app::Application for Fenced {
             fn name(&self) -> &str {

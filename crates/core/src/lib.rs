@@ -25,9 +25,10 @@
 //! * [`suite`] — the generated-litmus-suite campaign runner, each row
 //!   cross-checked against the static analyzer's verdict; a column
 //!   ([`SuiteStrategy`]) is an [`EnvKind`] plus its iteration count;
-//! * [`harden`] — empirical fence insertion (Alg. 1, Sec. 5), plus the
-//!   analyzer-seeded scoped variant that places the cheap block-level
-//!   rung where communication is provably intra-block;
+//! * [`harden`] — empirical fence insertion (Alg. 1, Sec. 5): one search
+//!   with two starting sets, every access fenced at device level or at
+//!   the static analyzer's verdict level, where the cheap block-level
+//!   rung is tried wherever communication is provably intra-block;
 //! * [`analyze`] — glue binding the `wmm-analysis` static analyzer to
 //!   application specs via representative launch threads.
 
@@ -48,7 +49,7 @@ pub use campaign::{Campaign, CampaignBuilder, Fnv64, LitmusWorkload, SummaryValu
 pub use env::{AppHarness, CampaignResult, EnvKind, Environment, RunVerdict};
 pub use harden::{
     empirical_fence_insertion, empirical_fence_insertion_scoped, HardenConfig, HardenResult,
-    LeveledFenceSite, ScopedHardenResult,
+    LeveledFenceSite,
 };
 pub use stress::{Scratchpad, StressArtifacts, StressStrategy, SystematicParams};
 pub use suite::{run_suite, StaticVerdict, SuiteCell, SuiteConfig, SuiteStrategy};

@@ -98,6 +98,7 @@ fn main() {
 
     // Test on every chip in the study.
     println!("custom MP handoff kernel under sys-str+ (200 runs per chip):\n");
+    let mut erring = None;
     for chip in Chip::all() {
         let h = AppHarness::new(&chip, &app);
         let r = h.campaign(&Environment::sys_str_plus(&chip), 200, 5, 0);
@@ -108,10 +109,14 @@ fn main() {
             r.runs,
             if r.effective() { "  (effective)" } else { "" }
         );
+        if r.any_error() && erring.is_none() {
+            erring = Some(chip);
+        }
     }
 
-    // Harden on one chip and show the suggested fence.
-    let chip = Chip::by_short("K20").expect("K20");
+    // Harden on the first chip where the bug showed, and show where the
+    // surviving fences sit.
+    let chip = erring.expect("the handoff bug shows on at least one chip");
     let result = empirical_fence_insertion(
         &chip,
         &app,
@@ -124,11 +129,26 @@ fn main() {
         },
     );
     println!(
-        "\nempirical fence insertion on {}: {} of {} fences survive, at {:?}",
+        "\nempirical fence insertion on {}: {} of {} fences survive ({} executions, converged: {})",
         chip.short,
         result.fences.len(),
-        result.initial_fences,
-        result.fences
+        result.initial.len(),
+        result.executions,
+        result.converged
     );
-    println!("(the expected site: between the payload store and the flag store)");
+    let listing = app.spec().phases[0].program.to_string();
+    for &((_, idx), level) in &result.fences {
+        let inst = listing.lines().nth(idx + 1).unwrap_or("?").trim();
+        println!("  {level:?} fence after instruction {idx}: {inst}");
+    }
+
+    // The hardened kernel survives the same campaign.
+    let hardened = app.spec().with_leveled_fences(&result.fences);
+    let h = AppHarness::with_spec(&chip, &app, hardened);
+    let check = h.campaign(&Environment::sys_str_plus(&chip), 200, 5, 0);
+    println!(
+        "hardened kernel on {}: {} / {} erroneous",
+        chip.short, check.errors, check.runs
+    );
+    assert_eq!(check.errors, 0, "the hardened kernel must be stable");
 }

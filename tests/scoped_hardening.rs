@@ -58,20 +58,50 @@ fn scoped_insertion_places_block_fences_cheaper_than_device() {
         "{:?}",
         r.fences
     );
-    assert!(r.demotions >= 1, "{r:?}");
+    assert!(r.demotions() >= 1, "{r:?}");
     // Strictly cheaper than fencing the same sites at device level.
     assert!(
-        r.fence_cost < r.device_baseline_cost,
+        r.fence_cost() < r.device_baseline_cost(),
         "cost {} !< baseline {}",
-        r.fence_cost,
-        r.device_baseline_cost
+        r.fence_cost(),
+        r.device_baseline_cost()
     );
     // The Pareto front over (errors, cost) carries a zero-error point —
     // the hardened configuration itself.
     assert!(r.pareto.iter().any(|c| c.errors == 0), "{:?}", r.pareto);
+    // Pinned absolutely: the set, the search that found it, and every
+    // (errors, cost) point of its front. A reduction that tries the
+    // halves in the other order keeps this set but not the execution
+    // count.
+    let block = FenceLevel::Block;
+    assert_eq!(r.fences, [((0, 21), block), ((0, 24), block)], "{r:?}");
+    assert_eq!(r.demotions(), 2, "{r:?}");
+    assert_eq!((r.rounds, r.executions), (2, 960), "{r:?}");
+    let front: Vec<(u32, u64)> = r.pareto.iter().map(|c| (c.errors, c.cost)).collect();
+    assert_eq!(front, [(0, 2), (2, 1), (0, 2), (0, 2)], "{:?}", r.pareto);
     // And the surviving set holds up under a fresh aggressive campaign.
     let spec = app.spec().with_leveled_fences(&r.fences);
     let h = AppHarness::with_spec(&chip, app.as_ref(), spec);
     let check = h.campaign(&Environment::sys_str_plus(&chip), 150, 17, 0);
     assert_eq!(check.errors, 0, "{check:?}");
+}
+
+#[test]
+fn demotions_count_only_surviving_block_fences() {
+    // On sdk-red-nf the search demotes four device fences, then removes
+    // every fence: a demotion whose site is gone did not stick.
+    let chip = Chip::by_short("Titan").unwrap();
+    let app = app_by_name("sdk-red-nf").unwrap();
+    let cfg = HardenConfig {
+        initial_iters: 20,
+        stable_runs: 80,
+        max_rounds: 2,
+        base_seed: 11,
+        parallelism: 0,
+    };
+    let r = empirical_fence_insertion_scoped(&chip, app.as_ref(), &cfg);
+    assert!(r.converged, "{r:?}");
+    assert!(r.fences.is_empty(), "{r:?}");
+    assert_eq!(r.demotions(), 0, "{r:?}");
+    assert_eq!((r.rounds, r.executions), (1, 260), "{r:?}");
 }
