@@ -11,19 +11,9 @@
 //! ```
 
 use std::time::Instant;
+use wmm_litmus::parallel::resolve_workers;
 use wmm_obs::{ChannelCounts, LatencyHistogram};
 use wmm_server::{parse_jobs, Engine, EngineConfig, JobSpec};
-
-/// Resolve the `--workers` convention (0 ⇒ all cores) to a pool size.
-pub fn effective_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-}
 
 /// Read the job list from a file path or inline text.
 pub fn load_jobs(spec: &str) -> Result<Vec<JobSpec>, String> {
@@ -41,8 +31,11 @@ pub fn load_jobs(spec: &str) -> Result<Vec<JobSpec>, String> {
 /// Run the batch and print per-job results plus engine counters.
 pub fn run(spec: &str, workers: usize) -> Result<(), String> {
     let jobs = load_jobs(spec)?;
-    let workers = effective_workers(workers);
-    println!("engine: {} workers, {} jobs queued\n", workers, jobs.len());
+    println!(
+        "engine: {} workers, {} jobs queued\n",
+        resolve_workers(workers, jobs.len()),
+        jobs.len()
+    );
     let engine = Engine::start(EngineConfig {
         workers,
         job_parallelism: 1,
@@ -70,7 +63,7 @@ pub fn run(spec: &str, workers: usize) -> Result<(), String> {
     }
     let stats = engine.cache_stats();
     println!(
-        "\n{} jobs in {:.2}s ({:.1} jobs/sec); artifact cache: {} builds, {} hits ({:.1}% hit rate), max queue depth {}",
+        "\n{} jobs in {:.2}s ({:.1} jobs/sec); artifact cache: {} builds, {} hits ({:.1}% hit rate)",
         results.len(),
         elapsed,
         if elapsed > 0.0 {
@@ -80,8 +73,7 @@ pub fn run(spec: &str, workers: usize) -> Result<(), String> {
         },
         stats.builds,
         stats.hits,
-        stats.hit_rate() * 100.0,
-        engine.max_depth()
+        stats.hit_rate() * 100.0
     );
     // Wall-clock span telemetry plus the batch's deterministic
     // weakness-channel totals (the litmus jobs' provenance counters).
@@ -119,11 +111,5 @@ mod tests {
     fn empty_and_malformed_specs_error() {
         assert!(load_jobs("# just a comment").is_err());
         assert!(load_jobs("litmus Titan sys-str+ NOPE 64 8 7").is_err());
-    }
-
-    #[test]
-    fn zero_workers_means_all_cores() {
-        assert!(effective_workers(0) >= 1);
-        assert_eq!(effective_workers(3), 3);
     }
 }

@@ -11,7 +11,6 @@
 //! Returns whether every gate passed, or the error that stopped the
 //! run; the `repro` binary exits 1 on a failed gate and 2 on an error.
 
-use crate::serve::effective_workers;
 use std::path::Path;
 use wmm_server::{run_soak, SoakConfig, SoakProfile};
 
@@ -21,19 +20,21 @@ use wmm_server::{run_soak, SoakConfig, SoakProfile};
 pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> Result<bool, String> {
     let mut cfg = SoakConfig::new(profile);
     cfg.seed = seed;
-    cfg.workers = effective_workers(workers);
-    println!(
-        "soak --{}: seed {}, {} workers",
-        profile, cfg.seed, cfg.workers
-    );
+    cfg.workers = workers;
+    println!("soak --{}: seed {}", profile, cfg.seed);
     let report = run_soak(&cfg).map_err(|e| format!("soak run failed: {e}"))?;
     println!(
-        "\n{} jobs ({} litmus, {} app) in {:.2}s — {:.1} jobs/sec",
-        report.jobs, report.litmus_jobs, report.app_jobs, report.elapsed_sec, report.jobs_per_sec
+        "\n{} jobs ({} litmus, {} app) on {} workers in {:.2}s — {:.1} jobs/sec",
+        report.jobs,
+        report.litmus_jobs,
+        report.app_jobs,
+        report.workers,
+        report.elapsed_sec,
+        report.jobs_per_sec
     );
     println!(
-        "latency ms: p50 {:.2}  p90 {:.2}  p99 {:.2}; max queue depth {}",
-        report.latency_ms_p50, report.latency_ms_p90, report.latency_ms_p99, report.max_queue_depth
+        "latency ms: p50 {:.2}  p90 {:.2}  p99 {:.2}",
+        report.latency_ms_p50, report.latency_ms_p90, report.latency_ms_p99
     );
     println!(
         "artifact cache: {} builds, {} hits ({:.1}% hit rate)",

@@ -22,12 +22,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolve a requested worker count: `0` means all available cores, and
 /// the result is clamped to `[1, jobs]` so no worker starts with nothing
-/// to do.
+/// to do. Only `0` queries the OS for the core count: the query can read
+/// cgroup files, and every campaign and every engine drain calls this.
 pub fn resolve_workers(requested: usize, jobs: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let w = if requested == 0 { hw } else { requested };
+    let w = if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    };
     w.clamp(1, jobs.max(1))
 }
 

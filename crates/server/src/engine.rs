@@ -1,31 +1,39 @@
-//! The campaign engine: a job queue drained by a fixed worker pool.
+//! The campaign engine: a batch of jobs run on the parallel layer.
 //!
-//! Submitted [`JobSpec`]s queue FIFO; each of the pool's workers pops
-//! the next job, executes its full campaign (inner parallelism is per
-//! job, [`EngineConfig::job_parallelism`]), and records a [`JobResult`]
-//! under the job's submission id. Stress artifacts are shared across
-//! jobs through one [`ArtifactCache`] owned by the engine — the point
-//! of batching: a thousand jobs against five environments compile
-//! stress kernels five times.
+//! [`Engine::submit`] validates a [`JobSpec`] and appends it to the
+//! pending batch under a dense submission id. [`Engine::drain`] takes
+//! the whole batch and maps it through [`parallel_map`], the same
+//! deterministic layer every campaign and tuning sweep runs on: each
+//! worker claims the next jobs, executes their full campaigns (inner
+//! parallelism is per job, [`EngineConfig::job_parallelism`]), and the
+//! map returns exactly one outcome per job, in submission order. A job
+//! that panics becomes that job's error, so a batch always drains.
+//! Stress artifacts are shared across jobs through one
+//! [`ArtifactCache`] owned by the engine — the point of batching: a
+//! thousand jobs against five environments compile stress kernels five
+//! times.
 //!
 //! Determinism: a result depends only on its spec (see [`job`](crate::job)),
 //! so neither the number of workers nor which worker happens to claim a
-//! job can change any histogram; [`Engine::drain`] orders results by
-//! submission id, making the whole batch reproducible.
+//! job can change any histogram, and [`Engine::drain`] returns results
+//! in submission order, making the whole batch reproducible.
 
 use crate::job::JobSpec;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use std::time::Instant;
 use wmm_core::cache::{ArtifactCache, CacheStats};
 use wmm_core::campaign::SummaryValue;
+use wmm_litmus::parallel::{parallel_map, resolve_workers};
 use wmm_obs::{LatencyHistogram, MetricsRegistry};
 
 /// Engine sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads draining the queue (clamped to at least 1).
+    /// Worker threads [`Engine::drain`] runs a batch on (0 ⇒ all cores;
+    /// never more than the batch has jobs). One worker runs the batch
+    /// on the draining thread.
     pub workers: usize,
     /// Inner campaign parallelism per job (0 ⇒ all cores). The soak
     /// harness keeps this at 1 — throughput comes from job-level
@@ -58,112 +66,104 @@ pub struct JobResult {
     pub latency_ms: f64,
 }
 
-struct State {
-    queue: VecDeque<(u64, JobSpec, Instant)>,
-    results: Vec<JobResult>,
-    errors: Vec<(u64, String)>,
+/// Submitted jobs not yet drained, in submission order.
+#[derive(Default)]
+struct Pending {
     next_id: u64,
-    in_flight: usize,
-    max_depth: usize,
-    shutdown: bool,
+    jobs: Vec<(u64, JobSpec, Instant)>,
 }
 
-struct Shared {
-    state: Mutex<State>,
-    /// Signals workers: work available, or shutdown.
-    work: Condvar,
-    /// Signals drainers: a job finished.
-    done: Condvar,
+/// The campaign engine. Submit jobs, then [`drain`](Engine::drain) to
+/// run the batch and take its results. Nothing runs between the two:
+/// a job submitted and never drained is dropped with the engine.
+pub struct Engine {
+    config: EngineConfig,
+    pending: Mutex<Pending>,
     cache: ArtifactCache,
-    job_parallelism: usize,
     /// Wall-clock telemetry: `queue_wait` / `execute` span histograms
     /// and the `jobs` counter. Observation only — results and digests
     /// never read this.
     metrics: Mutex<MetricsRegistry>,
 }
 
-/// The long-running campaign engine. Start it, submit jobs, [`drain`]
-/// for the batch's results. Dropping the engine (or calling
-/// [`shutdown`]) stops the workers without waiting for the queue to
-/// empty — drain first if results matter.
-///
-/// [`drain`]: Engine::drain
-/// [`shutdown`]: Engine::shutdown
-pub struct Engine {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
 impl Engine {
-    /// Spawn the worker pool.
+    /// An engine with an empty batch and an empty artifact cache.
     pub fn start(config: EngineConfig) -> Engine {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                results: Vec::new(),
-                errors: Vec::new(),
-                next_id: 0,
-                in_flight: 0,
-                max_depth: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
+        Engine {
+            config,
+            pending: Mutex::default(),
             cache: ArtifactCache::new(),
-            job_parallelism: config.job_parallelism,
-            metrics: Mutex::new(MetricsRegistry::new()),
-        });
-        let handles = (0..config.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Engine { shared, handles }
+            metrics: Mutex::default(),
+        }
     }
 
-    /// Validate and enqueue a job; returns its submission id.
+    /// Validate a job and add it to the pending batch; returns its
+    /// submission id.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, String> {
         spec.validate()?;
-        let mut st = self.shared.state.lock().expect("engine state poisoned");
-        if st.shutdown {
-            return Err("engine is shut down".to_string());
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        st.queue.push_back((id, spec, Instant::now()));
-        st.max_depth = st.max_depth.max(st.queue.len());
-        drop(st);
-        self.shared.work.notify_one();
+        let mut pending = self.pending.lock().expect("engine batch poisoned");
+        let id = pending.next_id;
+        pending.next_id += 1;
+        pending.jobs.push((id, spec, Instant::now()));
         Ok(id)
     }
 
-    /// Block until the queue is empty and no job is in flight, then
-    /// take every accumulated result, ordered by submission id. Errors
-    /// from job execution (none are expected — specs are validated at
-    /// submission) fail the whole drain.
+    /// Run every job submitted since the last drain and return their
+    /// results in submission order. Specs are validated at submission,
+    /// so no job is expected to fail; one that does (or panics) still
+    /// lets the rest of the batch run, and then fails the whole drain,
+    /// naming the first failed job.
     pub fn drain(&self) -> Result<Vec<JobResult>, String> {
-        let mut st = self.shared.state.lock().expect("engine state poisoned");
-        while !st.queue.is_empty() || st.in_flight > 0 {
-            st = self.shared.done.wait(st).expect("engine state poisoned");
+        self.drain_with(|spec| spec.execute(self.config.job_parallelism, Some(&self.cache)))
+    }
+
+    /// [`drain`](Engine::drain) with `run` in place of the campaign
+    /// (tests substitute a job that panics).
+    fn drain_with(
+        &self,
+        run: impl Fn(&JobSpec) -> Result<SummaryValue, String> + Sync,
+    ) -> Result<Vec<JobResult>, String> {
+        let batch = std::mem::take(&mut self.pending.lock().expect("engine batch poisoned").jobs);
+        let workers = resolve_workers(self.config.workers, batch.len());
+        let outcomes = parallel_map(workers, batch.len(), |i| {
+            let (_, spec, submitted) = &batch[i];
+            let queue_wait = submitted.elapsed();
+            let started = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(spec)))
+                .unwrap_or_else(|panic| Err(format!("panicked: {}", panic_message(&*panic))));
+            let executed = started.elapsed();
+            let mut m = self.metrics.lock().expect("engine metrics poisoned");
+            m.record_span("queue_wait", queue_wait);
+            m.record_span("execute", executed);
+            m.incr("jobs", 1);
+            outcome.map(|summary| (summary, executed.as_secs_f64() * 1e3))
+        });
+        let mut results = Vec::with_capacity(batch.len());
+        let mut errors = Vec::new();
+        for ((id, spec, _), outcome) in batch.into_iter().zip(outcomes) {
+            match outcome {
+                Ok((summary, latency_ms)) => results.push(JobResult {
+                    id,
+                    spec,
+                    summary,
+                    latency_ms,
+                }),
+                Err(e) => errors.push((id, e)),
+            }
         }
-        let mut results = std::mem::take(&mut st.results);
-        let errors = std::mem::take(&mut st.errors);
-        drop(st);
         if let Some((id, e)) = errors.first() {
             return Err(format!(
                 "{} job(s) failed; first: job {id}: {e}",
                 errors.len()
             ));
         }
-        results.sort_by_key(|r| r.id);
         Ok(results)
     }
 
     /// The shared artifact cache's counters (the soak report's
     /// `cache_hit_rate` source).
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
+        self.cache.stats()
     }
 
     /// Snapshot of the engine's wall-clock telemetry: `queue_wait` and
@@ -171,8 +171,7 @@ impl Engine {
     /// counter. Values are machine-dependent; only the counter is
     /// deterministic.
     pub fn metrics(&self) -> MetricsRegistry {
-        self.shared
-            .metrics
+        self.metrics
             .lock()
             .expect("engine metrics poisoned")
             .clone()
@@ -181,81 +180,18 @@ impl Engine {
     /// Snapshot of the shared cache's wall-clock artifact-compile
     /// latency histogram.
     pub fn compile_times(&self) -> LatencyHistogram {
-        self.shared.cache.compile_times()
-    }
-
-    /// High-water mark of the queue depth since start.
-    pub fn max_depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state poisoned")
-            .max_depth
-    }
-
-    /// Stop the workers and join them. Queued-but-unstarted jobs are
-    /// abandoned; drain first if their results matter.
-    pub fn shutdown(self) {
-        drop(self);
+        self.cache.compile_times()
     }
 }
 
-impl Drop for Engine {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("engine state poisoned");
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut st = shared.state.lock().expect("engine state poisoned");
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    st.in_flight += 1;
-                    break Some(job);
-                }
-                if st.shutdown {
-                    break None;
-                }
-                st = shared.work.wait(st).expect("engine state poisoned");
-            }
-        };
-        let Some((id, spec, submitted)) = job else {
-            return;
-        };
-        let queue_wait = submitted.elapsed();
-        let started = Instant::now();
-        let outcome = spec.execute(shared.job_parallelism, Some(&shared.cache));
-        let executed = started.elapsed();
-        let latency_ms = executed.as_secs_f64() * 1e3;
-        {
-            let mut m = shared.metrics.lock().expect("engine metrics poisoned");
-            m.record_span("queue_wait", queue_wait);
-            m.record_span("execute", executed);
-            m.incr("jobs", 1);
-        }
-        let mut st = shared.state.lock().expect("engine state poisoned");
-        match outcome {
-            Ok(summary) => st.results.push(JobResult {
-                id,
-                spec,
-                summary,
-                latency_ms,
-            }),
-            Err(e) => st.errors.push((id, e)),
-        }
-        st.in_flight -= 1;
-        drop(st);
-        shared.done.notify_all();
-    }
+/// The text a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-text panic payload")
 }
 
 #[cfg(test)]
@@ -318,7 +254,6 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.builds, 2, "one build per distinct environment");
         assert_eq!(stats.hits, 22);
-        assert!(engine.max_depth() >= 1);
         // Telemetry: one queue-wait and one execute sample per job, one
         // compile sample per build.
         let m = engine.metrics();
@@ -359,6 +294,38 @@ mod tests {
         let results = engine.drain().unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].spec, valid);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_the_drain_and_the_batch_still_runs() {
+        for workers in [1, 3] {
+            let engine = Engine::start(EngineConfig {
+                workers,
+                job_parallelism: 1,
+            });
+            for seed in 0..5 {
+                engine
+                    .submit(litmus_job(Shape::Mp, EnvKind::Native, seed))
+                    .unwrap();
+            }
+            let err = engine
+                .drain_with(|spec| {
+                    assert_ne!(spec.seed, 2, "injected failure");
+                    spec.execute(1, None)
+                })
+                .unwrap_err();
+            assert!(err.starts_with("1 job(s) failed; first: job 2: "), "{err}");
+            assert!(
+                err.contains("panicked: ") && err.contains("injected failure"),
+                "{err}"
+            );
+            assert_eq!(engine.metrics().counter("jobs"), 5, "{workers} workers");
+            let next = litmus_job(Shape::Sb, EnvKind::Native, 7);
+            assert_eq!(engine.submit(next.clone()).unwrap(), 5);
+            let results = engine.drain().unwrap();
+            assert_eq!(results.len(), 1);
+            assert_eq!((results[0].id, &results[0].spec), (5, &next));
+        }
     }
 
     #[test]

@@ -15,17 +15,20 @@
 //!   cache's shared artifacts (an `Arc`, never a copy), and returns an
 //!   error for a litmus layout [`JobSpec::validate`] refuses instead of
 //!   running it.
-//! * [`engine`] — [`Engine`]: a fixed pool of deterministic workers
-//!   draining a job queue, with stress artifacts shared across jobs
-//!   through a concurrent [`ArtifactCache`](wmm_core::cache::ArtifactCache)
-//!   keyed structurally on chip × environment — a thousand jobs against
+//! * [`engine`] — [`Engine`]: a batch of submitted jobs that
+//!   [`Engine::drain`] runs on the deterministic parallel layer
+//!   (`wmm_litmus::parallel`), yielding one outcome per job (a
+//!   panicking job becomes that job's error). Stress artifacts are
+//!   shared across jobs through a concurrent
+//!   [`ArtifactCache`](wmm_core::cache::ArtifactCache) keyed
+//!   structurally on chip × environment, so a thousand jobs against
 //!   five environments compile stress kernels five times, not a
 //!   thousand.
 //! * [`soak`] — the deterministic soak/throughput harness behind
 //!   `repro soak`: a seeded (`SOAK_SEED`) generator streams a fixed job
 //!   mix (all 28 shapes × chips × the five suite strategies, plus
-//!   applications), reports sustained jobs/sec, latency percentiles,
-//!   queue depth and cache hit rate, and gates the run on throughput,
+//!   applications), reports sustained jobs/sec, latency percentiles
+//!   and cache hit rate, and gates the run on throughput,
 //!   cache effectiveness and determinism.
 //!
 //! # Determinism

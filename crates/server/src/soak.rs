@@ -32,6 +32,7 @@ use std::time::Instant;
 use wmm_core::cache::CacheStats;
 use wmm_core::campaign::Fnv64;
 use wmm_gen::Shape;
+use wmm_litmus::parallel::resolve_workers;
 use wmm_litmus::runner::mix_seed;
 use wmm_obs::{ChannelCounts, LatencyHistogram, Provenance};
 
@@ -234,7 +235,7 @@ pub struct SoakConfig {
     pub profile: SoakProfile,
     /// The run's base seed (`SOAK_SEED`).
     pub seed: u64,
-    /// Engine worker-pool size.
+    /// Engine worker count (0 ⇒ all cores).
     pub workers: usize,
     /// Gate thresholds.
     pub gates: SoakGates,
@@ -300,7 +301,8 @@ pub struct SoakReport {
     pub profile: String,
     /// The run's base seed.
     pub seed: u64,
-    /// Engine worker-pool size.
+    /// Worker threads the engine ran the batch on (the configured
+    /// count resolved: 0 ⇒ all cores, never more than the batch's jobs).
     pub workers: usize,
     /// Total jobs executed.
     pub jobs: usize,
@@ -318,8 +320,6 @@ pub struct SoakReport {
     pub latency_ms_p90: f64,
     /// 99th-percentile latency (ms).
     pub latency_ms_p99: f64,
-    /// High-water queue depth.
-    pub max_queue_depth: usize,
     /// Artifact-cache counters.
     pub cache: CacheStats,
     /// FNV-1a digest over (spec, summary-digest) pairs in canonical
@@ -390,10 +390,8 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
     let results = engine.drain()?;
     let elapsed_sec = started.elapsed().as_secs_f64();
     let cache = engine.cache_stats();
-    let max_queue_depth = engine.max_depth();
     let engine_metrics = engine.metrics();
     let compile = engine.compile_times();
-    engine.shutdown();
 
     // Deterministic telemetry: fold every litmus result's channel
     // totals and weak-run attribution (pure counts, so — like the
@@ -446,7 +444,7 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
     Ok(SoakReport {
         profile: cfg.profile.name().to_string(),
         seed: cfg.seed,
-        workers: cfg.workers,
+        workers: resolve_workers(cfg.workers, jobs.len()),
         jobs: results.len(),
         litmus_jobs,
         app_jobs,
@@ -455,7 +453,6 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
         latency_ms_p50: percentile(&latencies, 50.0),
         latency_ms_p90: percentile(&latencies, 90.0),
         latency_ms_p99: percentile(&latencies, 99.0),
-        max_queue_depth,
         cache,
         results_digest: format!("{:016x}", results_digest(&results)),
         determinism_checked: checked,
@@ -489,10 +486,6 @@ impl SoakReport {
         s.push_str(&format!(
             "  \"latency_ms\": {{\"p50\": {:.3}, \"p90\": {:.3}, \"p99\": {:.3}}},\n",
             self.latency_ms_p50, self.latency_ms_p90, self.latency_ms_p99
-        ));
-        s.push_str(&format!(
-            "  \"max_queue_depth\": {},\n",
-            self.max_queue_depth
         ));
         s.push_str(&format!(
             "  \"cache\": {{\"builds\": {}, \"hits\": {}, \"entries\": {}, \"hit_rate\": {:.4}}},\n",

@@ -22,8 +22,8 @@
 //!   the generated-suite runner, and empirical fence insertion;
 //! * [`apps`] — the ten application case studies with functional
 //!   post-conditions;
-//! * [`server`] — campaign-as-a-service: a batched job-queue engine
-//!   draining deterministic campaign jobs through a fixed worker pool
+//! * [`server`] — campaign-as-a-service: a batched job engine whose
+//!   drain runs deterministic campaign jobs on the parallel layer
 //!   with structurally-cached stress artifacts, plus the seeded
 //!   soak/throughput harness behind `repro soak`;
 //! * [`obs`] — the deterministic observability layer: per-channel

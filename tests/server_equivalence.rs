@@ -8,12 +8,16 @@
 //! (workers {1, 2, 8} × shuffled submission orders) must reproduce that
 //! baseline per job, and the aggregate soak digest must be a pure
 //! function of the (mix, seed) pair.
+//!
+//! The last property feeds generated job text, mostly valid and partly
+//! malformed, through the parser and an engine: no input may panic
+//! either one.
 
 use gpu_wmm::core::cache::ArtifactCache;
 use gpu_wmm::core::suite::{cell_seed, run_suite_with_cache, SuiteConfig, SuiteStrategy};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::server::soak::results_digest;
-use gpu_wmm::server::{Engine, EngineConfig, EnvKind, JobSpec, SoakMix, WorkloadSpec};
+use gpu_wmm::server::{parse_jobs, Engine, EngineConfig, EnvKind, JobSpec, SoakMix, WorkloadSpec};
 use gpu_wmm::sim::chip::Chip;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -278,4 +282,124 @@ proptest! {
         let reference = reference_engine.drain().expect("drain");
         prop_assert_eq!(results_digest(&results), results_digest(&reference));
     }
+}
+
+/// One job-text field: nine times in ten one of the slot's `valid`
+/// values, else one of its `invalid` ones.
+fn field(valid: Vec<String>, invalid: &'static [&'static str]) -> impl Strategy<Value = String> {
+    (0u32..10, 0usize..1 << 16).prop_map(move |(roll, i)| {
+        if roll < 9 {
+            valid[i % valid.len()].clone()
+        } else {
+            invalid[i % invalid.len()].to_string()
+        }
+    })
+}
+
+/// One job line, built field by field: kind, chip, environment, shape
+/// or application name, then one to three numbers (5–7 fields), joined
+/// by spaces or tabs. Nine lines in ten carry their kind's own number
+/// count.
+fn job_line() -> impl Strategy<Value = String> {
+    let number = || {
+        field(
+            ["1", "2", "7", "64", "100", "255"]
+                .map(String::from)
+                .to_vec(),
+            &[
+                "0",
+                "8192",
+                "4294967295",
+                "4294967296",
+                "18446744073709551616",
+                "-1",
+                "x7",
+            ],
+        )
+    };
+    let kind = field(vec!["litmus".into(), "app".into()], &["serve", "LITMUS"]);
+    let chip = field(
+        Chip::all().iter().map(|c| c.short.to_string()).collect(),
+        &["NoSuchChip", "GTX"],
+    );
+    let env = field(
+        EnvKind::ALL.iter().map(|e| e.name().to_string()).collect(),
+        &["mystery-str", "sys-str"],
+    );
+    let shape = field(
+        Shape::ALL.iter().map(|s| s.to_string()).collect(),
+        &["NOTASHAPE", "cbe-dot"],
+    );
+    let app = field(
+        gpu_wmm::apps::all_apps()
+            .iter()
+            .map(|a| a.name().to_string())
+            .chain(["shm-pipe".to_string()])
+            .collect(),
+        &["no-such-app", "MP"],
+    );
+    let arity = (0u32..10, 1usize..4);
+    let sep = (0usize..4).prop_map(|i| [" ", "\t", "  ", " \t "][i]);
+    (
+        (kind, chip, env),
+        (shape, app),
+        (number(), number(), number()),
+        arity,
+        sep,
+    )
+        .prop_map(
+            |((kind, chip, env), (shape, app), (a, b, c), (roll, k), sep)| {
+                let (name, own) = if kind == "app" { (app, 2) } else { (shape, 3) };
+                let k = if roll < 9 { own } else { k };
+                let fields = [kind, chip, env, name, a, b, c];
+                fields[..4 + k].join(sep)
+            },
+        )
+}
+
+/// Job text: lines separated by newlines, `;`, blank and `# comment`
+/// lines.
+fn job_text() -> impl Strategy<Value = Vec<(String, &'static str)>> {
+    let between = (0usize..5).prop_map(|i| ["\n", ";", " ; ", "\n# comment\n", "\n\t\n"][i]);
+    collection::vec((job_line(), between), 4..13)
+}
+
+/// No job text panics the parser or the engine: each line parses to a
+/// spec or an error, an accepted spec round-trips through its text
+/// form, `parse_jobs` accepts a text exactly when it accepts every
+/// line, and every accepted spec (at one execution) drains `Ok`.
+#[test]
+fn job_text_never_panics_the_parser_or_the_engine() {
+    const CASES: u32 = 128;
+    let engine = Engine::start(EngineConfig {
+        workers: 2,
+        job_parallelism: 1,
+    });
+    let mut accepted = 0;
+    for case in 0..CASES {
+        let mut rng = TestRng::from_name_and_case("job_text", case);
+        let lines = job_text().new_value(&mut rng);
+        let text: String = lines.iter().map(|(l, sep)| format!("{l}{sep}")).collect();
+        let specs: Vec<JobSpec> = lines.iter().filter_map(|(l, _)| l.parse().ok()).collect();
+        for spec in &specs {
+            assert_eq!(spec.to_string().parse(), Ok(spec.clone()), "{spec}");
+        }
+        let every_line = specs.len() == lines.len();
+        assert_eq!(
+            parse_jobs(&text).ok(),
+            every_line.then(|| specs.clone()),
+            "{text:?}"
+        );
+        for spec in &specs {
+            let one_run = JobSpec {
+                execs: 1,
+                ..spec.clone()
+            };
+            engine.submit(one_run).expect("a spec that parsed is valid");
+        }
+        let results = engine.drain().unwrap_or_else(|e| panic!("{e}: {text:?}"));
+        assert_eq!(results.len(), specs.len(), "{text:?}");
+        accepted += specs.len();
+    }
+    assert!(accepted >= 400, "only {accepted} specs accepted");
 }
