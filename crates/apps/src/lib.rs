@@ -19,12 +19,17 @@
 //!
 //! `sdk-red`, `cub-scan` and `ls-bh` ship with fences; their `-nf`
 //! variants are manufactured by stripping them (Sec. 4.1), exactly as in
-//! the paper. [`all_apps`] returns the full set of ten.
+//! the paper.
 //!
 //! Beyond Tab. 4, [`shm_pipe`] is a scoped (intra-block shared-memory)
 //! pipeline used to demonstrate the analyzer-seeded scoped fence
-//! insertion; it is reachable through [`app_by_name`] but deliberately
-//! kept out of [`all_apps`] so the paper campaigns stay faithful.
+//! insertion.
+//!
+//! One private table lists the eleven applications by name with their
+//! constructors: Tab. 4's ten in order, then `shm-pipe`. Every lookup
+//! reads it. [`app_names`] lists all eleven names, [`all_apps`] builds
+//! the ten of Tab. 4 (so the paper campaigns stay faithful), and
+//! [`app_by_name`] builds only the application it names.
 
 pub mod cbe_dot;
 pub mod cbe_ht;
@@ -46,30 +51,44 @@ pub use tpo_tm::TpoTm;
 
 use wmm_core::app::Application;
 
+type Constructor = fn() -> Box<dyn Application>;
+
+/// Every application by name: Tab. 4's ten in order, then `shm-pipe`.
+const APPS: [(&str, Constructor); 11] = [
+    ("cbe-ht", || Box::new(CbeHt::new())),
+    ("cbe-dot", || Box::new(CbeDot::new())),
+    ("ct-octree", || Box::new(CtOctree::new())),
+    ("tpo-tm", || Box::new(TpoTm::new())),
+    ("sdk-red", || Box::new(SdkRed::new(true))),
+    ("sdk-red-nf", || Box::new(SdkRed::new(false))),
+    ("cub-scan", || Box::new(CubScan::new(true))),
+    ("cub-scan-nf", || Box::new(CubScan::new(false))),
+    ("ls-bh", || Box::new(LsBh::new(true))),
+    ("ls-bh-nf", || Box::new(LsBh::new(false))),
+    ("shm-pipe", || Box::new(ShmPipe::new())),
+];
+
+/// How many of [`APPS`] are Tab. 4's.
+const TAB4: usize = 10;
+
 /// The ten case studies in Tab. 4's order.
 pub fn all_apps() -> Vec<Box<dyn Application>> {
-    vec![
-        Box::new(CbeHt::new()),
-        Box::new(CbeDot::new()),
-        Box::new(CtOctree::new()),
-        Box::new(TpoTm::new()),
-        Box::new(SdkRed::new(true)),
-        Box::new(SdkRed::new(false)),
-        Box::new(CubScan::new(true)),
-        Box::new(CubScan::new(false)),
-        Box::new(LsBh::new(true)),
-        Box::new(LsBh::new(false)),
-    ]
+    APPS[..TAB4].iter().map(|(_, make)| make()).collect()
 }
 
-/// Look up a case study by its Tab. 4 short name (e.g. `"cbe-dot"`,
-/// `"ls-bh-nf"`), or the extra scoped demonstration workload
-/// [`shm_pipe`] (`"shm-pipe"`), which is not part of the Tab. 4 set.
+/// Every application's name: Tab. 4's ten in order, then the scoped
+/// demonstration workload `shm-pipe`. Builds nothing.
+pub fn app_names() -> impl Iterator<Item = &'static str> {
+    APPS.iter().map(|&(name, _)| name)
+}
+
+/// Build the application named `name` (one of [`app_names`]: a Tab. 4
+/// short name such as `"cbe-dot"` or `"ls-bh-nf"`, or `"shm-pipe"`),
+/// and only that one.
 pub fn app_by_name(name: &str) -> Option<Box<dyn Application>> {
-    if name == "shm-pipe" {
-        return Some(Box::new(ShmPipe::new()));
-    }
-    all_apps().into_iter().find(|a| a.name() == name)
+    APPS.iter()
+        .find(|&&(n, _)| n == name)
+        .map(|(_, make)| make())
 }
 
 #[cfg(test)]
@@ -105,6 +124,14 @@ mod tests {
         // Tab. 4 set.
         assert!(app_by_name("shm-pipe").is_some());
         assert!(all_apps().iter().all(|a| a.name() != "shm-pipe"));
+        // Every listed name builds the application of that name, and
+        // the list is Tab. 4's ten in order, then shm-pipe.
+        for name in app_names() {
+            assert_eq!(app_by_name(name).unwrap().name(), name);
+        }
+        let tab4: Vec<String> = all_apps().iter().map(|a| a.name().to_string()).collect();
+        assert!(app_names().take(10).eq(tab4.iter().map(String::as_str)));
+        assert_eq!(app_names().skip(10).collect::<Vec<_>>(), ["shm-pipe"]);
     }
 
     #[test]

@@ -28,18 +28,19 @@
 use std::fmt::Write as _;
 
 use wmm_analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
-use wmm_apps::{all_apps, app_by_name};
+use wmm_apps::{app_by_name, app_names};
 use wmm_core::analyze_spec;
+use wmm_core::suite::litmus_pad;
 use wmm_gen::Shape;
 use wmm_litmus::{LitmusLayout, Placement};
 use wmm_sim::chip::Chip;
 use wmm_sim::ir::{FenceLevel, Space};
 
-/// Layout the shape targets are instantiated at. The analyzer's verdict
-/// depends on spaces and launch geometry, not on the concrete location
-/// distance, so one standard layout represents every suite row.
+/// Distance the shape targets are instantiated at, on the suite's
+/// litmus layout ([`litmus_pad`]). The analyzer's verdict depends on
+/// spaces and launch geometry, not on the concrete location distance,
+/// so one standard layout represents every suite row.
 const DISTANCE: u32 = 64;
-const GLOBAL_WORDS: u32 = 2048;
 
 /// One analyzed target.
 enum Report {
@@ -59,7 +60,10 @@ enum Report {
 }
 
 fn analyze_shape(shape: Shape, chip: Option<&Chip>) -> Report {
-    let li = shape.instance(LitmusLayout::standard(DISTANCE, GLOBAL_WORDS));
+    let li = shape.instance(LitmusLayout::standard(
+        DISTANCE,
+        litmus_pad().required_words(),
+    ));
     let analysis = match chip {
         Some(c) => analyze_litmus_on_chip(&li, c),
         None => analyze_litmus(&li),
@@ -88,29 +92,19 @@ fn analyze_app(name: &str) -> Option<Report> {
     })
 }
 
-/// The Tab. 4 application names plus the scoped demo workload.
-fn app_targets() -> Vec<String> {
-    let mut names: Vec<String> = all_apps().iter().map(|a| a.name().to_string()).collect();
-    names.push("shm-pipe".to_string());
-    names
-}
-
 fn resolve(target: &str, chips: &Option<Vec<Chip>>) -> Result<Vec<Report>, String> {
     match target {
         "shapes" => Ok(Shape::ALL
             .iter()
             .flat_map(|&s| shape_reports(s, chips))
             .collect()),
-        "apps" => Ok(app_targets()
-            .iter()
-            .filter_map(|n| analyze_app(n))
-            .collect()),
+        "apps" => Ok(app_names().filter_map(analyze_app).collect()),
         "all" => {
             let mut out: Vec<Report> = Shape::ALL
                 .iter()
                 .flat_map(|&s| shape_reports(s, chips))
                 .collect();
-            out.extend(app_targets().iter().filter_map(|n| analyze_app(n)));
+            out.extend(app_names().filter_map(analyze_app));
             Ok(out)
         }
         name => {

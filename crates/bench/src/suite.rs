@@ -4,31 +4,22 @@
 //! strategies — through the unified campaign facade
 //! (`wmm_core::campaign`), with each `(chip, strategy)` column's stress
 //! kernels compiled once for the whole matrix — and prints a weak-rate
-//! matrix. Each cell's weak-outcome predicate is derived by the
-//! SC-enumeration oracle — nothing on this path carries a hand-written
-//! predicate. Optionally serialises the matrix to JSON (`--json <path>`,
-//! hand-rolled — no serde in the dependency-free build container) so
-//! bench trajectories can be captured as `BENCH_*.json` artifacts.
+//! matrix. Every cell stresses the one litmus scratchpad
+//! ([`wmm_core::suite::litmus_pad`]), so a cell is the same campaign
+//! whichever chips ride along, and equals the `repro serve` litmus job
+//! seeded with its `cell_seed`. Each cell's weak-outcome predicate is
+//! derived by the SC-enumeration oracle — nothing on this path carries
+//! a hand-written predicate. Optionally serialises the matrix to JSON
+//! (`--json <path>`, hand-rolled — no serde in the dependency-free
+//! build container) so bench trajectories can be captured as
+//! `BENCH_*.json` artifacts.
 
 use crate::Scale;
 use wmm_core::env::EnvKind;
-use wmm_core::stress::Scratchpad;
 use wmm_core::suite::{run_suite, SuiteCell, SuiteConfig, SuiteStrategy};
 use wmm_gen::{Placement, Shape};
 use wmm_obs::Provenance;
 use wmm_sim::chip::Chip;
-
-/// The scratchpad suite campaigns stress (after the litmus layout,
-/// covering the chip's scaled L2 like the tuning stages do).
-pub(crate) fn suite_scratchpad(chips: &[Chip]) -> Scratchpad {
-    let words = chips
-        .iter()
-        .map(|c| c.l2_scaled_words)
-        .max()
-        .unwrap_or(2048)
-        .max(2048);
-    Scratchpad::new(2048, words)
-}
 
 /// The suite's default strategy column set, one column per
 /// [`EnvKind`] in [`EnvKind::ALL`] order at [`EnvKind::litmus_iters`]:
@@ -69,11 +60,10 @@ pub fn run(
         .collect();
     let strategies = default_strategies();
     let cfg = SuiteConfig {
-        distances: vec![64],
         execs: scale.execs,
-        pad: suite_scratchpad(&chips),
         base_seed: scale.seed,
         workers: scale.workers,
+        ..SuiteConfig::default()
     };
     println!(
         "Generated litmus suite: {} shapes x {} chip(s) x {} strategies, d={:?}, {} execs/cell",
@@ -349,7 +339,6 @@ mod tests {
         };
         let cfg = SuiteConfig {
             execs: scale.execs,
-            pad: suite_scratchpad(&[Chip::by_short("K20").unwrap()]),
             base_seed: scale.seed,
             workers: 1,
             ..Default::default()
@@ -388,7 +377,6 @@ mod tests {
     fn provenance_json_breaks_down_every_weak_outcome() {
         let cfg = SuiteConfig {
             execs: 40,
-            pad: suite_scratchpad(&[Chip::by_short("Titan").unwrap()]),
             base_seed: 7,
             workers: 1,
             ..Default::default()

@@ -4,10 +4,12 @@
 //! Replays a single `(shape, chip, environment)` campaign sequentially
 //! through [`wmm_core::campaign::Campaign::run_litmus_observed`] — the
 //! observed replay is bit-identical to the parallel campaign at any
-//! worker count — at the seed of the matching `repro suite --chips
-//! CHIP` cell ([`wmm_core::suite::cell_seed`]: the shape's position in
-//! the catalogue, chip 0, and the environment's column among the
-//! default strategies), and records one [`TraceEvent`] per execution
+//! worker count — on the suite's litmus scratchpad
+//! ([`wmm_core::suite::litmus_pad`]) at the seed of the matching cell
+//! of any `repro suite` run that lists CHIP first
+//! ([`wmm_core::suite::cell_seed`]: the shape's position in the
+//! catalogue, chip 0, and the environment's column among the default
+//! strategies), and records one [`TraceEvent`] per execution
 //! into a fixed-capacity ring buffer ([`wmm_obs::EventLog`], 256
 //! events): the run index, the observed register values, the weak
 //! verdict, and the weakness channels that fired during that run. The
@@ -20,12 +22,12 @@
 
 use std::fmt::Write as _;
 
-use crate::suite::{default_strategies, suite_scratchpad};
+use crate::suite::default_strategies;
 use crate::Scale;
 use wmm_core::cache::ArtifactKey;
 use wmm_core::campaign::CampaignBuilder;
 use wmm_core::env::EnvKind;
-use wmm_core::suite::cell_seed;
+use wmm_core::suite::{cell_seed, litmus_pad};
 use wmm_gen::{Placement, Shape};
 use wmm_litmus::LitmusLayout;
 use wmm_obs::{ChannelCounts, EventLog};
@@ -62,9 +64,9 @@ pub struct TraceReport {
     pub chip: String,
     /// Environment (suite strategy) name.
     pub env: String,
-    /// The campaign histogram, bit-identical to the cell of `repro suite
-    /// --chips CHIP` (without `--placement`) for the same shape,
-    /// environment, execs and seed.
+    /// The campaign histogram, bit-identical to the cell of any `repro
+    /// suite` run (without `--placement`) whose chip list starts with
+    /// CHIP, for the same shape, environment, execs and seed.
     pub hist: wmm_litmus::Histogram,
     /// The bounded event log (most recent `EVENT_CAPACITY` runs).
     pub events: EventLog<TraceEvent>,
@@ -102,7 +104,7 @@ pub fn trace(shape: Shape, chip: &Chip, column: usize, scale: Scale) -> TraceRep
         .iter()
         .position(|&s| s == shape)
         .expect("every shape is in the catalogue");
-    let pad = suite_scratchpad(std::slice::from_ref(chip));
+    let pad = litmus_pad();
     let inst = shape.instance(LitmusLayout::standard(DISTANCE, pad.required_words()));
     let artifacts =
         ArtifactKey::new(chip, &strategy.environment(chip), pad, strategy.iters).build();
@@ -239,7 +241,6 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmm_core::suite::{run_suite, SuiteConfig};
 
     fn quick(execs: u32, seed: u64) -> Scale {
         Scale {
@@ -256,39 +257,34 @@ mod tests {
 
     #[test]
     fn trace_replays_the_suite_cell() {
+        let gtx980 = Chip::by_short("980").unwrap();
         for (shape, chip, env) in [
             (Shape::Mp, "Titan", "sys-str+"),
             (Shape::CoRR, "C2075", "l1-str+"),
         ] {
             let chip = Chip::by_short(chip).unwrap();
             let r = trace(shape, &chip, column(env), quick(24, 2016));
-            // The catalogue up to `shape` keeps its row index, and the
-            // default columns keep theirs: the matching suite cell.
-            let row = Shape::ALL.iter().position(|&s| s == shape).unwrap();
-            let cfg = SuiteConfig {
-                distances: vec![DISTANCE],
-                execs: 24,
-                pad: suite_scratchpad(std::slice::from_ref(&chip)),
-                base_seed: 2016,
-                workers: 0,
-            };
-            let cells = run_suite(
-                &Shape::ALL[..=row],
-                std::slice::from_ref(&chip),
-                &default_strategies(),
-                &cfg,
-            );
-            let cell = cells
-                .iter()
-                .find(|c| c.shape == shape && c.strategy == env)
-                .unwrap();
-            assert_eq!(r.hist, cell.hist, "{shape}@{} {env}", chip.short);
             assert!(
                 r.hist.weak() > 0,
                 "{shape}@{} {env}: {}",
                 chip.short,
                 r.hist
             );
+            // The matching cell of `repro suite`, whether the chip runs
+            // alone or with the 980 after it.
+            for chips in [vec![chip.clone()], vec![chip.clone(), gtx980.clone()]] {
+                let n = chips.len();
+                let cells = crate::suite::run(Some(chips), None, quick(24, 2016), false);
+                let cell = cells
+                    .iter()
+                    .find(|c| c.shape == shape && c.chip == chip.short && c.strategy == env)
+                    .unwrap();
+                assert_eq!(
+                    r.hist, cell.hist,
+                    "{shape}@{} {env} among {n} chip(s)",
+                    chip.short
+                );
+            }
         }
     }
 

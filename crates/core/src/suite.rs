@@ -100,6 +100,14 @@ impl SuiteStrategy {
     }
 }
 
+/// The litmus scratchpad: the one stress target of every litmus
+/// campaign (the suite's default, every litmus job, `repro trace` and
+/// the analyzer's shape targets), so a suite cell, its job and its
+/// trace run the same launches whichever chips ride along.
+pub fn litmus_pad() -> Scratchpad {
+    Scratchpad::new(2048, 6144)
+}
+
 /// Suite campaign configuration.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
@@ -107,8 +115,9 @@ pub struct SuiteConfig {
     pub distances: Vec<u32>,
     /// Executions per cell (the paper's `C`).
     pub execs: u32,
-    /// The scratchpad the strategies stress; every launch provides
-    /// `pad.required_words()` words of global memory.
+    /// The scratchpad the strategies stress ([`litmus_pad`] by
+    /// default); every launch provides `pad.required_words()` words of
+    /// global memory.
     pub pad: Scratchpad,
     /// Base seed; each cell derives its own seed from its coordinates,
     /// so results are independent of cell iteration order.
@@ -123,7 +132,7 @@ impl Default for SuiteConfig {
         SuiteConfig {
             distances: vec![64],
             execs: 32,
-            pad: Scratchpad::new(2048, 6144),
+            pad: litmus_pad(),
             base_seed: 2016,
             workers: 0,
         }

@@ -13,29 +13,49 @@
 //! writes its observed values to the result region, keeping the test's
 //! accesses adjacent in the in-flight window exactly like the legacy
 //! trio kernels, which is what makes their reorderings observable.
+//!
+//! [`TestEvents::check_layout`] is the one rule for which layouts can
+//! host a test: [`build_program`] panics on its `Err`, and a caller that
+//! must not panic (the campaign server validating a job) asks it first.
 
 use crate::shape::{Event, TestEvents};
 use wmm_litmus::{LitmusLayout, Placement, MAX_OBSERVERS};
 use wmm_sim::ir::builder::KernelBuilder;
 use wmm_sim::ir::Program;
 
-/// Check the layout can host the shape (locations below the result
-/// region, reads within the observer slots, every location in a single
-/// memory space).
-fn check_layout(events: &TestEvents, layout: &LitmusLayout) {
-    let locs = events.num_locs();
-    assert!(locs >= 1, "a shape must touch at least one location");
-    assert!(
-        layout.loc_addr(locs - 1) < layout.result_base,
-        "communication locations must sit below the result region"
-    );
-    assert!(
-        events.num_reads() <= MAX_OBSERVERS,
-        "shape has more reads than observer slots"
-    );
-    for l in 0..locs {
-        // Panics on a location accessed in both spaces.
-        let _ = events.space_of(l);
+impl TestEvents {
+    /// Whether `layout` can host these events: at least one location,
+    /// the last location's address (computed without overflow) below
+    /// the result region, and no more reads than observer slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a location is accessed in both memory spaces (see
+    /// [`TestEvents::space_of`]), a malformed test rather than a layout
+    /// that does not fit.
+    pub fn check_layout(&self, layout: &LitmusLayout) -> Result<(), String> {
+        let last = self
+            .num_locs()
+            .checked_sub(1)
+            .ok_or("a shape must touch at least one location")?;
+        let fits = last
+            .checked_mul(layout.distance.max(1))
+            .and_then(|offset| offset.checked_add(layout.comm_base))
+            .is_some_and(|addr| addr < layout.result_base);
+        if !fits {
+            return Err(format!(
+                "{} at distance {}: communication locations must sit below \
+                 the result region at word {}, and location {last} does not",
+                self.name, layout.distance, layout.result_base
+            ));
+        }
+        if self.num_reads() > MAX_OBSERVERS {
+            return Err(format!("{} has more reads than observer slots", self.name));
+        }
+        for l in 0..=last {
+            let _ = self.space_of(l);
+        }
+        Ok(())
     }
 }
 
@@ -43,10 +63,12 @@ fn check_layout(events: &TestEvents, layout: &LitmusLayout) {
 ///
 /// # Panics
 ///
-/// Panics if the layout cannot host the shape (see the module docs);
+/// Panics if [`TestEvents::check_layout`] refuses the layout;
 /// builder-produced programs always validate.
 pub fn build_program(events: &TestEvents, layout: &LitmusLayout) -> Program {
-    check_layout(events, layout);
+    if let Err(e) = events.check_layout(layout) {
+        panic!("{e}");
+    }
     let nthreads = events.threads.len() as u32;
     let mut b = KernelBuilder::new(format!("litmus-{}-d{}", events.name, layout.distance));
     let zero = b.const_(0);
@@ -221,5 +243,20 @@ mod tests {
     fn oversized_distance_rejected() {
         // d so large location 2 collides with the result region.
         let _ = build_program(&Shape::Isa2.events(), &layout(600));
+    }
+
+    #[test]
+    fn layout_rule_bounds_the_last_location_without_wrapping() {
+        let isa2 = Shape::Isa2.events();
+        // ISA2's location 2 sits at 2·d: 511, the largest distance the
+        // campaign server admits, puts it at word 1022, below the result
+        // region at 1024...
+        let largest = (layout(1).result_base - 1) / 2;
+        assert_eq!(isa2.check_layout(&layout(largest)), Ok(()));
+        assert!(isa2.check_layout(&layout(largest + 1)).is_err());
+        // ...and at 2^31 + 1 the address 2^32 + 2 overflows rather than
+        // wrapping to word 2.
+        let err = isa2.check_layout(&layout((1 << 31) + 1)).unwrap_err();
+        assert!(err.contains("communication locations"), "{err}");
     }
 }

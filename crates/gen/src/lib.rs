@@ -24,7 +24,9 @@
 //!
 //! [`TestEvents::instance`] ties the three together: it emits the kernel
 //! of any event list, catalogue shape or not, and derives its forbidden
-//! outcomes. [`Shape::instance`] calls it on the shape's events.
+//! outcomes. [`Shape::instance`] calls it on the shape's events, and
+//! [`TestEvents::check_layout`] says beforehand whether a layout can
+//! host them.
 //!
 //! Campaigning generated instances — across chips, stress strategies and
 //! worker counts — is the job of the unified campaign facade in
@@ -59,8 +61,7 @@ impl TestEvents {
     ///
     /// # Panics
     ///
-    /// Panics if the layout cannot host the events (communication
-    /// locations colliding with the result region).
+    /// Panics if [`TestEvents::check_layout`] refuses `layout`.
     pub fn instance(&self, layout: LitmusLayout) -> LitmusInstance {
         LitmusInstance::with_placement(
             self.name.clone(),

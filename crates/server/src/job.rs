@@ -16,7 +16,14 @@
 //!
 //! e.g. `litmus Titan sys-str+ MP 64 32 7` or
 //! `app K20 shm+sys-str+ shm-pipe 40 3`; [`parse_jobs`] accepts many
-//! jobs separated by newlines or `;`, with `#` comments.
+//! jobs separated by newlines or `;`, and a `#` comments out the rest of
+//! its line, `;`s included.
+//!
+//! A litmus job runs on [`litmus_pad`] at the layout
+//! [`TestEvents::check_layout`](wmm_gen::TestEvents::check_layout)
+//! admits, exactly like its `repro suite` cell; an application job names
+//! an entry of [`wmm_apps::app_names`], and only [`JobSpec::execute`]
+//! builds it.
 
 use std::fmt;
 use std::str::FromStr;
@@ -26,17 +33,10 @@ use wmm_core::campaign::{CampaignBuilder, SummaryValue};
 use wmm_core::env::AppHarness;
 pub use wmm_core::env::EnvKind;
 use wmm_core::stress::Scratchpad;
-use wmm_core::suite::SuiteConfig;
+use wmm_core::suite::litmus_pad;
 use wmm_gen::Shape;
 use wmm_litmus::LitmusLayout;
 use wmm_sim::chip::Chip;
-
-/// The scratchpad litmus jobs stress: the suite runner's default
-/// ([`SuiteConfig::default`]), so a queued suite cell and `run_suite`
-/// share artifact-cache entries.
-pub fn litmus_pad() -> Scratchpad {
-    SuiteConfig::default().pad
-}
 
 /// What a job runs: a generated litmus test (a suite cell) or an
 /// application campaign.
@@ -73,10 +73,11 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Check the spec resolves (chip exists, application exists,
-    /// non-zero execution count, a litmus layout that fits) without
-    /// running anything. The engine validates at submission so workers
-    /// never meet an unrunnable job.
+    /// Check the spec resolves (chip exists, application named in
+    /// [`wmm_apps::app_names`], non-zero execution count, a litmus
+    /// layout that fits) without running or building anything. The
+    /// engine validates at submission so workers never meet an
+    /// unrunnable job.
     pub fn validate(&self) -> Result<(), String> {
         Chip::by_short(&self.chip).ok_or_else(|| format!("unknown chip {:?}", self.chip))?;
         if self.execs == 0 {
@@ -87,7 +88,7 @@ impl JobSpec {
                 self.litmus_layout(*shape, *distance)?;
             }
             WorkloadSpec::App { name } => {
-                if wmm_apps::app_by_name(name).is_none() {
+                if !wmm_apps::app_names().any(|n| n == name) {
                     return Err(format!("unknown application {name:?}"));
                 }
             }
@@ -96,25 +97,18 @@ impl JobSpec {
     }
 
     /// The layout a litmus job runs `shape` under at `distance`, or why
-    /// it cannot: the shape's last location must sit below the result
-    /// region, or emitting the kernel would panic a worker.
+    /// it cannot: a job's distance must be positive, and the layout must
+    /// pass the emitter's own rule, or emitting the kernel would panic a
+    /// worker.
     fn litmus_layout(&self, shape: Shape, distance: u32) -> Result<LitmusLayout, String> {
         if distance == 0 {
             return Err(format!("{self}: distance must be positive"));
         }
         let layout = LitmusLayout::standard(distance, litmus_pad().required_words());
-        let last = shape.events().num_locs() - 1;
-        let fits = last
-            .checked_mul(distance)
-            .and_then(|offset| offset.checked_add(layout.comm_base))
-            .is_some_and(|addr| addr < layout.result_base);
-        if !fits {
-            return Err(format!(
-                "{self}: distance {distance} puts {shape}'s location {last} \
-                 past the result region at word {}",
-                layout.result_base
-            ));
-        }
+        shape
+            .events()
+            .check_layout(&layout)
+            .map_err(|e| format!("{self}: {e}"))?;
         Ok(layout)
     }
 
@@ -224,18 +218,20 @@ impl FromStr for JobSpec {
     }
 }
 
-/// Parse a job list: one [`JobSpec`] per line or `;`-separated entry;
-/// blank entries and `#` comment lines are skipped.
+/// Parse a job list: one [`JobSpec`] per line or `;`-separated entry.
+/// A `#` comments out the rest of its line, `;`s included; blank
+/// entries are skipped.
 pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
-    let mut out = Vec::new();
-    for entry in text.split(['\n', ';']) {
-        let entry = entry.trim();
-        if entry.is_empty() || entry.starts_with('#') {
-            continue;
-        }
-        out.push(entry.parse()?);
-    }
-    Ok(out)
+    text.lines()
+        .flat_map(|line| {
+            line.split_once('#')
+                .map_or(line, |(jobs, _)| jobs)
+                .split(';')
+        })
+        .map(str::trim)
+        .filter(|entry| !entry.is_empty())
+        .map(str::parse)
+        .collect()
 }
 
 #[cfg(test)]
@@ -284,6 +280,15 @@ mod tests {
         assert_eq!(jobs[0].env, EnvKind::SysStrPlus);
         assert_eq!(jobs[1].env, EnvKind::Native);
         assert!(matches!(&jobs[2].workload, WorkloadSpec::App { name } if name == "shm-pipe"));
+        // A `#` comments out the rest of its line, `;`s included...
+        assert_eq!(
+            parse_jobs("# off; litmus Titan sys-str+ MP 64 8 1"),
+            Ok(vec![])
+        );
+        // ...and may follow a job on its line.
+        let jobs = parse_jobs("litmus Titan sys-str+ MP 64 8 1 # note").unwrap();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].seed, 1);
     }
 
     #[test]

@@ -12,11 +12,16 @@
 //!   the `RunResult` returns;
 //! * the static analyzer allocates per analysis thread, not per
 //!   instruction visit: each `StaticVerdict::of_chip` of the suite stays
-//!   under a fixed allocation budget.
+//!   under a fixed allocation budget;
+//! * naming an application builds only that application: `app_by_name`
+//!   allocates less than building all ten of Tab. 4, and parsing an
+//!   application job (which validates it) less than building its
+//!   application.
 //!
 //! The allocator is process-global, so the binary holds a single
 //! `#[test]`: a second one running in parallel would be counted too.
 
+use gpu_wmm::apps::{all_apps, app_by_name, app_names};
 use gpu_wmm::core::campaign::CampaignBuilder;
 use gpu_wmm::core::env::Environment;
 use gpu_wmm::core::stress::{
@@ -26,6 +31,7 @@ use gpu_wmm::core::suite::{StaticVerdict, SuiteConfig};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::runner::{mix_seed, run_instance};
 use gpu_wmm::litmus::{Histogram, LitmusLayout};
+use gpu_wmm::server::JobSpec;
 use gpu_wmm::sim::chip::Chip;
 use gpu_wmm::sim::exec::{Gpu, LaunchSpec};
 use rand::rngs::SmallRng;
@@ -71,6 +77,7 @@ fn hot_path_allocations() {
     cached_artifacts_allocate_measurably_less_than_per_run_builds();
     warm_gpu_allocates_only_the_returned_image();
     static_verdicts_allocate_per_thread_not_per_visit();
+    naming_an_application_builds_only_that_application();
 }
 
 fn cached_artifacts_allocate_measurably_less_than_per_run_builds() {
@@ -207,5 +214,36 @@ fn static_verdicts_allocate_per_thread_not_per_visit() {
         total <= MEAN_PER_VERDICT * verdicts,
         "{total} allocations over {verdicts} static verdicts, budget \
          {MEAN_PER_VERDICT} per verdict on average"
+    );
+}
+
+/// A lookup builds the one application it names, and validating an
+/// application job builds none. Measured: 36–208 allocations per
+/// `app_by_name` against 903 for `all_apps`, and 12 per parsed job.
+fn naming_an_application_builds_only_that_application() {
+    let (_, all) = allocations_during(all_apps);
+    let (mut max_lookup, mut max_parse) = (0, 0);
+    for name in app_names() {
+        let (app, lookup) = allocations_during(|| app_by_name(name));
+        assert_eq!(app.expect("a listed application").name(), name);
+        assert!(
+            lookup < all,
+            "app_by_name({name:?}): {lookup} allocations, not fewer than \
+             the {all} of building every Tab. 4 application"
+        );
+        let job = format!("app Titan sys-str+ {name} 4 1");
+        let (spec, parse) = allocations_during(|| job.parse::<JobSpec>());
+        spec.expect("a valid application job");
+        assert!(
+            parse < lookup,
+            "parsing {job:?}: {parse} allocations, not fewer than the \
+             {lookup} of building {name}"
+        );
+        max_lookup = max_lookup.max(lookup);
+        max_parse = max_parse.max(parse);
+    }
+    eprintln!(
+        "application lookups: at most {max_lookup} allocations (all_apps: {all}); \
+         application job parses: at most {max_parse}"
     );
 }

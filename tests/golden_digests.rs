@@ -49,7 +49,7 @@
 //! says why the results moved.
 
 use gpu_wmm::analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
-use gpu_wmm::apps::{all_apps, app_by_name};
+use gpu_wmm::apps::{app_by_name, app_names};
 use gpu_wmm::core::analyze_spec;
 use gpu_wmm::core::cache::ArtifactCache;
 use gpu_wmm::core::campaign::{CampaignBuilder, Fnv64, RunCtx, SummaryValue, Workload};
@@ -190,9 +190,9 @@ fn recompute() -> Vec<(String, u64)> {
 
 /// The ten applications of Tab. 4 plus the scoped `shm-pipe`.
 fn apps() -> Vec<Box<dyn Application>> {
-    let mut apps = all_apps();
-    apps.push(app_by_name("shm-pipe").expect("the scoped demonstration app"));
-    apps
+    app_names()
+        .map(|name| app_by_name(name).expect("a listed application"))
+        .collect()
 }
 
 /// Digest each of the two runs of an application job at seed 7, in run

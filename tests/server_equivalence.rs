@@ -331,11 +331,7 @@ fn job_line() -> impl Strategy<Value = String> {
         &["NOTASHAPE", "cbe-dot"],
     );
     let app = field(
-        gpu_wmm::apps::all_apps()
-            .iter()
-            .map(|a| a.name().to_string())
-            .chain(["shm-pipe".to_string()])
-            .collect(),
+        gpu_wmm::apps::app_names().map(String::from).collect(),
         &["no-such-app", "MP"],
     );
     let arity = (0u32..10, 1usize..4);
