@@ -4,7 +4,9 @@
 //! line, `#` comments allowed) or, if no such file exists, inline text
 //! with jobs separated by `;`. The whole batch runs through one
 //! [`Engine`], so every job against the same chip × environment shares
-//! one compiled set of stress artifacts.
+//! one compiled set of stress artifacts, and every application job on
+//! the same chip shares one native calibration run. The summary line
+//! counts both.
 //!
 //! ```text
 //! repro serve --jobs 'litmus Titan sys-str+ MP 64 100 7; app K20 sys-str+ cbe-dot 50 7'
@@ -62,8 +64,12 @@ pub fn run(spec: &str, workers: usize) -> Result<(), String> {
         );
     }
     let stats = engine.cache_stats();
+    let app_jobs = results
+        .iter()
+        .filter(|r| r.summary.as_app().is_some())
+        .count();
     println!(
-        "\n{} jobs in {:.2}s ({:.1} jobs/sec); artifact cache: {} builds, {} hits ({:.1}% hit rate)",
+        "\n{} jobs in {:.2}s ({:.1} jobs/sec); artifact cache: {} builds, {} hits ({:.1}% hit rate); calibrations: {} for {} app jobs",
         results.len(),
         elapsed,
         if elapsed > 0.0 {
@@ -73,7 +79,9 @@ pub fn run(spec: &str, workers: usize) -> Result<(), String> {
         },
         stats.builds,
         stats.hits,
-        stats.hit_rate() * 100.0
+        stats.hit_rate() * 100.0,
+        stats.calibrations,
+        app_jobs
     );
     // Wall-clock span telemetry plus the batch's deterministic
     // weakness-channel totals (the litmus jobs' provenance counters).

@@ -1,4 +1,6 @@
-//! A concurrent, structurally-keyed cache of [`StressArtifacts`].
+//! A concurrent, structurally-keyed cache of what campaign jobs would
+//! otherwise recompute per job: [`StressArtifacts`], and each
+//! application's calibrated stressing-loop length.
 //!
 //! The campaign server drains a queue where a thousand jobs may target
 //! only five environments; compiling the stress kernels per *job* would
@@ -9,6 +11,13 @@
 //! (as `Arc`s) by every job that keys to them, whether submitted
 //! through the server or driven by the one-shot suite runner.
 //!
+//! An application job also sizes its stressing loops from one native
+//! run of its kernel (Sec. 4.2; [`AppHarness`]). That length is a pure
+//! function of the chip and the [`AppSpec`], so the cache memoizes it
+//! too, keyed structurally on chip × spec: [`AppHarness::with_cache`]
+//! runs the kernel natively once per key, where [`AppHarness::new`]
+//! runs it for every harness.
+//!
 //! Keying is **structural** ([`Environment`]'s `Eq`/`Hash` compare the
 //! strategy's tuned parameters, not its display name), so `sys-str+`
 //! tuned for the Titan and `sys-str+` tuned for the GTX 980 occupy
@@ -17,14 +26,16 @@
 //!
 //! Sharing never changes results: [`StressArtifacts::make`] draws the
 //! per-run values from the *run's* RNG, so a campaign over a cache-hit
-//! artifact set is bit-identical to one that built its own (pinned by
-//! `tests/server_equivalence.rs`). The `rand-str` strategy keeps its
-//! documented exception at the kernel level — its artifact *object* is
-//! cacheable (it holds no compiled program), but `make` bakes a fresh
-//! seed into the kernel every run, so no compiled `rand-str` program is
-//! ever shared between runs.
+//! artifact set is bit-identical to one that built its own, and a
+//! memoized calibration is the very `u32` the native run computed
+//! (pinned by `tests/server_equivalence.rs`). The `rand-str` strategy
+//! keeps its documented exception at the kernel level — its artifact
+//! *object* is cacheable (it holds no compiled program), but `make`
+//! bakes a fresh seed into the kernel every run, so no compiled
+//! `rand-str` program is ever shared between runs.
 
-use crate::env::Environment;
+use crate::app::AppSpec;
+use crate::env::{AppHarness, Environment};
 use crate::stress::{Scratchpad, StressArtifacts};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -84,11 +95,38 @@ impl ArtifactKey {
 
     /// Build the artifacts this key describes — the one place an
     /// environment becomes stress artifacts, whether for the cache, a
-    /// job without one, a campaign builder or an application harness,
-    /// so a hit and a fresh build are the same value by construction.
+    /// campaign builder or an application harness, so a hit and a fresh
+    /// build are the same value by construction.
     pub fn build(&self) -> StressArtifacts {
         StressArtifacts::for_strategy(&self.chip, &self.env.stress, self.pad, self.iters)
             .with_shared_stress(self.env.shared)
+    }
+}
+
+/// Everything an application's native calibration run reads: the key
+/// under which its stressing-loop length is memoized.
+///
+/// Like [`ArtifactKey`], `PartialEq` is fully structural and `Eq` holds
+/// because the chip table's `f64`s are never `NaN`. `Hash` covers the
+/// chip's short name and a discriminating subset of the spec (its name,
+/// memory size and each phase's instruction count, which an added fence
+/// changes); the rare collision is resolved by `Eq`.
+#[derive(Debug, PartialEq)]
+struct CalibrationKey {
+    chip: Chip,
+    spec: AppSpec,
+}
+
+impl Eq for CalibrationKey {}
+
+impl Hash for CalibrationKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.chip.short.hash(state);
+        self.spec.name.hash(state);
+        self.spec.global_words.hash(state);
+        for phase in &self.spec.phases {
+            phase.program.len().hash(state);
+        }
     }
 }
 
@@ -96,12 +134,15 @@ impl ArtifactKey {
 /// `cache_hit_rate` gate and the exactly-once-compile assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from an existing entry.
+    /// Artifact lookups served from an existing entry.
     pub hits: u64,
-    /// Lookups that built (and inserted) a new entry.
+    /// Artifact lookups that built (and inserted) a new entry.
     pub builds: u64,
-    /// Entries currently resident.
+    /// Artifact entries currently resident.
     pub entries: usize,
+    /// Native calibration runs: one per distinct chip × application
+    /// spec looked up. Calibration lookups move no other counter.
+    pub calibrations: u64,
 }
 
 impl CacheStats {
@@ -122,18 +163,23 @@ impl CacheStats {
 }
 
 /// Concurrent map from [`ArtifactKey`] to shared, immutable
-/// [`StressArtifacts`].
+/// [`StressArtifacts`], plus a memo from chip × application spec to the
+/// calibrated stressing-loop length.
 ///
 /// `get` builds missing entries *under the map lock*: when sixteen
 /// workers race for a cold key, one compiles and fifteen wait, rather
 /// than sixteen compiling and fifteen discarding — artifact compilation
 /// is the expensive step the cache exists to deduplicate, so the
-/// held-lock build is the point, not an accident.
+/// held-lock build is the point, not an accident. The calibration memo
+/// does the same under its own lock, so a calibration never holds up an
+/// artifact lookup.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     map: Mutex<HashMap<ArtifactKey, Arc<StressArtifacts>>>,
     hits: AtomicU64,
     builds: AtomicU64,
+    calibrated: Mutex<HashMap<CalibrationKey, u32>>,
+    calibrations: AtomicU64,
     /// Wall-clock artifact-compile durations (one sample per build).
     /// Telemetry only — never folded into any deterministic digest.
     compile: Mutex<LatencyHistogram>,
@@ -145,10 +191,18 @@ impl ArtifactCache {
         Self::default()
     }
 
-    /// The artifacts for `key`, building them on first request.
-    pub fn get_key(&self, key: &ArtifactKey) -> Arc<StressArtifacts> {
+    /// The artifacts for an environment on a chip, built (once) with the
+    /// given scratchpad and stressing-loop length.
+    pub fn get(
+        &self,
+        chip: &Chip,
+        env: &Environment,
+        pad: Scratchpad,
+        iters: u32,
+    ) -> Arc<StressArtifacts> {
+        let key = ArtifactKey::new(chip, env, pad, iters);
         let mut map = self.map.lock().expect("artifact cache poisoned");
-        if let Some(hit) = map.get(key) {
+        if let Some(hit) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
@@ -159,29 +213,35 @@ impl ArtifactCache {
             .lock()
             .expect("compile histogram poisoned")
             .record(started.elapsed());
-        map.insert(key.clone(), Arc::clone(&built));
+        map.insert(key, Arc::clone(&built));
         built
     }
 
-    /// The artifacts for an environment on a chip, built (once) with the
-    /// given scratchpad and stressing-loop length.
-    pub fn get(
-        &self,
-        chip: &Chip,
-        env: &Environment,
-        pad: Scratchpad,
-        iters: u32,
-    ) -> Arc<StressArtifacts> {
-        self.get_key(&ArtifactKey::new(chip, env, pad, iters))
+    /// The calibrated stressing-loop length of `harness`'s chip and
+    /// spec, from one native run on the first request.
+    pub(crate) fn calibration(&self, harness: &AppHarness<'_>) -> u32 {
+        let key = CalibrationKey {
+            chip: harness.chip().clone(),
+            spec: harness.spec().clone(),
+        };
+        let mut memo = self.calibrated.lock().expect("calibration memo poisoned");
+        if let Some(&iters) = memo.get(&key) {
+            return iters;
+        }
+        self.calibrations.fetch_add(1, Ordering::Relaxed);
+        let iters = harness.calibrate();
+        memo.insert(key, iters);
+        iters
     }
 
-    /// Hit/build counters and current entry count.
+    /// Hit/build counters, current entry count and calibration runs.
     pub fn stats(&self) -> CacheStats {
         let entries = self.map.lock().expect("artifact cache poisoned").len();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
             entries,
+            calibrations: self.calibrations.load(Ordering::Relaxed),
         }
     }
 
@@ -198,8 +258,12 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::Application;
+    use crate::env::tests::lock_counter;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::Barrier;
+    use wmm_sim::ir::FenceLevel;
 
     fn chip() -> Chip {
         Chip::by_short("Titan").unwrap()
@@ -309,15 +373,9 @@ mod tests {
     fn cached_build_equals_uncached_build() {
         let c = chip();
         let env = Environment::sys_str_plus(&c);
-        let key = ArtifactKey {
-            chip: c.clone(),
-            env: env.clone(),
-            pad: pad(),
-            iters: 40,
-        };
         let cache = ArtifactCache::new();
-        let cached = cache.get_key(&key);
-        let fresh = key.build();
+        let cached = cache.get(&c, &env, pad(), 40);
+        let fresh = ArtifactKey::new(&c, &env, pad(), 40).build();
         let mut r1 = SmallRng::seed_from_u64(3);
         let mut r2 = SmallRng::seed_from_u64(3);
         let a = cached.make(300, &mut r1);
@@ -356,5 +414,72 @@ mod tests {
         let st = cache.stats();
         assert_eq!(st.builds, 1, "racing workers must not duplicate builds");
         assert_eq!(st.hits, 7);
+    }
+
+    #[test]
+    fn racing_workers_calibrate_a_cold_key_once() {
+        let c = chip();
+        let app = lock_counter();
+        let cache = ArtifactCache::new();
+        let start = Barrier::new(8);
+        let iters: Vec<u32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        AppHarness::with_cache(&c, &app, &cache).calibrated_iters()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(cache.stats().calibrations, 1, "racing workers recalibrated");
+        let now = AppHarness::new(&c, &app).calibrated_iters();
+        assert_eq!(iters, vec![now; 8]);
+    }
+
+    #[test]
+    fn calibrations_key_on_the_chip_and_the_spec() {
+        let titan = chip();
+        let c2075 = Chip::by_short("C2075").unwrap();
+        let app = lock_counter();
+        let shipped = app.spec().clone();
+        let site = shipped.fence_sites()[0];
+        let fenced = shipped.with_leveled_fences(&[(site, FenceLevel::Device)]);
+        assert_ne!(fenced, shipped);
+        let cache = ArtifactCache::new();
+        for (chip, spec) in [
+            (&titan, &shipped),
+            (&c2075, &shipped),
+            (&titan, &fenced),
+            (&titan, &shipped),
+        ] {
+            let h = AppHarness::uncalibrated(chip, &app, spec.clone());
+            assert_eq!(cache.calibration(&h), h.calibrate(), "{}", chip.short);
+        }
+        assert_eq!(cache.stats().calibrations, 3);
+    }
+
+    #[test]
+    fn calibration_lookups_move_no_artifact_counter() {
+        let c = chip();
+        let app = lock_counter();
+        let cache = ArtifactCache::new();
+        let env = Environment::sys_str_plus(&c);
+        let _ = cache.get(&c, &env, pad(), 40);
+        let _ = cache.get(&c, &env, pad(), 40);
+        let before = cache.stats();
+        for _ in 0..3 {
+            let _ = AppHarness::with_cache(&c, &app, &cache);
+        }
+        let after = cache.stats();
+        assert_eq!(
+            after,
+            CacheStats {
+                calibrations: 1,
+                ..before
+            }
+        );
+        assert_eq!(after.hit_rate(), before.hit_rate());
     }
 }

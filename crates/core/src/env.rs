@@ -10,7 +10,7 @@
 //! *effectiveness* criterion (errors in more than 5% of executions).
 
 use crate::app::{AppSpec, Application};
-use crate::cache::ArtifactKey;
+use crate::cache::{ArtifactCache, ArtifactKey};
 use crate::campaign::{CampaignBuilder, RunCtx, Workload};
 use crate::stress::{
     app_stress_blocks, Scratchpad, SharedStress, StressArtifacts, StressStrategy, SystematicParams,
@@ -312,9 +312,12 @@ impl CampaignResult {
 
 /// Runs one application variant under testing environments on one chip.
 ///
-/// Construction measures the native kernel duration once and sizes the
-/// stressing loop so stress runs roughly 10× as long as the kernel under
-/// test (Sec. 4.2).
+/// Construction sizes the stressing loop so stress runs roughly 10× as
+/// long as the kernel under test (Sec. 4.2), from one native run of the
+/// kernel. [`AppHarness::new`] and [`AppHarness::with_spec`] make that
+/// run on the spot; [`AppHarness::with_cache`], which campaign jobs use,
+/// reads it from an [`ArtifactCache`]'s memo, which makes it once per
+/// chip × spec.
 pub struct AppHarness<'a> {
     chip: &'a Chip,
     app: &'a dyn Application,
@@ -333,24 +336,49 @@ impl<'a> AppHarness<'a> {
     /// [`AppSpec::with_leveled_fences`]) checked against the same
     /// post-condition.
     pub fn with_spec(chip: &'a Chip, app: &'a dyn Application, spec: AppSpec) -> Self {
+        let mut h = Self::uncalibrated(chip, app, spec);
+        h.stress_iters = h.calibrate();
+        h
+    }
+
+    /// [`AppHarness::new`], with the calibration read from `cache`'s
+    /// memo: the native sizing run happens on the first request for this
+    /// chip and spec, and every later request reuses its result, so the
+    /// harness is the one [`AppHarness::new`] builds.
+    pub fn with_cache(chip: &'a Chip, app: &'a dyn Application, cache: &ArtifactCache) -> Self {
+        let mut h = Self::uncalibrated(chip, app, app.spec().clone());
+        h.stress_iters = cache.calibration(&h);
+        h
+    }
+
+    /// A harness whose stressing loop is not sized yet.
+    pub(crate) fn uncalibrated(chip: &'a Chip, app: &'a dyn Application, spec: AppSpec) -> Self {
         // Scratchpad after the app's memory, line-aligned generously.
         let base = (spec.global_words + 127) / 64 * 64 + 64;
         let words = 2048u32.max(chip.l2_scaled_words);
         let pad = Scratchpad::new(base, words);
-        let mut h = AppHarness {
+        AppHarness {
             chip,
             app,
             spec,
             pad,
             stress_iters: 0,
-        };
-        // One native run to size the stressing loops.
-        let native = h.run_once(&Environment::native(), 0);
+        }
+    }
+
+    /// The calibrated stressing-loop length, from one native run of the
+    /// kernel: a pure function of the chip and the spec.
+    pub(crate) fn calibrate(&self) -> u32 {
+        let native = self.run_once(&Environment::native(), 0);
         let est_warps = 16u64;
         let per_iter = 8u64; // accesses + loop control
         let turns = native.app_turns.max(1);
-        h.stress_iters = (10 * turns / (per_iter * est_warps)).clamp(60, 8_000) as u32;
-        h
+        (10 * turns / (per_iter * est_warps)).clamp(60, 8_000) as u32
+    }
+
+    /// The chip this harness runs on.
+    pub(crate) fn chip(&self) -> &Chip {
+        self.chip
     }
 
     /// The scratchpad this harness stresses.

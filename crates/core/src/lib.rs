@@ -12,7 +12,8 @@
 //!   campaign server and the one-shot suite runner deduplicate stress
 //!   kernel builds through; [`ArtifactKey::build`] is the one place an
 //!   environment becomes stress artifacts, and campaigns hold the
-//!   cache's `Arc` rather than a copy;
+//!   cache's `Arc` rather than a copy. It also memoizes each
+//!   application's native calibration run, once per chip × spec;
 //! * [`stress`] — the four memory stressing strategies (`no-str`,
 //!   `rand-str`, `cache-str`, and the tuned `sys-str`) targeting a
 //!   scratchpad disjoint from the application (Sec. 3, 4.2), plus the

@@ -11,7 +11,9 @@
 //! Stress artifacts are shared across jobs through one
 //! [`ArtifactCache`] owned by the engine — the point of batching: a
 //! thousand jobs against five environments compile stress kernels five
-//! times.
+//! times, and application jobs run each application's native
+//! calibration once per chip, however many environments and seeds they
+//! span.
 //!
 //! Determinism: a result depends only on its spec (see [`job`](crate::job)),
 //! so neither the number of workers nor which worker happens to claim a
@@ -161,7 +163,7 @@ impl Engine {
     }
 
     /// The shared artifact cache's counters (the soak report's
-    /// `cache_hit_rate` source).
+    /// `cache_hit_rate` source) and its calibration runs.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -261,6 +263,37 @@ mod tests {
         assert_eq!(m.span("queue_wait").unwrap().count(), 24);
         assert_eq!(m.span("execute").unwrap().count(), 24);
         assert_eq!(engine.compile_times().count(), 2);
+    }
+
+    #[test]
+    fn application_jobs_calibrate_once_per_chip_and_application() {
+        for workers in [1, 3] {
+            let engine = Engine::start(EngineConfig {
+                workers,
+                job_parallelism: 1,
+            });
+            let mut jobs = 0;
+            for name in ["cbe-dot", "shm-pipe"] {
+                for chip in ["Titan", "C2075"] {
+                    for env in [EnvKind::Native, EnvKind::SysStrPlus, EnvKind::L1StrPlus] {
+                        engine
+                            .submit(JobSpec {
+                                chip: chip.into(),
+                                env,
+                                workload: WorkloadSpec::App { name: name.into() },
+                                execs: 1,
+                                seed: jobs,
+                            })
+                            .unwrap();
+                        jobs += 1;
+                    }
+                }
+            }
+            assert_eq!(engine.drain().unwrap().len(), 12);
+            let stats = engine.cache_stats();
+            assert_eq!(stats.calibrations, 4, "{workers} workers");
+            assert_eq!(stats.lookups(), 12, "one artifact lookup per job");
+        }
     }
 
     #[test]

@@ -27,8 +27,7 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
-use wmm_core::cache::{ArtifactCache, ArtifactKey};
+use wmm_core::cache::ArtifactCache;
 use wmm_core::campaign::{CampaignBuilder, SummaryValue};
 use wmm_core::env::AppHarness;
 pub use wmm_core::env::EnvKind;
@@ -116,29 +115,33 @@ impl JobSpec {
     /// A litmus spec whose layout [`JobSpec::validate`] refuses is
     /// refused here too, never run.
     ///
-    /// With a cache, the environment's stress artifacts are the cache's
-    /// entry, shared with every other job keying to the same
-    /// [`ArtifactKey`]; without one, they are built fresh. Both routes
-    /// go through [`ArtifactKey::build`], and every per-run value is
-    /// drawn from the run's own seeded RNG, so the result is identical
-    /// either way — the equivalence the server's determinism guarantee
-    /// rests on.
+    /// The environment's stress artifacts, and an application's
+    /// calibrated stressing-loop length, come from `cache`, shared with
+    /// every other job keying to the same entry; `None` runs the job on
+    /// a fresh [`ArtifactCache`], so a standalone job takes the queued
+    /// job's path. A cache hit is the value a fresh build computes, and
+    /// every per-run value is drawn from the run's own seeded RNG, so
+    /// the result is identical either way — the equivalence the
+    /// server's determinism guarantee rests on.
     pub fn execute(
         &self,
         parallelism: usize,
         cache: Option<&ArtifactCache>,
     ) -> Result<SummaryValue, String> {
+        let fresh;
+        let cache = match cache {
+            Some(cache) => cache,
+            None => {
+                fresh = ArtifactCache::new();
+                &fresh
+            }
+        };
         let chip =
             Chip::by_short(&self.chip).ok_or_else(|| format!("unknown chip {:?}", self.chip))?;
         let env = self.env.environment(&chip);
         let campaign = |pad: Scratchpad, iters: u32| {
-            let key = ArtifactKey::new(&chip, &env, pad, iters);
-            let artifacts = match cache {
-                Some(c) => c.get_key(&key),
-                None => Arc::new(key.build()),
-            };
             CampaignBuilder::new(&chip)
-                .stress(artifacts)
+                .stress(cache.get(&chip, &env, pad, iters))
                 .randomize_ids(env.randomize)
                 .count(self.execs)
                 .base_seed(self.seed)
@@ -154,7 +157,7 @@ impl JobSpec {
             WorkloadSpec::App { name } => {
                 let app = wmm_apps::app_by_name(name)
                     .ok_or_else(|| format!("unknown application {name:?}"))?;
-                let harness = AppHarness::new(&chip, app.as_ref());
+                let harness = AppHarness::with_cache(&chip, app.as_ref(), cache);
                 let campaign = campaign(harness.scratchpad(), harness.calibrated_iters());
                 Ok(SummaryValue::App(campaign.run(&harness)))
             }
@@ -357,7 +360,7 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_execution_agree() {
-        let spec = JobSpec {
+        let litmus = JobSpec {
             chip: "K20".into(),
             env: EnvKind::SysStrPlus,
             workload: WorkloadSpec::Litmus {
@@ -367,10 +370,26 @@ mod tests {
             execs: 24,
             seed: 11,
         };
+        let app = JobSpec {
+            workload: WorkloadSpec::App {
+                name: "cbe-dot".into(),
+            },
+            execs: 6,
+            ..litmus.clone()
+        };
         let cache = ArtifactCache::new();
-        let cached = spec.execute(1, Some(&cache)).unwrap();
-        let fresh = spec.execute(1, None).unwrap();
-        assert_eq!(cached, fresh);
-        assert!(cached.as_litmus().unwrap().total() == 24);
+        let mut fresh = Vec::new();
+        for spec in [&litmus, &app] {
+            let uncached = spec.execute(1, None).unwrap();
+            // The second round hits the cache's entry and memo.
+            for _ in 0..2 {
+                assert_eq!(spec.execute(1, Some(&cache)).unwrap(), uncached, "{spec}");
+            }
+            fresh.push(uncached);
+        }
+        assert_eq!(fresh[0].as_litmus().unwrap().total(), 24);
+        assert_eq!(fresh[1].as_app().unwrap().runs, 6);
+        let stats = cache.stats();
+        assert_eq!((stats.builds, stats.hits, stats.calibrations), (2, 2, 1));
     }
 }

@@ -12,7 +12,8 @@
 //!   re-exported here, so a job and a suite column name and resolve an
 //!   environment the same way), carrying its own seed; parse/display a
 //!   compact text form for `repro serve --jobs`. A job runs on the
-//!   cache's shared artifacts (an `Arc`, never a copy), and returns an
+//!   cache's shared artifacts (an `Arc`, never a copy) and, for an
+//!   application, the cache's memoized calibration; it returns an
 //!   error for a litmus layout [`JobSpec::validate`] refuses instead of
 //!   running it.
 //! * [`engine`] — [`Engine`]: a batch of submitted jobs that
@@ -23,7 +24,8 @@
 //!   [`ArtifactCache`](wmm_core::cache::ArtifactCache) keyed
 //!   structurally on chip × environment, so a thousand jobs against
 //!   five environments compile stress kernels five times, not a
-//!   thousand.
+//!   thousand; the same cache runs each application's native
+//!   calibration once per chip.
 //! * [`soak`] — the deterministic soak/throughput harness behind
 //!   `repro soak`: a seeded (`SOAK_SEED`) generator streams a fixed job
 //!   mix (all 28 shapes × chips × the five suite strategies, plus
@@ -34,8 +36,8 @@
 //! # Determinism
 //!
 //! A job's result depends only on its [`JobSpec`] — never on queue
-//! interleaving, worker count, or whether its artifacts were a cache
-//! hit ([`StressArtifacts::make`](wmm_core::stress::StressArtifacts::make)
+//! interleaving, worker count, or whether its artifacts or calibration
+//! were a cache hit ([`StressArtifacts::make`](wmm_core::stress::StressArtifacts::make)
 //! draws all per-run values from the run's own seeded RNG). Every
 //! histogram coming off the queue is bit-identical to running the same
 //! campaign standalone; `tests/server_equivalence.rs` pins this across

@@ -14,9 +14,10 @@
 //! * **cache gate** — artifact-cache hit rate (the quick profile keys
 //!   hundreds of jobs to a handful of environments, so anything under
 //!   0.9 means the shared cache is broken);
-//! * **determinism gate** — a sample of jobs re-executed standalone
-//!   (fresh artifacts, no queue, no pool) must reproduce their queued
-//!   digests bit for bit.
+//! * **determinism gate** — a sample of jobs spread evenly from the
+//!   batch's first job to its last, re-executed standalone (a fresh
+//!   cache, no queue, no pool), must reproduce their queued digests bit
+//!   for bit. The last job of every standard mix is an application job.
 //!
 //! The report's `results_digest` covers only job results (id-ordered
 //! over spec × summary digest), never wall-clock fields: two runs under
@@ -354,6 +355,17 @@ pub fn results_digest(results: &[JobResult]) -> u64 {
     f.finish()
 }
 
+/// The batch indices the determinism gate re-executes: `samples` of
+/// `n` (at most `n`), spread evenly over both ends, so the first and the
+/// last job are always among them; index 0 alone for one sample.
+fn sample_indices(n: usize, samples: usize) -> impl Iterator<Item = usize> {
+    let samples = samples.min(n);
+    (0..samples).map(move |i| match samples {
+        1 => 0,
+        _ => i * (n - 1) / (samples - 1),
+    })
+}
+
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
@@ -421,11 +433,10 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
     // Determinism gate: an evenly spaced sample of jobs, re-executed
     // standalone — no queue, no pool, no shared cache — must reproduce
     // the queued digests exactly.
-    let samples = cfg.gates.determinism_samples.min(results.len());
     let mut checked = 0usize;
     let mut mismatches = 0usize;
-    for i in 0..samples {
-        let r = &results[i * results.len() / samples.max(1)];
+    for i in sample_indices(results.len(), cfg.gates.determinism_samples) {
+        let r = &results[i];
         let standalone = r.spec.execute(1, None)?;
         checked += 1;
         if standalone.digest() != r.summary.digest() {
@@ -601,6 +612,32 @@ mod tests {
         assert_eq!(jobs.len(), litmus + apps);
         for job in &jobs {
             job.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn determinism_sample_spans_the_batch_and_reaches_an_application_job() {
+        assert_eq!(sample_indices(10, 1).collect::<Vec<_>>(), [0]);
+        assert_eq!(sample_indices(10, 4).collect::<Vec<_>>(), [0, 3, 6, 9]);
+        assert_eq!(sample_indices(3, 7).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(sample_indices(0, 7).count(), 0);
+        for profile in [
+            SoakProfile::Quick,
+            SoakProfile::Extended,
+            SoakProfile::Stress,
+        ] {
+            let jobs = SoakMix::for_profile(profile).jobs(2016);
+            let samples = profile.gates().determinism_samples;
+            let picked: Vec<usize> = sample_indices(jobs.len(), samples).collect();
+            assert_eq!(picked.len(), samples, "{profile}");
+            assert_eq!(picked.last(), Some(&(jobs.len() - 1)), "{profile}");
+            assert!(
+                picked
+                    .iter()
+                    .any(|&i| matches!(jobs[i].workload, WorkloadSpec::App { .. })),
+                "{profile}: no application job among {picked:?} of {}",
+                jobs.len()
+            );
         }
     }
 

@@ -14,6 +14,7 @@
 //! either one.
 
 use gpu_wmm::core::cache::ArtifactCache;
+use gpu_wmm::core::env::AppHarness;
 use gpu_wmm::core::suite::{cell_seed, run_suite_with_cache, SuiteConfig, SuiteStrategy};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::server::soak::results_digest;
@@ -22,14 +23,17 @@ use gpu_wmm::sim::chip::Chip;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// A small but representative batch: litmus jobs across chips,
 /// environments (including the rand-str and shared-memory ones, whose
 /// artifact handling is the trickiest) and shapes, plus application
-/// jobs — every workload kind the queue can carry.
+/// jobs — every workload kind the queue can carry. Each application
+/// runs on both chips under two environments, so every (chip,
+/// application) pair repeats: later jobs read a memoized calibration,
+/// and at 8 workers first lookups race on cold keys.
 fn job_set() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     let envs = [
@@ -56,15 +60,19 @@ fn job_set() -> Vec<JobSpec> {
         }
     }
     for (ai, app) in ["shm-pipe", "cbe-dot"].iter().enumerate() {
-        jobs.push(JobSpec {
-            chip: "Titan".to_string(),
-            env: EnvKind::SysStrPlus,
-            workload: WorkloadSpec::App {
-                name: (*app).to_string(),
-            },
-            execs: 4,
-            seed: 0xA44 + ai as u64,
-        });
+        for (ci, chip) in ["Titan", "C2075"].iter().enumerate() {
+            for (ki, env) in [EnvKind::SysStrPlus, EnvKind::Native].iter().enumerate() {
+                jobs.push(JobSpec {
+                    chip: (*chip).to_string(),
+                    env: *env,
+                    workload: WorkloadSpec::App {
+                        name: (*app).to_string(),
+                    },
+                    execs: 4,
+                    seed: 0xA44 + ai as u64 + ((ci as u64) << 12 | (ki as u64) << 8),
+                });
+            }
+        }
     }
     jobs
 }
@@ -91,6 +99,7 @@ fn shuffled<T>(mut v: Vec<T>, seed: u64) -> Vec<T> {
 }
 
 /// Run a batch through an engine and index the result digests by spec.
+/// The engine calibrates once per distinct (chip, application) pair.
 fn engine_digests(jobs: &[JobSpec], workers: usize) -> HashMap<String, u64> {
     let engine = Engine::start(EngineConfig {
         workers,
@@ -101,6 +110,18 @@ fn engine_digests(jobs: &[JobSpec], workers: usize) -> HashMap<String, u64> {
     }
     let results = engine.drain().expect("drain");
     assert_eq!(results.len(), jobs.len());
+    let app_pairs: HashSet<(&str, &str)> = jobs
+        .iter()
+        .filter_map(|j| match &j.workload {
+            WorkloadSpec::App { name } => Some((j.chip.as_str(), name.as_str())),
+            WorkloadSpec::Litmus { .. } => None,
+        })
+        .collect();
+    assert_eq!(
+        engine.cache_stats().calibrations,
+        app_pairs.len() as u64,
+        "{workers} workers"
+    );
     results
         .into_iter()
         .map(|r| (r.spec.to_string(), r.summary.digest()))
@@ -164,6 +185,29 @@ fn batched_jobs_share_artifact_builds() {
     assert_eq!(stats.builds, 10, "one build per chip × environment");
     assert_eq!(stats.hits, litmus_jobs.len() as u64 - 10);
     assert!(stats.hit_rate() > 0.6);
+}
+
+/// The memo hands back the calibration `AppHarness::new` makes on the
+/// spot, the one the tables, the hardening search and the benchmark's
+/// traced replay use, for every application on both chips.
+#[test]
+fn memoized_calibration_equals_calibrating_on_the_spot() {
+    let cache = ArtifactCache::new();
+    let names: Vec<&str> = gpu_wmm::apps::app_names().collect();
+    for chip in ["Titan", "C2075"].map(|c| Chip::by_short(c).unwrap()) {
+        for &name in &names {
+            let app = gpu_wmm::apps::app_by_name(name).unwrap();
+            let now = AppHarness::new(&chip, app.as_ref());
+            let memo = AppHarness::with_cache(&chip, app.as_ref(), &cache);
+            assert_eq!(
+                (memo.calibrated_iters(), memo.scratchpad()),
+                (now.calibrated_iters(), now.scratchpad()),
+                "{name} on the {}",
+                chip.short
+            );
+        }
+    }
+    assert_eq!(cache.stats().calibrations, 2 * names.len() as u64);
 }
 
 /// The suite and the job queue are two batch paths over one model: a
