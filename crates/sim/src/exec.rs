@@ -61,6 +61,24 @@
 //! flag costs O(1) when a slot enters the window. When a slot leaves, it
 //! is recomputed only while clear, since removing a slot from a one-line
 //! window leaves a one-line window.
+//!
+//! A lane step computes only what its result depends on, and each of the
+//! following is exact (the golden tables pin every result bit for bit):
+//!
+//! * **Operand readiness from a mask.** Each thread keeps `busy`, whose
+//!   bit `r` is set exactly while register `r < 64` has a nonzero
+//!   pending id; an operand check reads the mask instead of the pending
+//!   file, which registers from 64 on still use. The ids themselves stay,
+//!   because landing a value and a demand drain need them.
+//! * **The drain decision as an integer compare.** The vendored `f64`
+//!   sample of a draw `x` is `(x >> 11) · 2^-53`, exactly, so `sample <
+//!   drain_q` holds exactly when `x >> 11 < ceil(drain_q · 2^53)`. The
+//!   threshold is computed once per run; the draw is the same, and so is
+//!   the decision for every `drain_q`, NaN included.
+//! * **No tracker work that nothing reads.** The all-channel pressure is
+//!   kept only on chips with the LB broadband quirk (see [`crate::mem`]),
+//!   and a completion reads its block's home SM only on chips with an
+//!   incoherent L1.
 
 use crate::chip::{Chip, ReorderKind};
 use crate::ir::{BinOp, FenceLevel, Inst, Program, Reg, Space, SpecialReg};
@@ -331,6 +349,11 @@ struct ThreadCtx {
     has_last: bool,
     stalled: bool,
     stalled_reg: Reg,
+    /// Bit `r` is set exactly while register `r < 64` has a nonzero
+    /// pending id: [`Lane::need`] tests these registers here instead of
+    /// in the pending file. Kept by [`Lane::pend`], [`Lane::land`] and
+    /// [`Lane::write`], the only places a pending id changes.
+    busy: u64,
     /// Occupied slots of the thread's in-flight window (see
     /// [`Lanes::windows`]).
     win_len: u8,
@@ -448,6 +471,13 @@ impl Lanes {
     }
 }
 
+/// Register `r`'s bit in [`ThreadCtx::busy`]; 0 for registers from 64
+/// on, which only the pending file tracks.
+#[inline]
+fn busy_bit(r: Reg) -> u64 {
+    1u64.checked_shl(u32::from(r)).unwrap_or(0)
+}
+
 /// One lane's state, borrowed apart from the [`Machine`]: all that a
 /// step of this lane reads and writes of its own. `regs` and `pending`
 /// are every thread's files; a lane touches only its own registers,
@@ -477,12 +507,47 @@ impl Lane<'_> {
         self.regs[self.reg(r)]
     }
 
+    /// True while register `r` has a nonzero pending id: read from the
+    /// busy mask for the first 64 registers, from the pending file above.
+    #[inline]
+    fn busy(&self, r: Reg) -> bool {
+        match busy_bit(r) {
+            0 => self.pending[self.reg(r)] != 0,
+            bit => self.th.busy & bit != 0,
+        }
+    }
+
+    /// Register `r` now awaits the in-flight op `id` (never 0).
+    #[inline]
+    fn pend(&mut self, r: Reg, id: u32) {
+        let i = self.reg(r);
+        self.pending[i] = id;
+        self.th.busy |= busy_bit(r);
+    }
+
+    /// The op `id` completed with `v` for register `r`: the value lands
+    /// only if the register still awaits that op.
+    #[inline]
+    fn land(&mut self, r: Reg, id: u32, v: Word) {
+        let i = self.reg(r);
+        if self.pending[i] == id {
+            self.regs[i] = v;
+            self.pending[i] = 0;
+            self.th.busy &= !busy_bit(r);
+        }
+    }
+
     /// Write a register; a load still in flight to it no longer lands.
+    /// Every caller needs the register first, so it is never pending and
+    /// the pending file is left alone.
     #[inline]
     fn write(&mut self, r: Reg, v: Word) {
         let i = self.reg(r);
         self.regs[i] = v;
-        self.pending[i] = 0;
+        if self.busy(r) {
+            self.pending[i] = 0;
+            self.th.busy &= !busy_bit(r);
+        }
     }
 
     /// Require registers ready; otherwise stall on the first pending one
@@ -490,11 +555,12 @@ impl Lane<'_> {
     #[inline]
     fn need(&mut self, rs: &[Reg]) -> Option<()> {
         for &r in rs {
-            if self.pending[self.reg(r)] != 0 {
+            if self.busy(r) {
                 self.th.stalled = true;
                 self.th.stalled_reg = r;
                 return None;
             }
+            debug_assert_eq!(self.pending[self.reg(r)], 0, "register {r} is pending");
         }
         Some(())
     }
@@ -526,7 +592,11 @@ impl Lane<'_> {
     #[inline]
     fn remove(&mut self, j: usize) {
         let len = usize::from(self.th.win_len);
-        self.win.copy_within(j + 1..len, j);
+        // Slot by slot: `copy_within` compiles to a library `memmove`
+        // call, which costs more than moving the few younger slots.
+        for i in j + 1..len {
+            self.win[i - 1] = self.win[i];
+        }
         self.th.win_len -= 1;
         if !self.th.one_line {
             self.th.one_line = one_line(self.window());
@@ -770,14 +840,18 @@ impl Gpu {
     ///
     /// # Panics
     ///
-    /// Panics if the chip's window is deeper than [`MAX_WINDOW`], if its
-    /// lines are empty (`patch_words == 0`), or if its channel count is
-    /// outside `1..=`[`MAX_CHANNELS`]: the address decode of every global
-    /// access divides by the one and indexes the trackers by the other.
+    /// Panics if the chip's window is empty or deeper than
+    /// [`MAX_WINDOW`], if its lines are empty (`patch_words == 0`), if
+    /// its channel count is outside `1..=`[`MAX_CHANNELS`], or if its
+    /// topology has no SMs. The first issue into an empty window would
+    /// complete a slot that does not exist; the address decode of every
+    /// global access divides by the line size and indexes the trackers by
+    /// the channel; and each block's home SM is its launch index modulo
+    /// the SM count.
     pub fn new(chip: Chip) -> Self {
         assert!(
-            chip.window <= MAX_WINDOW,
-            "{}: window {} exceeds MAX_WINDOW",
+            (1..=MAX_WINDOW).contains(&chip.window),
+            "{}: window {}, outside 1..=MAX_WINDOW",
             chip.short,
             chip.window
         );
@@ -787,6 +861,11 @@ impl Gpu {
             "{}: {} channels, outside 1..=MAX_CHANNELS",
             chip.short,
             chip.channels
+        );
+        assert!(
+            chip.topology.total_sms() > 0,
+            "{}: topology has no SMs",
+            chip.short
         );
         Gpu {
             chip,
@@ -851,10 +930,24 @@ struct Machine<'a> {
     /// RNG draws (the pre-topology behaviour, bit for bit).
     l1: Option<L1System>,
     rng: SmallRng,
+    /// [`drain_threshold`] of the chip's `drain_q`: a drain turn
+    /// completes the head of a non-full window when the top 53 bits of
+    /// its draw fall below it.
+    drain_below: u64,
     turn: u64,
     instructions: u64,
     channels: ChannelCounts,
     next_op_id: u32,
+}
+
+/// The integer form of the head-completion test `rng.gen::<f64>() < q`.
+/// The vendored sample of a draw `x` is `(x >> 11) · 2^-53`, computed
+/// exactly, and `q · 2^53` is exact too, so for the integer `x >> 11`
+/// the test holds exactly when `x >> 11 < ceil(q · 2^53)`. The cast
+/// saturates: NaN and every `q ≤ 0` give 0 (never, like the float test),
+/// and every `q ≥ 1` gives at least 2^53 (always).
+fn drain_threshold(q: f64) -> u64 {
+    (q * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// The lanes set in a warp's lane mask, in lane order.
@@ -939,6 +1032,7 @@ impl<'a> Run<'a> {
                     l1.unwrap_or_else(|| L1System::new(chip.topology.total_sms(), chip.l1))
                 }),
                 rng,
+                drain_below: drain_threshold(chip.drain_q),
                 turn: 0,
                 instructions: 0,
                 channels: ChannelCounts::default(),
@@ -1007,9 +1101,10 @@ impl<'a> Run<'a> {
             // contention trackers calibrated in absolute time — a lightly
             // occupied (native) launch generates far less memory traffic
             // per unit time than a fully stressed one.
-            let live = self.live_warps.len().max(1) as u64;
-            let full = u64::from(self.m.chip.max_concurrent_threads / WARP_SIZE).max(1);
-            self.m.turn += (full / live).max(1);
+            // Warp ids are `u32`, so the live count fits one too.
+            let live = (self.live_warps.len() as u32).max(1);
+            let full = (self.m.chip.max_concurrent_threads / WARP_SIZE).max(1);
+            self.m.turn += u64::from((full / live).max(1));
         }
         if self.app_turns == 0 {
             self.app_turns = self.m.turn;
@@ -1136,6 +1231,7 @@ impl<'a> Run<'a> {
                 has_last: false,
                 stalled: false,
                 stalled_reg: 0,
+                busy: 0,
                 win_len: 0,
                 one_line: true,
             });
@@ -1377,7 +1473,7 @@ impl Machine<'_> {
             head.stall -= 1;
             return Ok(());
         }
-        if len == self.chip.window || self.rng.gen::<f64>() < self.chip.drain_q {
+        if len == self.chip.window || self.rng.gen::<u64>() >> 11 < self.drain_below {
             return self.complete(lane, 0);
         }
         Ok(())
@@ -1474,15 +1570,16 @@ impl Machine<'_> {
             self.shared_index(b, slot.addr)
                 .map(|i| apply_shared(&mut self.shared[i], slot.kind, slot.v1, slot.v2))
         } else {
-            self.complete_global(self.blocks[b as usize].home_sm, slot)
+            // Only an incoherent L1 reads the block's home SM.
+            let home = match self.l1 {
+                Some(_) => self.blocks[b as usize].home_sm,
+                None => 0,
+            };
+            self.complete_global(home, slot)
         };
         lane.remove(j);
         if let Some(v) = value? {
-            let r = lane.reg(slot.dst);
-            if lane.pending[r] == slot.id {
-                lane.regs[r] = v;
-                lane.pending[r] = 0;
-            }
+            lane.land(slot.dst, slot.id, v);
         }
         Ok(())
     }
@@ -1692,8 +1789,7 @@ impl Machine<'_> {
             return Ok(false);
         }
         if reads {
-            let r = lane.reg(dst);
-            lane.pending[r] = slot.id;
+            lane.pend(dst, slot.id);
         }
         match space {
             Space::Global => {
@@ -2723,13 +2819,14 @@ mod tests {
         assert_eq!(a.channels, b.channels, "{what}: channels");
     }
 
-    /// Every thread loads and stores across a scratchpad region for
-    /// `iters` iterations — the mixed traffic that feeds the channel χ.
-    fn mixed_stress_kernel(iters: u32) -> Program {
+    /// Every thread loads and stores across the `words` words from word
+    /// 256 for `iters` iterations — the mixed traffic that feeds the
+    /// channel χ.
+    fn mixed_stress_kernel(iters: u32, words: u32) -> Program {
         let mut b = KernelBuilder::new("mstress");
         let g = b.global_tid();
         let base = b.const_(256);
-        let m = b.const_(512);
+        let m = b.const_(words);
         let off = b.rem_u(g, m);
         let addr = b.add(base, off);
         let i = b.reg();
@@ -2793,7 +2890,7 @@ mod tests {
             ("intra-block, shared stress", intra),
             (
                 "large, stressed",
-                with_stress(corr_kernel(false), mixed_stress_kernel(24), 24, true),
+                with_stress(corr_kernel(false), mixed_stress_kernel(24, 512), 24, true),
             ),
             (
                 "mid-run fault",
@@ -2944,6 +3041,22 @@ mod tests {
         Gpu::new(chip);
     }
 
+    #[test]
+    #[should_panic(expected = "Titan: window 0, outside 1..=MAX_WINDOW")]
+    fn chips_with_an_empty_window_are_rejected() {
+        let mut chip = Chip::by_short("Titan").unwrap();
+        chip.window = 0;
+        Gpu::new(chip);
+    }
+
+    #[test]
+    #[should_panic(expected = "Titan: topology has no SMs")]
+    fn chips_without_sms_are_rejected() {
+        let mut chip = Chip::by_short("Titan").unwrap();
+        chip.topology.clusters = 0;
+        Gpu::new(chip);
+    }
+
     /// A window slot as `exec_mem` builds one: `kind` 0–4 is a load, a
     /// store, a CAS, a device fence or a block fence; an access is on
     /// `line` of the global (`space` 0) or shared space.
@@ -2970,6 +3083,31 @@ mod tests {
         }
     }
 
+    /// A running thread as `Run::launch_block` starts one: registers
+    /// from 0, nothing pending, an empty window.
+    fn fresh_thread() -> ThreadCtx {
+        ThreadCtx {
+            group: 0,
+            block: 0,
+            warp: 0,
+            pc: 0,
+            state: TState::Running,
+            regs_at: 0,
+            tid: 0,
+            bid: 0,
+            icount: 0,
+            last_is_store: false,
+            last_channel: 0,
+            last_icount: 0,
+            has_last: false,
+            stalled: false,
+            stalled_reg: 0,
+            busy: 0,
+            win_len: 0,
+            one_line: true,
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
@@ -2984,25 +3122,7 @@ mod tests {
                 1..48,
             )
         ) {
-            let mut th = ThreadCtx {
-                group: 0,
-                block: 0,
-                warp: 0,
-                pc: 0,
-                state: TState::Running,
-                regs_at: 0,
-                tid: 0,
-                bid: 0,
-                icount: 0,
-                last_is_store: false,
-                last_channel: 0,
-                last_icount: 0,
-                has_last: false,
-                stalled: false,
-                stalled_reg: 0,
-                win_len: 0,
-                one_line: true,
-            };
+            let mut th = fresh_thread();
             let mut win = [Slot::default(); MAX_WINDOW];
             let mut lane = Lane {
                 th: &mut th,
@@ -3035,6 +3155,103 @@ mod tests {
                         proptest::prop_assert!(!can_bypass(win, j), "slot {} of {:?}", j, win);
                     }
                 }
+            }
+        }
+
+        /// Random issues, landings and register writes through the
+        /// `Lane` code the executor uses, over registers on both sides of
+        /// the busy mask's 64: after every step, bit `r < 64` of the mask
+        /// must be set exactly when `r` has a pending id, and `need` on
+        /// the step's operands must answer what a loop over the pending
+        /// file answers, stalling on the same register. A landing picks
+        /// any op still outstanding, so an op whose register a newer
+        /// issue took over lands too.
+        #[test]
+        fn busy_mask_tracks_the_pending_file(
+            steps in proptest::collection::vec(
+                (0u32..3, 0u16..80, 0usize..64, proptest::collection::vec(0u16..80, 1..5)),
+                1..96,
+            )
+        ) {
+            const REGS: usize = 80;
+            let mut th = fresh_thread();
+            let (mut regs, mut pending) = ([0; REGS], [0; REGS]);
+            let mut win = [Slot::default(); MAX_WINDOW];
+            let mut lane = Lane {
+                th: &mut th,
+                regs: &mut regs,
+                pending: &mut pending,
+                win: &mut win,
+            };
+            let mut in_flight: Vec<(Reg, u32)> = Vec::new();
+            let mut next_id = 1;
+            for (op, r, k, operands) in steps {
+                match op {
+                    0 => {
+                        lane.pend(r, next_id);
+                        in_flight.push((r, next_id));
+                        next_id += 1;
+                    }
+                    1 if !in_flight.is_empty() => {
+                        let (r, id) = in_flight.remove(k % in_flight.len());
+                        lane.land(r, id, id);
+                    }
+                    _ => lane.write(r, Word::from(r)),
+                }
+                for r in 0..64u16 {
+                    proptest::prop_assert_eq!(
+                        lane.th.busy >> r & 1 == 1,
+                        lane.pending[usize::from(r)] != 0,
+                        "register {}", r
+                    );
+                }
+                let stall = operands.iter().copied().find(|&r| lane.pending[usize::from(r)] != 0);
+                lane.th.stalled = false;
+                lane.th.stalled_reg = Reg::MAX;
+                proptest::prop_assert_eq!(lane.need(&operands).is_none(), stall.is_some());
+                proptest::prop_assert_eq!(lane.th.stalled, stall.is_some());
+                proptest::prop_assert_eq!(lane.th.stalled_reg, stall.unwrap_or(Reg::MAX));
+            }
+        }
+    }
+
+    /// A generator whose every draw is `x`.
+    struct Draw(u64);
+
+    impl rand::RngCore for Draw {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn integer_drain_test_matches_the_float_one() {
+        let mut qs: Vec<f64> = Chip::all().iter().map(|c| c.drain_q).collect();
+        qs.extend([
+            0.0,
+            0.5,
+            1.0,
+            f64::from_bits(1.0f64.to_bits() - 1),
+            1e-300,
+            1.5,
+            f64::NAN,
+        ]);
+        let mut rng = SmallRng::seed_from_u64(2016);
+        for q in qs {
+            let t = drain_threshold(q);
+            // Draws whose top 53 bits sit at the threshold and beside it,
+            // with all-zero and all-one low bits.
+            let edges = [t.wrapping_sub(1), t, t.wrapping_add(1)]
+                .into_iter()
+                .filter(|&top| top < 1 << 53)
+                .flat_map(|top| [top << 11, top << 11 | 0x7ff]);
+            let random: Vec<u64> = (0..100_000).map(|_| rng.gen()).collect();
+            for x in edges.chain(random) {
+                assert_eq!(
+                    x >> 11 < t,
+                    Draw(x).gen::<f64>() < q,
+                    "drain_q {q:e}, threshold {t}, draw {x:#018x}"
+                );
             }
         }
     }
@@ -3076,9 +3293,9 @@ mod tests {
         let c2075 = Chip::by_short("C2075").unwrap();
         let mut timeout = LaunchSpec::app(endless_kernel(), 2, 64, 256);
         timeout.max_turns = 3_000;
-        let mut odd_block = LaunchSpec::app(mixed_stress_kernel(16), 1, 40, 1024);
+        let mut odd_block = LaunchSpec::app(mixed_stress_kernel(16, 512), 1, 40, 1024);
         odd_block.groups.push(KernelGroup {
-            program: Arc::new(mixed_stress_kernel(24)),
+            program: Arc::new(mixed_stress_kernel(24, 512)),
             blocks: 12,
             threads_per_block: 64,
             role: Role::Stress,
@@ -3175,5 +3392,68 @@ mod tests {
             let r = Gpu::new(chip).run(&spec, 40 + seed as u64);
             assert_eq!(pin(&r), want, "{what}");
         }
+    }
+
+    /// Every thread loads word `g % 32` of line 0 and stores to the same
+    /// word of line 1, 64 words on, `iters` times: on the GTX 980 an
+    /// `LdSt` pair inside its LB broadband band.
+    fn lb_pair_kernel(iters: u32) -> Program {
+        let mut b = KernelBuilder::new("lb-pair");
+        let g = b.global_tid();
+        let words = b.const_(32);
+        let x = b.rem_u(g, words);
+        let off = b.const_(64);
+        let y = b.add(x, off);
+        let i = b.reg();
+        b.assign_const(i, 0);
+        let n = b.const_(iters);
+        let one = b.const_(1);
+        b.while_(
+            |b| b.lt_u(i, n),
+            |b| {
+                b.load_global(x);
+                b.store_global(y, i);
+                b.bin_into(i, BinOp::Add, i, one);
+            },
+        );
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn lb_broadband_launch_is_pinned() {
+        // The GTX 980's LB broadband quirk is the only reader of global
+        // pressure, and no golden row depends on it: skipping global
+        // pressure on every chip leaves all of them unchanged. Here it
+        // decides every bypass. The pair's own channels see only loads or
+        // only stores, so their χ is 0; the stress covers words 256–511,
+        // lines 4–7 and so channels 4–7, and reaches the pair only
+        // through global pressure. Without the quirk the same launch
+        // makes no bypass. Recorded before global pressure was skipped on
+        // chips without the quirk.
+        let gtx980 = Chip::by_short("980").unwrap();
+        let mut spec = LaunchSpec::app(lb_pair_kernel(24), 1, 64, 1024);
+        spec.groups.push(KernelGroup {
+            program: Arc::new(mixed_stress_kernel(48, 256)),
+            blocks: 6,
+            threads_per_block: 64,
+            role: Role::Stress,
+        });
+        let mut plain = gtx980.clone();
+        plain.lb_broadband = None;
+        let quirk = Gpu::new(gtx980).run(&spec, 46);
+        let want: Pin = (
+            RunStatus::Completed,
+            94_598,
+            3_450,
+            3_451,
+            ChannelCounts {
+                window_global: 159,
+                ..ChannelCounts::default()
+            },
+            0xf53e_b230_f5df_4619,
+        );
+        assert_eq!(pin(&quirk), want);
+        let plain = Gpu::new(plain).run(&spec, 46);
+        assert_eq!(plain.channels.window_global, 0);
     }
 }

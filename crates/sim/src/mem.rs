@@ -10,6 +10,14 @@
 //! scratchpad region provokes weak behaviours in application locations
 //! that share its channel, while leaving the application's possible
 //! behaviours unchanged when idle.
+//!
+//! Beside the channels, one decayed all-channel `global_pressure` feeds
+//! the GTX 980's LB broadband quirk ([`Chip::lb_broadband`]), and nothing
+//! else reads it. So [`MemSystem::note_access`] keeps it only on chips
+//! that have the quirk; on every other chip it stays 0 and an issue costs
+//! no decay (`exp`) for it. Skipping it changes no result, because
+//! [`MemSystem::chi`] reads it only under the quirk; a `MemSystem` is
+//! meant to serve one chip, as it does for a run.
 
 use crate::chip::{Chip, ReorderKind};
 use crate::seq::normalize8;
@@ -58,7 +66,8 @@ impl Channel {
 pub struct MemSystem {
     mem: Vec<Word>,
     channels: [Channel; MAX_CHANNELS],
-    /// Decayed global (all-channel) pressure, for broadband quirks.
+    /// Decayed global (all-channel) pressure, for the LB broadband quirk;
+    /// kept only on chips that have it.
     global_pressure: f64,
     global_last_turn: u64,
 }
@@ -166,7 +175,8 @@ impl MemSystem {
     /// `transition` is `Some((from_is_store, to_is_store))` when the same
     /// thread issued its previous access to the same channel within the
     /// loop-boundary gap (see `exec`), i.e. the accesses are back-to-back
-    /// in the instruction stream.
+    /// in the instruction stream. The all-channel pressure is bumped too,
+    /// but only on chips with [`Chip::lb_broadband`], its only reader.
     ///
     /// # Panics
     ///
@@ -196,7 +206,11 @@ impl MemSystem {
             };
             c.tr[idx] += 1.0;
         }
-        // Global pressure (lazy decay).
+        // Global pressure (lazy decay), which only the LB broadband
+        // quirk reads.
+        if chip.lb_broadband.is_none() {
+            return;
+        }
         if turn > self.global_last_turn {
             let f = (-((turn - self.global_last_turn) as f64) / chip.pressure_tau).exp();
             self.global_pressure *= f;
@@ -479,6 +493,35 @@ mod tests {
         let near = m.chi(&chip, ReorderKind::StSt, 0, 128, 4000);
         let far = m.chi(&chip, ReorderKind::StSt, 0, 512, 4000);
         assert!(far > near * 2.0, "near {near} far {far}");
+    }
+
+    #[test]
+    fn lb_broadband_quirk_reads_global_pressure() {
+        /// Loads and stores on channels 5–7 only, none of them a channel
+        /// of the pairs below on either chip.
+        fn stressed(chip: &Chip) -> MemSystem {
+            let mut m = MemSystem::new(4096);
+            for turn in 0..2000u64 {
+                m.note_access(chip, 5 + (turn % 3) as u32, turn % 2 == 1, None, turn);
+            }
+            m
+        }
+        let gtx980 = Chip::by_short("980").unwrap();
+        let titan = titan();
+        for chip in [&gtx980, &titan] {
+            assert!([0, 64, 128].iter().all(|&a| chip.channel_of(a) < 5));
+        }
+        // 64 words apart, inside the 980's band [64, 128): χ comes from
+        // the traffic on the other channels alone.
+        let idle = MemSystem::new(4096).chi(&gtx980, ReorderKind::LdSt, 0, 64, 2000);
+        assert_eq!(idle, 0.0);
+        let mut m = stressed(&gtx980);
+        let in_band = m.chi(&gtx980, ReorderKind::LdSt, 0, 64, 2000);
+        assert!(in_band > 0.0, "in band: chi = {in_band}");
+        let out_of_band = m.chi(&gtx980, ReorderKind::LdSt, 0, 128, 2000);
+        assert_eq!(out_of_band, 0.0);
+        let on_titan = stressed(&titan).chi(&titan, ReorderKind::LdSt, 0, 64, 2000);
+        assert_eq!(on_titan, 0.0);
     }
 
     #[test]
