@@ -7,20 +7,6 @@ use std::fmt;
 use crate::delay::DelayEdge;
 use wmm_sim::ir::{FenceLevel, Program, Space};
 
-fn space_name(s: Space) -> &'static str {
-    match s {
-        Space::Global => "global",
-        Space::Shared => "shared",
-    }
-}
-
-fn level_name(l: FenceLevel) -> &'static str {
-    match l {
-        FenceLevel::Block => "block",
-        FenceLevel::Device => "device",
-    }
-}
-
 /// One warning: an unfenced delay pair, aggregated over all analysis
 /// threads that exhibit it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,11 +31,11 @@ impl fmt::Display for DelayWarning {
         write!(
             f,
             "delay {}#{} -> {}#{}: unfenced critical cycle, minimal fence = {} (threads {:?})",
-            space_name(self.from_space),
+            self.from_space.name(),
             self.from,
-            space_name(self.to_space),
+            self.to_space.name(),
             self.to,
-            level_name(self.level),
+            self.level.name(),
             self.threads,
         )
     }
@@ -71,14 +57,7 @@ pub enum Verdict {
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Verdict::Required(l) => write!(
-                f,
-                "Required({})",
-                match l {
-                    FenceLevel::Block => "Block",
-                    FenceLevel::Device => "Device",
-                }
-            ),
+            Verdict::Required(l) => write!(f, "Required({l:?})"),
             Verdict::DemotableToBlock => write!(f, "DemotableToBlock"),
             Verdict::RemovalCandidate => write!(f, "RemovalCandidate"),
         }
@@ -102,7 +81,7 @@ impl fmt::Display for SiteReport {
             f,
             "site #{} ({}): {}",
             self.index,
-            space_name(self.space),
+            self.space.name(),
             self.verdict
         )
     }

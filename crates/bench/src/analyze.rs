@@ -20,21 +20,20 @@
 //! coherent presets. Without the flag the analysis is chip-independent,
 //! exactly as before.
 //!
-//! `--json PATH` additionally writes a machine-readable report whose
-//! verdict strings (`DemotableToBlock`, `Required(Device)`,
-//! `RemovalCandidate`), warning counts, and per-chip quiet flags CI
-//! greps for.
-
-use std::fmt::Write as _;
+//! `--json PATH` additionally writes a machine-readable report, one
+//! line per target: its verdict strings (`DemotableToBlock`,
+//! `Required(Device)`, `RemovalCandidate`), warning counts, and per-chip
+//! quiet flags are what CI checks.
 
 use wmm_analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
 use wmm_apps::{app_by_name, app_names};
 use wmm_core::analyze_spec;
 use wmm_core::suite::litmus_pad;
 use wmm_gen::Shape;
-use wmm_litmus::{LitmusLayout, Placement};
+use wmm_litmus::LitmusLayout;
+use wmm_obs::Json;
 use wmm_sim::chip::Chip;
-use wmm_sim::ir::{FenceLevel, Space};
+use wmm_sim::ir::FenceLevel;
 
 /// Distance the shape targets are instantiated at, on the suite's
 /// litmus layout ([`litmus_pad`]). The analyzer's verdict depends on
@@ -93,20 +92,12 @@ fn analyze_app(name: &str) -> Option<Report> {
 }
 
 fn resolve(target: &str, chips: &Option<Vec<Chip>>) -> Result<Vec<Report>, String> {
+    let shapes = || Shape::ALL.iter().flat_map(|&s| shape_reports(s, chips));
+    let apps = || app_names().filter_map(analyze_app);
     match target {
-        "shapes" => Ok(Shape::ALL
-            .iter()
-            .flat_map(|&s| shape_reports(s, chips))
-            .collect()),
-        "apps" => Ok(app_names().filter_map(analyze_app).collect()),
-        "all" => {
-            let mut out: Vec<Report> = Shape::ALL
-                .iter()
-                .flat_map(|&s| shape_reports(s, chips))
-                .collect();
-            out.extend(app_names().filter_map(analyze_app));
-            Ok(out)
-        }
+        "shapes" => Ok(shapes().collect()),
+        "apps" => Ok(apps().collect()),
+        "all" => Ok(shapes().chain(apps()).collect()),
         name => {
             if let Ok(shape) = name.parse::<Shape>() {
                 return Ok(shape_reports(shape, chips));
@@ -119,20 +110,6 @@ fn resolve(target: &str, chips: &Option<Vec<Chip>>) -> Result<Vec<Report>, Strin
                  application name, `shapes`, `apps`, or `all`)"
             ))
         }
-    }
-}
-
-fn space_name(s: Space) -> &'static str {
-    match s {
-        Space::Global => "global",
-        Space::Shared => "shared",
-    }
-}
-
-fn level_name(l: FenceLevel) -> &'static str {
-    match l {
-        FenceLevel::Block => "block",
-        FenceLevel::Device => "device",
     }
 }
 
@@ -152,7 +129,7 @@ fn print_analysis(a: &ProgramAnalysis, indent: &str) {
         println!(
             "{indent}{} warning(s), minimal fence = {}",
             a.warnings.len(),
-            a.max_warning_level().map(level_name).unwrap_or("-"),
+            a.max_warning_level().map_or("-", FenceLevel::name),
         );
     }
 }
@@ -165,17 +142,9 @@ fn print_report(r: &Report) {
             chip,
             analysis,
         } => {
-            let placement = match shape.placement() {
-                Placement::InterBlock => "inter-block",
-                Placement::IntraBlock => "intra-block",
-            };
-            match chip {
-                Some(c) => println!(
-                    "== {} on {c} ({placement}, {threads} threads) ==",
-                    shape.short()
-                ),
-                None => println!("== {} ({placement}, {threads} threads) ==", shape.short()),
-            }
+            let on = chip.as_ref().map_or(String::new(), |c| format!(" on {c}"));
+            let placement = shape.placement();
+            println!("== {shape}{on} ({placement}-block, {threads} threads) ==");
             print_analysis(analysis, "  ");
         }
         Report::App { name, phases } => {
@@ -188,103 +157,85 @@ fn print_report(r: &Report) {
     }
 }
 
-fn json_analysis(out: &mut String, a: &ProgramAnalysis) {
-    let _ = write!(
-        out,
-        "\"quiet\": {}, \"warnings\": {}, \"ordered_edges\": {}, \"level\": {}, ",
-        a.quiet(),
-        a.warnings.len(),
-        a.ordered_edges,
-        match a.max_warning_level() {
-            Some(l) => format!("\"{}\"", level_name(l)),
-            None => "null".to_string(),
-        },
-    );
-    let delays: Vec<String> = a
-        .warnings
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"from\": {}, \"to\": {}, \"from_space\": \"{}\", \"to_space\": \"{}\", \
-                 \"level\": \"{}\"}}",
-                w.from,
-                w.to,
-                space_name(w.from_space),
-                space_name(w.to_space),
-                level_name(w.level),
-            )
-        })
-        .collect();
-    let sites: Vec<String> = a
-        .sites
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"index\": {}, \"space\": \"{}\", \"verdict\": \"{}\"}}",
-                s.index,
-                space_name(s.space),
-                s.verdict,
-            )
-        })
-        .collect();
-    let _ = write!(
-        out,
-        "\"delays\": [{}], \"sites\": [{}]",
-        delays.join(", "),
-        sites.join(", "),
-    );
+/// One analysis as JSON object members: the quiet certificate, the
+/// warning count and strongest level, every delay pair and every site
+/// verdict.
+fn analysis_json(a: &ProgramAnalysis) -> Vec<(&'static str, Json)> {
+    let delays = a.warnings.iter().map(|w| {
+        Json::Object(vec![
+            ("from", w.from.into()),
+            ("to", w.to.into()),
+            ("from_space", w.from_space.name().into()),
+            ("to_space", w.to_space.name().into()),
+            ("level", w.level.name().into()),
+        ])
+    });
+    let sites = a.sites.iter().map(|s| {
+        Json::Object(vec![
+            ("index", s.index.into()),
+            ("space", s.space.name().into()),
+            ("verdict", s.verdict.to_string().into()),
+        ])
+    });
+    let level = a
+        .max_warning_level()
+        .map_or(Json::Null, |l| l.name().into());
+    vec![
+        ("quiet", a.quiet().into()),
+        ("warnings", a.warnings.len().into()),
+        ("ordered_edges", a.ordered_edges.into()),
+        ("level", level),
+        ("delays", delays.collect()),
+        ("sites", sites.collect()),
+    ]
 }
 
-/// Render the reports as a JSON document.
-fn to_json(reports: &[Report]) -> String {
-    let mut out = String::from("{\n  \"targets\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        match r {
+impl Report {
+    /// The target's row of the JSON document.
+    fn to_json(&self) -> Json {
+        let members = match self {
             Report::Shape {
                 shape,
                 threads,
                 chip,
                 analysis,
             } => {
-                let _ = write!(
-                    out,
-                    "    {{\"kind\": \"shape\", \"name\": \"{}\", \"placement\": \"{}\", \
-                     \"threads\": {threads}, ",
-                    shape.short(),
-                    match shape.placement() {
-                        Placement::InterBlock => "inter",
-                        Placement::IntraBlock => "intra",
-                    },
-                );
+                let mut members = vec![
+                    ("kind", "shape".into()),
+                    ("name", shape.short().into()),
+                    ("placement", shape.placement().short().into()),
+                    ("threads", (*threads).into()),
+                ];
                 if let Some(c) = chip {
-                    let _ = write!(out, "\"chip\": \"{c}\", ");
+                    members.push(("chip", c.as_str().into()));
                 }
-                json_analysis(&mut out, analysis);
-                out.push('}');
+                members.extend(analysis_json(analysis));
+                members
             }
             Report::App { name, phases } => {
-                let _ = write!(out, "    {{\"kind\": \"app\", \"name\": \"{name}\", ");
-                let quiet = phases.iter().all(ProgramAnalysis::quiet);
+                let rows = phases.iter().enumerate().map(|(p, a)| {
+                    let mut members = vec![("phase", p.into())];
+                    members.extend(analysis_json(a));
+                    Json::Object(members)
+                });
                 let warnings: usize = phases.iter().map(|a| a.warnings.len()).sum();
-                let _ = write!(
-                    out,
-                    "\"quiet\": {quiet}, \"warnings\": {warnings}, \"phases\": ["
-                );
-                for (p, a) in phases.iter().enumerate() {
-                    if p > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{{\"phase\": {p}, ");
-                    json_analysis(&mut out, a);
-                    out.push('}');
-                }
-                out.push_str("]}");
+                vec![
+                    ("kind", "app".into()),
+                    ("name", name.as_str().into()),
+                    ("quiet", phases.iter().all(ProgramAnalysis::quiet).into()),
+                    ("warnings", warnings.into()),
+                    ("phases", rows.collect()),
+                ]
             }
-        }
-        out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
+        };
+        Json::Object(members)
     }
-    out.push_str("  ]\n}\n");
-    out
+}
+
+/// The reports as a JSON document, one line per target.
+fn to_json(reports: &[Report]) -> Json {
+    let targets = reports.iter().map(Report::to_json).collect();
+    Json::Object(vec![("targets", targets)])
 }
 
 /// Analyze `target` — on specific chips when `chips` names any — print
@@ -297,12 +248,7 @@ pub fn run(target: &str, chips: Option<Vec<Chip>>, json_path: Option<&str>) -> R
         }
         print_report(r);
     }
-    if let Some(path) = json_path {
-        let json = to_json(&reports);
-        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    json_path.map_or(Ok(()), |path| crate::write_json(path, &to_json(&reports)))
 }
 
 #[cfg(test)]
@@ -310,12 +256,34 @@ mod tests {
     use super::*;
 
     fn json_of(target: &str) -> String {
-        to_json(&resolve(target, &None).unwrap())
+        to_json(&resolve(target, &None).unwrap()).render()
     }
 
     fn json_on(target: &str, chip: &str) -> String {
         let chips = Some(vec![Chip::by_short(chip).unwrap()]);
-        to_json(&resolve(target, &chips).unwrap())
+        to_json(&resolve(target, &chips).unwrap()).render()
+    }
+
+    #[test]
+    fn scoped_shape_renders_the_recorded_bytes() {
+        let expected = r#"{
+  "targets": [
+    {"kind": "shape", "name": "MP.shared", "placement": "intra", "threads": 2, "quiet": false, "warnings": 2, "ordered_edges": 0, "level": "block", "delays": [{"from": 20, "to": 23, "from_space": "shared", "to_space": "shared", "level": "block"}, {"from": 28, "to": 30, "from_space": "shared", "to_space": "shared", "level": "block"}], "sites": [{"index": 7, "space": "global", "verdict": "RemovalCandidate"}, {"index": 8, "space": "global", "verdict": "RemovalCandidate"}, {"index": 20, "space": "shared", "verdict": "DemotableToBlock"}, {"index": 23, "space": "shared", "verdict": "RemovalCandidate"}, {"index": 28, "space": "shared", "verdict": "DemotableToBlock"}, {"index": 30, "space": "shared", "verdict": "RemovalCandidate"}, {"index": 32, "space": "global", "verdict": "RemovalCandidate"}, {"index": 34, "space": "global", "verdict": "RemovalCandidate"}]}
+  ]
+}
+"#;
+        assert_eq!(json_of("MP.shared"), expected);
+    }
+
+    #[test]
+    fn chip_aware_shape_renders_the_recorded_bytes() {
+        let expected = r#"{
+  "targets": [
+    {"kind": "shape", "name": "CoRR", "placement": "inter", "threads": 2, "chip": "C2075", "quiet": false, "warnings": 1, "ordered_edges": 0, "level": "device", "delays": [{"from": 23, "to": 25, "from_space": "global", "to_space": "global", "level": "device"}], "sites": [{"index": 7, "space": "global", "verdict": "RemovalCandidate"}, {"index": 8, "space": "global", "verdict": "RemovalCandidate"}, {"index": 18, "space": "global", "verdict": "RemovalCandidate"}, {"index": 23, "space": "global", "verdict": "Required(Device)"}, {"index": 25, "space": "global", "verdict": "RemovalCandidate"}, {"index": 27, "space": "global", "verdict": "RemovalCandidate"}, {"index": 29, "space": "global", "verdict": "RemovalCandidate"}]}
+  ]
+}
+"#;
+        assert_eq!(json_on("CoRR", "C2075"), expected);
     }
 
     #[test]
@@ -370,7 +338,7 @@ mod tests {
         let reports = resolve("apps", &None).unwrap();
         // Tab. 4's ten plus shm-pipe.
         assert_eq!(reports.len(), 11);
-        let json = to_json(&reports);
+        let json = to_json(&reports).render();
         // The unfenced Tab. 4 apps communicate through global memory.
         assert!(json.contains("Required(Device)"), "{json}");
         // The scoped demo exposes block-demotable shared sites.

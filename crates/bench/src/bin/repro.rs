@@ -53,7 +53,7 @@ use std::str::FromStr;
 
 use wmm_bench::{
     analyze, fig3, fig4, fig5, running, serve, soak, suite, table2, table3, table5, table6, trace,
-    Scale,
+    write_json, Scale,
 };
 use wmm_server::SoakProfile;
 use wmm_sim::chip::Chip;
@@ -155,9 +155,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let run_suite = |chips: Option<Vec<Chip>>| -> Result<(), String> {
         let cells = suite::run(chips, placement, scale, provenance);
         if let Some(path) = &json_path {
-            let json = suite::to_json(&cells, scale.execs, scale.seed, provenance);
-            std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
-            println!("wrote {path}");
+            write_json(
+                path,
+                &suite::to_json(&cells, scale.execs, scale.seed, provenance),
+            )?;
         }
         Ok(())
     };

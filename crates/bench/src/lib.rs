@@ -37,6 +37,9 @@ pub mod table5;
 pub mod table6;
 pub mod trace;
 
+use std::path::Path;
+use wmm_obs::Json;
+
 /// Execution-budget scaling shared by the experiment generators.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
@@ -88,6 +91,17 @@ impl Default for Scale {
     fn default() -> Self {
         Scale::quick()
     }
+}
+
+/// Write `doc` to `path` and say so: the one way `repro` writes a JSON
+/// document (the `--json PATH` files and the soak report). The error
+/// names the path.
+pub fn write_json(path: impl AsRef<Path>, doc: &Json) -> Result<(), String> {
+    let path = path.as_ref();
+    std::fs::write(path, doc.render())
+        .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Render a histogram bar for plot-style terminal output.

@@ -9,14 +9,14 @@
 //! 2016.
 //!
 //! Returns whether every gate passed, or the error that stopped the
-//! run; the `repro` binary exits 1 on a failed gate and 2 on an error.
+//! run, an unwritable report included; the `repro` binary exits 1 on a
+//! failed gate and 2 on an error.
 
-use std::path::Path;
 use wmm_server::{run_soak, SoakConfig, SoakProfile};
 
-/// Run a soak profile end to end. Prints the report, writes the
-/// artifacts, and returns `Ok(true)` iff every gate passed, or `Err`
-/// when the soak run itself fails.
+/// Run a soak profile end to end. Prints the report, writes it, and
+/// returns `Ok(true)` iff every gate passed, or `Err` when the soak run
+/// itself fails or the report cannot be written.
 pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> Result<bool, String> {
     let mut cfg = SoakConfig::new(profile);
     cfg.seed = seed;
@@ -59,10 +59,10 @@ pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> Result<bool, Stri
         report.determinism_checked,
         report.determinism_mismatches
     );
-    match report.write_report(Path::new(".")) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write report: {e}"),
-    }
+    let path = report.path();
+    let dir = path.parent().expect("the report sits in a directory");
+    std::fs::create_dir_all(dir).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    crate::write_json(&path, &report.to_json())?;
     if report.gates.pass {
         println!("soak: PASS");
     } else {

@@ -9,16 +9,14 @@
 //! whichever chips ride along, and equals the `repro serve` litmus job
 //! seeded with its `cell_seed`. Each cell's weak-outcome predicate is
 //! derived by the SC-enumeration oracle — nothing on this path carries
-//! a hand-written predicate. Optionally serialises the matrix to JSON
-//! (`--json <path>`, hand-rolled — no serde in the dependency-free
-//! build container) so bench trajectories can be captured as
-//! `BENCH_*.json` artifacts.
+//! a hand-written predicate. `--json <path>` also writes the matrix as
+//! a JSON document, one line per cell ([`to_json`]).
 
 use crate::Scale;
 use wmm_core::env::EnvKind;
 use wmm_core::suite::{run_suite, SuiteCell, SuiteConfig, SuiteStrategy};
 use wmm_gen::{Placement, Shape};
-use wmm_obs::Provenance;
+use wmm_obs::{Json, Provenance};
 use wmm_sim::chip::Chip;
 
 /// The suite's default strategy column set, one column per
@@ -158,73 +156,44 @@ fn print_matrix(
     println!();
 }
 
-/// Serialise suite cells as JSON (hand-rolled; values are numbers and
-/// plain ASCII names, so no string escaping is needed). With
-/// `provenance`, every cell carries its deterministic weakness-channel
-/// counters plus a per-weak-outcome attribution breakdown that sums to
-/// the outcome's count; without it the output is byte-identical to the
-/// pre-provenance format.
-pub fn to_json(cells: &[SuiteCell], execs: u32, seed: u64, provenance: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"execs\": {execs},\n  \"seed\": {seed},\n  \"cells\": [\n"
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        let outcomes: Vec<String> = c
-            .hist
-            .iter()
-            .map(|(obs, n)| {
-                let vals: Vec<String> = obs.iter().map(|v| v.to_string()).collect();
-                match c.hist.provenance(obs).filter(|_| provenance) {
-                    Some(p) => format!(
-                        "{{\"obs\": [{}], \"count\": {n}, \"provenance\": {}}}",
-                        vals.join(", "),
-                        p.to_json()
-                    ),
-                    None => format!("{{\"obs\": [{}], \"count\": {n}}}", vals.join(", ")),
-                }
-            })
-            .collect();
-        let spaces: Vec<String> = c
-            .spaces
-            .iter()
-            .map(|s| match s {
-                wmm_sim::ir::Space::Global => "\"global\"".to_string(),
-                wmm_sim::ir::Space::Shared => "\"shared\"".to_string(),
-            })
-            .collect();
-        let prov_fields = if provenance {
-            format!(
-                "\"channels\": {}, \"provenance\": {}, ",
-                c.hist.channels().to_json(),
-                c.hist.provenance_total().to_json()
-            )
-        } else {
-            String::new()
-        };
-        s.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"distance\": {}, \"placement\": \"{}\", \
-             \"spaces\": [{}], \"chip\": \"{}\", \"strategy\": \"{}\", \
-             \"static\": \"{}\", \"static_warnings\": {}, \
-             \"weak\": {}, \"total\": {}, \"rate\": {:.6}, {}\"outcomes\": [{}]}}{}\n",
-            c.shape,
-            c.distance,
-            c.placement,
-            spaces.join(", "),
-            c.chip,
-            c.strategy,
-            c.static_verdict,
-            c.static_verdict.warnings,
-            c.hist.weak(),
-            c.hist.total(),
-            c.weak_rate(),
-            prov_fields,
-            outcomes.join(", "),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The cells as a JSON document: the run's `execs` and `seed`, then one
+/// row per cell. With `provenance`, every row also carries the cell's
+/// deterministic weakness-channel counters and attribution, and every
+/// weak outcome its own attribution, which sums to the outcome's count.
+pub fn to_json(cells: &[SuiteCell], execs: u32, seed: u64, provenance: bool) -> Json {
+    let row = |c: &SuiteCell| {
+        let mut row = vec![
+            ("shape", c.shape.short().into()),
+            ("distance", c.distance.into()),
+            ("placement", c.placement.short().into()),
+            ("spaces", c.spaces.iter().map(|s| s.name()).collect()),
+            ("chip", c.chip.as_str().into()),
+            ("strategy", c.strategy.as_str().into()),
+            ("static", c.static_verdict.to_string().into()),
+            ("static_warnings", c.static_verdict.warnings.into()),
+            ("weak", c.hist.weak().into()),
+            ("total", c.hist.total().into()),
+            ("rate", Json::Fixed(c.weak_rate(), 6)),
+        ];
+        if provenance {
+            row.push(("channels", c.hist.channels().to_json()));
+            row.push(("provenance", c.hist.provenance_total().to_json()));
+        }
+        let outcomes = c.hist.iter().map(|(obs, n)| {
+            let mut outcome = vec![("obs", obs.iter().copied().collect()), ("count", n.into())];
+            if let Some(p) = c.hist.provenance(obs).filter(|_| provenance) {
+                outcome.push(("provenance", p.to_json()));
+            }
+            Json::Object(outcome)
+        });
+        row.push(("outcomes", outcomes.collect()));
+        Json::Object(row)
+    };
+    Json::Object(vec![
+        ("execs", execs.into()),
+        ("seed", seed.into()),
+        ("cells", cells.iter().map(row).collect()),
+    ])
 }
 
 #[cfg(test)]
@@ -349,8 +318,7 @@ mod tests {
             &[SuiteStrategy::native()],
             &cfg,
         );
-        let j = to_json(&cells, cfg.execs, cfg.base_seed, false);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
+        let j = to_json(&cells, cfg.execs, cfg.base_seed, false).render();
         // Without --provenance the document carries no channel fields.
         assert!(!j.contains("\"channels\""));
         assert!(!j.contains("\"provenance\""));
@@ -368,9 +336,52 @@ mod tests {
         assert!(j.contains("\"static\": \"warn(device)\""));
         assert!(j.contains("\"static\": \"warn(block)\""));
         assert!(j.contains("\"static\": \"quiet\""));
-        // Balanced brackets (cheap structural sanity).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    /// The suite document of MP and MP.shared on the K20, natively, at 4
+    /// executions (seed 2016), with and without `--provenance`.
+    fn small_suite(provenance: bool) -> String {
+        let cfg = SuiteConfig {
+            execs: 4,
+            base_seed: 2016,
+            workers: 1,
+            ..Default::default()
+        };
+        let cells = run_suite(
+            &[Shape::Mp, Shape::MpShared],
+            &[Chip::by_short("K20").unwrap()],
+            &[SuiteStrategy::native()],
+            &cfg,
+        );
+        to_json(&cells, cfg.execs, cfg.base_seed, provenance).render()
+    }
+
+    #[test]
+    fn small_suite_renders_the_recorded_bytes() {
+        let expected = r#"{
+  "execs": 4,
+  "seed": 2016,
+  "cells": [
+    {"shape": "MP", "distance": 64, "placement": "inter", "spaces": ["global"], "chip": "K20", "strategy": "no-str-", "static": "warn(device)", "static_warnings": 2, "weak": 0, "total": 4, "rate": 0.000000, "outcomes": [{"obs": [0, 0], "count": 1}, {"obs": [0, 1], "count": 3}]},
+    {"shape": "MP.shared", "distance": 64, "placement": "intra", "spaces": ["shared"], "chip": "K20", "strategy": "no-str-", "static": "warn(block)", "static_warnings": 2, "weak": 0, "total": 4, "rate": 0.000000, "outcomes": [{"obs": [0, 0], "count": 1}, {"obs": [1, 1], "count": 3}]}
+  ]
+}
+"#;
+        assert_eq!(small_suite(false), expected);
+    }
+
+    #[test]
+    fn small_provenance_suite_renders_the_recorded_bytes() {
+        let expected = r#"{
+  "execs": 4,
+  "seed": 2016,
+  "cells": [
+    {"shape": "MP", "distance": 64, "placement": "inter", "spaces": ["global"], "chip": "K20", "strategy": "no-str-", "static": "warn(device)", "static_warnings": 2, "weak": 0, "total": 4, "rate": 0.000000, "channels": {"window_global": 0, "window_shared": 0, "l1_stale": 0, "fence_inval": 0, "atomic_read_through": 0}, "provenance": {"window_global": 0, "window_shared": 0, "l1_stale": 0, "atomic_read_through": 0, "fence_inval": 0, "unattributed": 0}, "outcomes": [{"obs": [0, 0], "count": 1}, {"obs": [0, 1], "count": 3}]},
+    {"shape": "MP.shared", "distance": 64, "placement": "intra", "spaces": ["shared"], "chip": "K20", "strategy": "no-str-", "static": "warn(block)", "static_warnings": 2, "weak": 0, "total": 4, "rate": 0.000000, "channels": {"window_global": 0, "window_shared": 0, "l1_stale": 0, "fence_inval": 0, "atomic_read_through": 0}, "provenance": {"window_global": 0, "window_shared": 0, "l1_stale": 0, "atomic_read_through": 0, "fence_inval": 0, "unattributed": 0}, "outcomes": [{"obs": [0, 0], "count": 1}, {"obs": [1, 1], "count": 3}]}
+  ]
+}
+"#;
+        assert_eq!(small_suite(true), expected);
     }
 
     #[test]
@@ -397,13 +408,15 @@ mod tests {
             }
         }
         assert_eq!(c.hist.provenance_total().total(), c.hist.weak());
-        let j = to_json(&cells, cfg.execs, cfg.base_seed, true);
+        let j = to_json(&cells, cfg.execs, cfg.base_seed, true).render();
         assert!(j.contains("\"channels\": {\"window_global\":"), "{j}");
         assert!(j.contains("\"provenance\": {\"window_global\":"), "{j}");
         // MP on a coherent-L1 Kepler relaxes through the store window
         // only — never the structural L1 channel.
         assert!(j.contains("\"l1_stale\": 0"), "{j}");
         // The no-provenance rendering of the same cells stays clean.
-        assert!(!to_json(&cells, cfg.execs, cfg.base_seed, false).contains("\"channels\""));
+        assert!(!to_json(&cells, cfg.execs, cfg.base_seed, false)
+            .render()
+            .contains("\"channels\""));
     }
 }

@@ -20,8 +20,6 @@
 //! `(shape, chip, env, execs, seed)` — there is no wall-clock anywhere
 //! on this path.
 
-use std::fmt::Write as _;
-
 use crate::suite::default_strategies;
 use crate::Scale;
 use wmm_core::cache::ArtifactKey;
@@ -30,7 +28,7 @@ use wmm_core::env::EnvKind;
 use wmm_core::suite::{cell_seed, litmus_pad};
 use wmm_gen::{Placement, Shape};
 use wmm_litmus::LitmusLayout;
-use wmm_obs::{ChannelCounts, EventLog};
+use wmm_obs::{ChannelCounts, EventLog, Json};
 use wmm_sim::chip::Chip;
 
 /// Ring-buffer capacity of the trace event log. A bound, not a budget:
@@ -134,43 +132,32 @@ pub fn trace(shape: Shape, chip: &Chip, column: usize, scale: Scale) -> TraceRep
     }
 }
 
-/// Render the report as a JSON document (hand-rolled, single trailing
-/// newline; every buffered event rides along).
-pub fn to_json(r: &TraceReport) -> String {
-    let mut s = String::from("{\n");
-    let _ = write!(
-        s,
-        "  \"shape\": \"{}\", \"chip\": \"{}\", \"env\": \"{}\",\n  \
-         \"execs\": {}, \"seed\": {},\n  \
-         \"weak\": {}, \"total\": {},\n  \
-         \"channels\": {},\n  \"provenance\": {},\n  \
-         \"dropped\": {},\n  \"events\": [\n",
-        r.shape,
-        r.chip,
-        r.env,
-        r.execs,
-        r.seed,
-        r.hist.weak(),
-        r.hist.total(),
-        r.hist.channels().to_json(),
-        r.hist.provenance_total().to_json(),
-        r.events.dropped(),
-    );
-    let n = r.events.len();
-    for (i, e) in r.events.iter().enumerate() {
-        let vals: Vec<String> = e.obs.iter().map(|v| v.to_string()).collect();
-        let _ = writeln!(
-            s,
-            "    {{\"run\": {}, \"obs\": [{}], \"weak\": {}, \"channels\": {}}}{}",
-            e.run,
-            vals.join(", "),
-            e.weak,
-            e.channels.to_json(),
-            if i + 1 < n { "," } else { "" }
-        );
+impl TraceReport {
+    /// The report as a JSON document: the cell and its totals, then
+    /// every buffered event, one per line.
+    pub fn to_json(&self) -> Json {
+        let events = self.events.iter().map(|e| {
+            Json::Object(vec![
+                ("run", e.run.into()),
+                ("obs", e.obs.iter().copied().collect()),
+                ("weak", e.weak.into()),
+                ("channels", e.channels.to_json()),
+            ])
+        });
+        Json::Object(vec![
+            ("shape", self.shape.as_str().into()),
+            ("chip", self.chip.as_str().into()),
+            ("env", self.env.as_str().into()),
+            ("execs", self.execs.into()),
+            ("seed", self.seed.into()),
+            ("weak", self.hist.weak().into()),
+            ("total", self.hist.total().into()),
+            ("channels", self.hist.channels().to_json()),
+            ("provenance", self.hist.provenance_total().to_json()),
+            ("dropped", self.events.dropped().into()),
+            ("events", events.collect()),
+        ])
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 fn print_report(r: &TraceReport) {
@@ -185,13 +172,8 @@ fn print_report(r: &TraceReport) {
     } else {
         println!("{:>8} {:>20} channels fired", "run", "obs");
         for e in &weak_events {
-            let vals: Vec<String> = e.obs.iter().map(|v| v.to_string()).collect();
-            println!(
-                "{:>8} {:>20} {}",
-                e.run,
-                format!("[{}]", vals.join(", ")),
-                e.channels
-            );
+            let obs = e.obs.iter().copied().collect::<Json>().to_string();
+            println!("{:>8} {obs:>20} {}", e.run, e.channels);
         }
     }
     if r.events.dropped() > 0 {
@@ -230,12 +212,7 @@ pub fn run(
     let column = resolve_env(shape, env)?;
     let report = trace(shape, &chip, column, scale);
     print_report(&report);
-    if let Some(path) = json_path {
-        let json = to_json(&report);
-        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    json_path.map_or(Ok(()), |path| crate::write_json(path, &report.to_json()))
 }
 
 #[cfg(test)]
@@ -339,14 +316,34 @@ mod tests {
         // The structural channel is what fired.
         assert!(r.hist.channels().l1_stale > 0);
         assert!(r.hist.provenance_total().l1_stale > 0);
-        let j = to_json(&r);
-        assert!(j.contains("\"shape\": \"CoRR\""));
-        assert!(j.contains("\"channels\": {\"window_global\":"));
-        assert!(j.contains("\"provenance\""));
-        assert!(j.contains("\"events\""));
-        assert_eq!(j.matches("\"run\":").count(), 24);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let j = r.to_json().render();
+        assert_eq!(j.matches("\n    {\"run\": ").count(), 24);
+    }
+
+    #[test]
+    fn trace_renders_the_recorded_bytes() {
+        let chip = Chip::by_short("C2075").unwrap();
+        let r = trace(Shape::CoRR, &chip, column("l1-str+"), quick(4, 2016));
+        let expected = r#"{
+  "shape": "CoRR",
+  "chip": "C2075",
+  "env": "l1-str+",
+  "execs": 4,
+  "seed": 2016,
+  "weak": 1,
+  "total": 4,
+  "channels": {"window_global": 0, "window_shared": 0, "l1_stale": 9, "fence_inval": 0, "atomic_read_through": 8},
+  "provenance": {"window_global": 0, "window_shared": 0, "l1_stale": 1, "atomic_read_through": 0, "fence_inval": 0, "unattributed": 0},
+  "dropped": 0,
+  "events": [
+    {"run": 0, "obs": [1, 0], "weak": true, "channels": {"window_global": 0, "window_shared": 0, "l1_stale": 2, "fence_inval": 0, "atomic_read_through": 2}},
+    {"run": 1, "obs": [0, 0], "weak": false, "channels": {"window_global": 0, "window_shared": 0, "l1_stale": 4, "fence_inval": 0, "atomic_read_through": 2}},
+    {"run": 2, "obs": [0, 0], "weak": false, "channels": {"window_global": 0, "window_shared": 0, "l1_stale": 1, "fence_inval": 0, "atomic_read_through": 2}},
+    {"run": 3, "obs": [0, 0], "weak": false, "channels": {"window_global": 0, "window_shared": 0, "l1_stale": 2, "fence_inval": 0, "atomic_read_through": 2}}
+  ]
+}
+"#;
+        assert_eq!(r.to_json().render(), expected);
     }
 
     #[test]

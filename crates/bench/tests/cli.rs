@@ -1,6 +1,8 @@
 //! `repro` refuses a bad command line with exit code 2: never a panic,
-//! never a silent default, never exit 0.
+//! never a silent default, never exit 0. A document it cannot write
+//! exits 2 too.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 /// Run `repro` with `args`; return its exit code and stderr.
@@ -44,4 +46,39 @@ fn bad_command_lines_exit_2_and_name_the_offending_token() {
             "repro {args:?} must name `{token}`: {stderr}"
         );
     }
+}
+
+/// A fresh directory under the system temp dir, unique to this test.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("repro-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[test]
+fn an_unwritable_json_path_exits_2_and_names_the_path() {
+    let dir = scratch_dir("json");
+    let path = dir.join("missing").join("x.json");
+    let path = path.to_str().expect("utf-8 temp path");
+    let (code, stderr) = repro(&["analyze", "MP", "--json", path]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains(path), "must name {path}: {stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_unwritable_soak_report_exits_2_and_names_the_report() {
+    // `tests` is a regular file, so the report's directory cannot exist.
+    let dir = scratch_dir("soak");
+    std::fs::write(dir.join("tests"), "").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["soak", "--quick", "--workers", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("report.json"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -131,7 +131,7 @@ pub struct SharedStress {
 impl SharedStress {
     /// The prefix shared-stress environment/column names carry (e.g.
     /// `shm+sys-str+`) — one definition so `Environment::name()` and the
-    /// suite column labels (which CI greps match against) cannot
+    /// suite column labels (which CI's checks match against) cannot
     /// diverge.
     pub const NAME_PREFIX: &'static str = "shm+";
 

@@ -174,8 +174,7 @@ impl std::fmt::Display for StaticVerdict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.level {
             None => write!(f, "quiet"),
-            Some(FenceLevel::Block) => write!(f, "warn(block)"),
-            Some(FenceLevel::Device) => write!(f, "warn(device)"),
+            Some(level) => write!(f, "warn({})", level.name()),
         }
     }
 }

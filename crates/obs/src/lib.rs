@@ -14,7 +14,7 @@
 //!   decision points in the executor. They draw no randomness and are
 //!   folded commutatively, so they are bit-identical across worker
 //!   counts and reruns at a fixed seed — safe to assert on in tests
-//!   and to grep in CI.
+//!   and in CI.
 //! * **Wall-clock spans** ([`LatencyHistogram`], [`MetricsRegistry`]
 //!   spans): machine-dependent timings. They are kept out of every
 //!   digest and every equivalence check, and every JSON rendering
@@ -22,11 +22,17 @@
 //!
 //! Everything is allocation-light: counters are plain `u64` fields,
 //! histograms are fixed arrays, and the event log is a bounded ring
-//! buffer that drops (and counts) the oldest entries.
+//! buffer that drops (and counts) the oldest entries. Every JSON report
+//! the program writes renders through the one writer in [`json`].
+
+pub mod json;
+
+pub use json::Json;
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
+use std::iter::zip;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -103,14 +109,10 @@ impl ChannelCounts {
         self.atomic_read_through += other.atomic_read_through;
     }
 
-    /// Single-line JSON object, keys in [`ChannelCounts::NAMES`] order.
-    pub fn to_json(&self) -> String {
-        let parts: Vec<String> = Self::NAMES
-            .iter()
-            .zip(self.as_array())
-            .map(|(n, v)| format!("\"{n}\": {v}"))
-            .collect();
-        format!("{{{}}}", parts.join(", "))
+    /// The counts as a JSON object, keys in [`ChannelCounts::NAMES`]
+    /// order.
+    pub fn to_json(&self) -> Json {
+        Json::Object(zip(Self::NAMES, self.as_array().map(Json::from)).collect())
     }
 }
 
@@ -125,17 +127,26 @@ impl fmt::Display for ChannelCounts {
             "fence-inval",
             "atomic-rt",
         ];
-        let parts: Vec<String> = LABELS
-            .iter()
-            .zip(self.as_array())
-            .filter(|(_, v)| *v > 0)
-            .map(|(l, v)| format!("{v} {l}"))
-            .collect();
-        if parts.is_empty() {
-            write!(f, "none")
-        } else {
-            write!(f, "{}", parts.join(" + "))
-        }
+        write_nonzero(f, &LABELS, &self.as_array(), "none")
+    }
+}
+
+/// Write the nonzero `counts` as `N label` terms joined by ` + `, or
+/// `empty` when every count is zero.
+fn write_nonzero(
+    f: &mut fmt::Formatter<'_>,
+    labels: &[&str],
+    counts: &[u64],
+    empty: &str,
+) -> fmt::Result {
+    let parts: Vec<String> = zip(labels, counts)
+        .filter(|(_, v)| **v > 0)
+        .map(|(l, v)| format!("{v} {l}"))
+        .collect();
+    if parts.is_empty() {
+        f.write_str(empty)
+    } else {
+        f.write_str(&parts.join(" + "))
     }
 }
 
@@ -240,14 +251,10 @@ impl Provenance {
         self.unattributed += other.unattributed;
     }
 
-    /// Single-line JSON object, keys in [`Provenance::NAMES`] order.
-    pub fn to_json(&self) -> String {
-        let parts: Vec<String> = Self::NAMES
-            .iter()
-            .zip(self.as_array())
-            .map(|(n, v)| format!("\"{n}\": {v}"))
-            .collect();
-        format!("{{{}}}", parts.join(", "))
+    /// The buckets as a JSON object, keys in [`Provenance::NAMES`]
+    /// order.
+    pub fn to_json(&self) -> Json {
+        Json::Object(zip(Self::NAMES, self.as_array().map(Json::from)).collect())
     }
 }
 
@@ -263,17 +270,7 @@ impl fmt::Display for Provenance {
             "fence-inval",
             "unattributed",
         ];
-        let parts: Vec<String> = LABELS
-            .iter()
-            .zip(self.as_array())
-            .filter(|(_, v)| *v > 0)
-            .map(|(l, v)| format!("{v} {l}"))
-            .collect();
-        if parts.is_empty() {
-            write!(f, "-")
-        } else {
-            write!(f, "{}", parts.join(" + "))
-        }
+        write_nonzero(f, &LABELS, &self.as_array(), "-")
     }
 }
 
@@ -383,18 +380,17 @@ impl LatencyHistogram {
         self.max_us = self.max_us.max(other.max_us);
     }
 
-    /// Single-line JSON summary: count, p50/p90/p99, mean and max, all
-    /// in microseconds.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"n\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"mean_us\": {}, \"max_us\": {}}}",
-            self.n,
-            self.percentile_us(0.50),
-            self.percentile_us(0.90),
-            self.percentile_us(0.99),
-            self.mean_us(),
-            self.max_us
-        )
+    /// JSON summary: count, p50/p90/p99, mean and max, all in
+    /// microseconds.
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("n", self.n.into()),
+            ("p50_us", self.percentile_us(0.50).into()),
+            ("p90_us", self.percentile_us(0.90).into()),
+            ("p99_us", self.percentile_us(0.99).into()),
+            ("mean_us", self.mean_us().into()),
+            ("max_us", self.max_us.into()),
+        ])
     }
 }
 
@@ -565,11 +561,10 @@ mod tests {
             l1_stale: 2,
             ..Default::default()
         };
-        let j = c.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"window_global\": 39"));
-        assert!(j.contains("\"l1_stale\": 2"));
-        assert!(!j.contains('\n'));
+        assert_eq!(
+            c.to_json().to_string(),
+            r#"{"window_global": 39, "window_shared": 0, "l1_stale": 2, "fence_inval": 0, "atomic_read_through": 0}"#
+        );
         assert_eq!(c.to_string(), "39 window-global + 2 l1-stale");
         assert_eq!(ChannelCounts::default().to_string(), "none");
     }
@@ -621,11 +616,10 @@ mod tests {
             });
         }
         assert_eq!(p.to_string(), "39 window + 2 l1-stale");
-        let j = p.to_json();
-        assert!(j.contains("\"window_global\": 39"));
-        assert!(j.contains("\"l1_stale\": 2"));
-        assert!(j.contains("\"unattributed\": 0"));
-        assert!(!j.contains('\n'));
+        assert_eq!(
+            p.to_json().to_string(),
+            r#"{"window_global": 39, "window_shared": 0, "l1_stale": 2, "atomic_read_through": 0, "fence_inval": 0, "unattributed": 0}"#
+        );
         assert_eq!(Provenance::default().to_string(), "-");
     }
 
@@ -659,7 +653,10 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, both);
-        assert!(a.to_json().contains("\"n\": 5"));
+        assert_eq!(
+            a.to_json().to_string(),
+            r#"{"n": 5, "p50_us": 15, "p90_us": 1000000, "p99_us": 1000000, "mean_us": 200010, "max_us": 1000000}"#
+        );
     }
 
     #[test]

@@ -26,7 +26,6 @@
 use crate::engine::{Engine, EngineConfig, JobResult};
 use crate::job::{EnvKind, JobSpec, WorkloadSpec};
 use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Instant;
@@ -35,7 +34,7 @@ use wmm_core::campaign::Fnv64;
 use wmm_gen::Shape;
 use wmm_litmus::parallel::resolve_workers;
 use wmm_litmus::runner::mix_seed;
-use wmm_obs::{ChannelCounts, LatencyHistogram, Provenance};
+use wmm_obs::{ChannelCounts, Json, LatencyHistogram, Provenance};
 
 /// The three soak intensities, after the exemplar harness shape:
 /// `--quick` for CI smoke, `--extended` for nightly runs, `--stress`
@@ -481,75 +480,77 @@ pub fn run_soak_mix(cfg: &SoakConfig, mix: &SoakMix) -> Result<SoakReport, Strin
 }
 
 impl SoakReport {
-    /// Render the report. The three gate objects are single lines so CI
-    /// can grep them directly.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"workers\": {},\n", self.workers));
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"litmus_jobs\": {},\n", self.litmus_jobs));
-        s.push_str(&format!("  \"app_jobs\": {},\n", self.app_jobs));
-        s.push_str(&format!("  \"elapsed_sec\": {:.3},\n", self.elapsed_sec));
-        s.push_str(&format!("  \"jobs_per_sec\": {:.1},\n", self.jobs_per_sec));
-        s.push_str(&format!(
-            "  \"latency_ms\": {{\"p50\": {:.3}, \"p90\": {:.3}, \"p99\": {:.3}}},\n",
-            self.latency_ms_p50, self.latency_ms_p90, self.latency_ms_p99
-        ));
-        s.push_str(&format!(
-            "  \"cache\": {{\"builds\": {}, \"hits\": {}, \"entries\": {}, \"hit_rate\": {:.4}}},\n",
-            self.cache.builds,
-            self.cache.hits,
-            self.cache.entries,
-            self.cache.hit_rate()
-        ));
-        s.push_str(&format!(
-            "  \"results_digest\": \"{}\",\n",
-            self.results_digest
-        ));
-        s.push_str(&format!(
-            "  \"throughput_gate\": {{\"min_jobs_per_sec\": {:.1}, \"jobs_per_sec\": {:.1}, \"ok\": {}}},\n",
-            self.gates.min_jobs_per_sec, self.jobs_per_sec, self.gates.throughput_ok
-        ));
-        s.push_str(&format!(
-            "  \"cache_gate\": {{\"min_hit_rate\": {:.4}, \"hit_rate\": {:.4}, \"ok\": {}}},\n",
-            self.gates.min_cache_hit_rate,
-            self.cache.hit_rate(),
-            self.gates.cache_ok
-        ));
-        s.push_str(&format!(
-            "  \"determinism_gate\": {{\"checked\": {}, \"mismatches\": {}, \"ok\": {}}},\n",
-            self.determinism_checked, self.determinism_mismatches, self.gates.determinism_ok
-        ));
-        s.push_str(&format!(
-            "  \"metrics\": {{\"deterministic\": {{\"channels\": {}, \"provenance\": {}}}, \"wall_clock_us\": {{\"queue_wait\": {}, \"execute\": {}, \"compile\": {}}}}},\n",
-            self.metrics.channels.to_json(),
-            self.metrics.provenance.to_json(),
-            self.metrics.queue_wait.to_json(),
-            self.metrics.execute.to_json(),
-            self.metrics.compile.to_json()
-        ));
-        s.push_str(&format!("  \"pass\": {}\n", self.gates.pass));
-        s.push_str("}\n");
-        s
+    /// The report as a JSON document: the run's counts and timings, the
+    /// digest, one object per gate, then the deterministic counters
+    /// and the wall-clock spans.
+    pub fn to_json(&self) -> Json {
+        let (gates, metrics, hit_rate) = (&self.gates, &self.metrics, self.cache.hit_rate());
+        let latency = Json::Object(vec![
+            ("p50", Json::Fixed(self.latency_ms_p50, 3)),
+            ("p90", Json::Fixed(self.latency_ms_p90, 3)),
+            ("p99", Json::Fixed(self.latency_ms_p99, 3)),
+        ]);
+        let cache = Json::Object(vec![
+            ("builds", self.cache.builds.into()),
+            ("hits", self.cache.hits.into()),
+            ("entries", self.cache.entries.into()),
+            ("hit_rate", Json::Fixed(hit_rate, 4)),
+        ]);
+        let throughput_gate = Json::Object(vec![
+            ("min_jobs_per_sec", Json::Fixed(gates.min_jobs_per_sec, 1)),
+            ("jobs_per_sec", Json::Fixed(self.jobs_per_sec, 1)),
+            ("ok", gates.throughput_ok.into()),
+        ]);
+        let cache_gate = Json::Object(vec![
+            ("min_hit_rate", Json::Fixed(gates.min_cache_hit_rate, 4)),
+            ("hit_rate", Json::Fixed(hit_rate, 4)),
+            ("ok", gates.cache_ok.into()),
+        ]);
+        let determinism_gate = Json::Object(vec![
+            ("checked", self.determinism_checked.into()),
+            ("mismatches", self.determinism_mismatches.into()),
+            ("ok", gates.determinism_ok.into()),
+        ]);
+        let deterministic = Json::Object(vec![
+            ("channels", metrics.channels.to_json()),
+            ("provenance", metrics.provenance.to_json()),
+        ]);
+        let wall_clock_us = Json::Object(vec![
+            ("queue_wait", metrics.queue_wait.to_json()),
+            ("execute", metrics.execute.to_json()),
+            ("compile", metrics.compile.to_json()),
+        ]);
+        let metrics = vec![
+            ("deterministic", deterministic),
+            ("wall_clock_us", wall_clock_us),
+        ];
+        Json::Object(vec![
+            ("profile", self.profile.as_str().into()),
+            ("seed", self.seed.into()),
+            ("workers", self.workers.into()),
+            ("jobs", self.jobs.into()),
+            ("litmus_jobs", self.litmus_jobs.into()),
+            ("app_jobs", self.app_jobs.into()),
+            ("elapsed_sec", Json::Fixed(self.elapsed_sec, 3)),
+            ("jobs_per_sec", Json::Fixed(self.jobs_per_sec, 1)),
+            ("latency_ms", latency),
+            ("cache", cache),
+            ("results_digest", self.results_digest.as_str().into()),
+            ("throughput_gate", throughput_gate),
+            ("cache_gate", cache_gate),
+            ("determinism_gate", determinism_gate),
+            ("metrics", Json::Object(metrics)),
+            ("pass", gates.pass.into()),
+        ])
     }
 
-    /// Write `report.json` under
-    /// `<root>/tests/artifacts/soak/<profile>-seed<seed>/` (the
-    /// deterministic, seed-named location CI uploads). Returns the file
-    /// path.
-    pub fn write_report(&self, root: &Path) -> io::Result<PathBuf> {
-        let dir = root
-            .join("tests")
-            .join("artifacts")
-            .join("soak")
-            .join(format!("{}-seed{}", self.profile, self.seed));
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join("report.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// Where the report belongs, relative to the directory the soak runs
+    /// in: `tests/artifacts/soak/<profile>-seed<seed>/report.json`, the
+    /// deterministic, seed-named location CI uploads.
+    pub fn path(&self) -> PathBuf {
+        Path::new("tests/artifacts/soak")
+            .join(format!("{}-seed{}", self.profile, self.seed))
+            .join("report.json")
     }
 }
 
@@ -661,18 +662,18 @@ mod tests {
         let report = run_soak_mix(&cfg, &tiny_mix()).unwrap();
         assert!(!report.gates.throughput_ok);
         assert!(!report.gates.pass);
-        // ...and the failure is visible on the greppable gate line.
-        assert!(report.to_json().contains("\"throughput_gate\""));
+        // ...and the failure is visible on the gate's line.
         assert!(report
             .to_json()
+            .render()
             .lines()
-            .any(|l| l.contains("throughput_gate") && l.contains("\"ok\": false")));
+            .any(|l| l.starts_with("  \"throughput_gate\": {") && l.contains("\"ok\": false")));
     }
 
     #[test]
     fn report_json_carries_the_gate_lines() {
         let report = run_soak_mix(&tiny_cfg(2), &tiny_mix()).unwrap();
-        let json = report.to_json();
+        let json = report.to_json().render();
         for field in [
             "\"throughput_gate\"",
             "\"cache_gate\"",
@@ -683,7 +684,7 @@ mod tests {
         ] {
             assert!(json.contains(field), "missing {field} in:\n{json}");
         }
-        // The metrics entry is a single greppable line separating the
+        // The metrics entry is a single line separating the
         // deterministic counters from the wall-clock spans.
         let metrics_line = json
             .lines()
@@ -729,14 +730,108 @@ mod tests {
         assert!(a.metrics.compile.count() > 0);
     }
 
+    /// A report with fixed values, so its rendering can be pinned byte
+    /// for byte.
+    fn hand_built() -> SoakReport {
+        let mut queue_wait = LatencyHistogram::new();
+        for us in [0, 5, 120, 4000] {
+            queue_wait.record_us(us);
+        }
+        let mut execute = LatencyHistogram::new();
+        for us in [900, 1100, 70000] {
+            execute.record_us(us);
+        }
+        SoakReport {
+            profile: "quick".to_string(),
+            seed: 2016,
+            workers: 2,
+            jobs: 290,
+            litmus_jobs: 280,
+            app_jobs: 10,
+            elapsed_sec: 0.89649,
+            jobs_per_sec: 323.4876,
+            latency_ms_p50: 2.98125,
+            latency_ms_p90: 9.6549,
+            latency_ms_p99: 63.2424,
+            cache: CacheStats {
+                hits: 270,
+                builds: 20,
+                entries: 20,
+                calibrations: 10,
+            },
+            results_digest: "bdb85dc0c70d89bd".to_string(),
+            determinism_checked: 7,
+            determinism_mismatches: 0,
+            metrics: SoakMetrics {
+                channels: ChannelCounts {
+                    window_global: 24,
+                    window_shared: 4198,
+                    l1_stale: 202890,
+                    fence_inval: 360,
+                    atomic_read_through: 2190,
+                },
+                provenance: Provenance {
+                    window_global: 2,
+                    window_shared: 5,
+                    l1_stale: 35,
+                    ..Provenance::default()
+                },
+                queue_wait,
+                execute,
+                compile: LatencyHistogram::new(),
+            },
+            gates: GateReport {
+                min_jobs_per_sec: 2.0,
+                min_cache_hit_rate: 0.9,
+                throughput_ok: true,
+                cache_ok: true,
+                determinism_ok: true,
+                pass: true,
+            },
+        }
+    }
+
     #[test]
-    fn report_writes_to_the_seed_named_directory() {
-        let root = std::env::temp_dir().join(format!("wmm-soak-root-{}", std::process::id()));
-        let report = run_soak_mix(&tiny_cfg(2), &tiny_mix()).unwrap();
-        let path = report.write_report(&root).unwrap();
-        assert!(path.ends_with("tests/artifacts/soak/quick-seed42/report.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"results_digest\""));
-        std::fs::remove_dir_all(&root).unwrap();
+    fn hand_built_report_renders_the_recorded_bytes() {
+        let expected = r#"{
+  "profile": "quick",
+  "seed": 2016,
+  "workers": 2,
+  "jobs": 290,
+  "litmus_jobs": 280,
+  "app_jobs": 10,
+  "elapsed_sec": 0.896,
+  "jobs_per_sec": 323.5,
+  "latency_ms": {"p50": 2.981, "p90": 9.655, "p99": 63.242},
+  "cache": {"builds": 20, "hits": 270, "entries": 20, "hit_rate": 0.9310},
+  "results_digest": "bdb85dc0c70d89bd",
+  "throughput_gate": {"min_jobs_per_sec": 2.0, "jobs_per_sec": 323.5, "ok": true},
+  "cache_gate": {"min_hit_rate": 0.9000, "hit_rate": 0.9310, "ok": true},
+  "determinism_gate": {"checked": 7, "mismatches": 0, "ok": true},
+  "metrics": {"deterministic": {"channels": {"window_global": 24, "window_shared": 4198, "l1_stale": 202890, "fence_inval": 360, "atomic_read_through": 2190}, "provenance": {"window_global": 2, "window_shared": 5, "l1_stale": 35, "atomic_read_through": 0, "fence_inval": 0, "unattributed": 0}}, "wall_clock_us": {"queue_wait": {"n": 4, "p50_us": 7, "p90_us": 4000, "p99_us": 4000, "mean_us": 1031, "max_us": 4000}, "execute": {"n": 3, "p50_us": 2047, "p90_us": 70000, "p99_us": 70000, "mean_us": 24000, "max_us": 70000}, "compile": {"n": 0, "p50_us": 0, "p90_us": 0, "p99_us": 0, "mean_us": 0, "max_us": 0}}},
+  "pass": true
+}
+"#;
+        assert_eq!(hand_built().to_json().render(), expected);
+    }
+
+    #[test]
+    fn an_infinite_throughput_renders_as_null() {
+        let mut report = hand_built();
+        report.jobs_per_sec = f64::INFINITY;
+        let json = report.to_json().render();
+        assert!(json.contains("\n  \"jobs_per_sec\": null,\n"), "{json}");
+        assert!(
+            json.contains("\"jobs_per_sec\": null, \"ok\": true}"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn report_path_is_seed_named() {
+        assert_eq!(
+            hand_built().path(),
+            Path::new("tests/artifacts/soak/quick-seed2016/report.json")
+        );
     }
 }

@@ -38,6 +38,16 @@ pub enum Space {
     Shared,
 }
 
+impl Space {
+    /// The space's name: `global` or `shared`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Space::Global => "global",
+            Space::Shared => "shared",
+        }
+    }
+}
+
 /// Fence strength, mirroring CUDA's `__threadfence_block` / `__threadfence`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FenceLevel {
@@ -45,6 +55,16 @@ pub enum FenceLevel {
     Block,
     /// Orders the thread's accesses as observed by the whole device.
     Device,
+}
+
+impl FenceLevel {
+    /// The level's name: `block` or `device`.
+    pub fn name(self) -> &'static str {
+        match self {
+            FenceLevel::Block => "block",
+            FenceLevel::Device => "device",
+        }
+    }
 }
 
 /// Thread-geometry intrinsics (1-D launches, as in all the case studies).
@@ -326,44 +346,28 @@ struct DisplayInst<'a>(&'a Inst);
 
 impl fmt::Display for DisplayInst<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn sp(space: Space) -> &'static str {
-            match space {
-                Space::Global => "global",
-                Space::Shared => "shared",
-            }
-        }
+        let space = self.0.space().map_or("", Space::name);
         match self.0 {
             Inst::Const { dst, value } => write!(f, "r{dst} = const {value:#x}"),
             Inst::Mov { dst, src } => write!(f, "r{dst} = r{src}"),
             Inst::Bin { op, dst, a, b } => write!(f, "r{dst} = {op:?}(r{a}, r{b})"),
             Inst::Special { dst, sr } => write!(f, "r{dst} = {sr:?}"),
-            Inst::Load { dst, space, addr } => {
-                write!(f, "r{dst} = ld.{}[r{addr}]", sp(*space))
-            }
-            Inst::Store { space, addr, src } => {
-                write!(f, "st.{}[r{addr}] = r{src}", sp(*space))
-            }
+            Inst::Load { dst, addr, .. } => write!(f, "r{dst} = ld.{space}[r{addr}]"),
+            Inst::Store { addr, src, .. } => write!(f, "st.{space}[r{addr}] = r{src}"),
             Inst::AtomicCas {
                 dst,
-                space,
                 addr,
                 cmp,
                 val,
-            } => write!(f, "r{dst} = atom.cas.{}[r{addr}] r{cmp} r{val}", sp(*space)),
-            Inst::AtomicExch {
-                dst,
-                space,
-                addr,
-                val,
-            } => write!(f, "r{dst} = atom.exch.{}[r{addr}] r{val}", sp(*space)),
-            Inst::AtomicAdd {
-                dst,
-                space,
-                addr,
-                val,
-            } => write!(f, "r{dst} = atom.add.{}[r{addr}] r{val}", sp(*space)),
-            Inst::Fence(FenceLevel::Block) => write!(f, "fence.block"),
-            Inst::Fence(FenceLevel::Device) => write!(f, "fence.device"),
+                ..
+            } => write!(f, "r{dst} = atom.cas.{space}[r{addr}] r{cmp} r{val}"),
+            Inst::AtomicExch { dst, addr, val, .. } => {
+                write!(f, "r{dst} = atom.exch.{space}[r{addr}] r{val}")
+            }
+            Inst::AtomicAdd { dst, addr, val, .. } => {
+                write!(f, "r{dst} = atom.add.{space}[r{addr}] r{val}")
+            }
+            Inst::Fence(level) => write!(f, "fence.{}", level.name()),
             Inst::Barrier => write!(f, "barrier"),
             Inst::Jump { target } => write!(f, "jump {target}"),
             Inst::BranchZ { cond, target } => write!(f, "brz r{cond} {target}"),
