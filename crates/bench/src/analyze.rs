@@ -25,6 +25,7 @@
 //! `Required(Device)`, `RemovalCandidate`), warning counts, and per-chip
 //! quiet flags are what CI checks.
 
+use crate::Failure;
 use wmm_analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
 use wmm_apps::{app_by_name, app_names};
 use wmm_core::analyze_spec;
@@ -239,8 +240,9 @@ fn to_json(reports: &[Report]) -> Json {
 }
 
 /// Analyze `target` — on specific chips when `chips` names any — print
-/// the report, and optionally write JSON.
-pub fn run(target: &str, chips: Option<Vec<Chip>>, json_path: Option<&str>) -> Result<(), String> {
+/// the report, and optionally write JSON. An unknown target is a
+/// [`Failure::Usage`], an unwritable path a [`Failure::Write`].
+pub fn run(target: &str, chips: Option<Vec<Chip>>, json_path: Option<&str>) -> Result<(), Failure> {
     let reports = resolve(target, &chips)?;
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {

@@ -45,7 +45,8 @@
 //!
 //! A bad command line — an unknown subcommand, flag, chip, placement,
 //! target or environment, or a missing or unparsable value — prints the
-//! offending token and the usage, and exits 2.
+//! offending token and the usage, and exits 2. A document that cannot be
+//! written prints the path, without the usage, and exits 2 too.
 //! ```
 
 use std::process::ExitCode;
@@ -53,7 +54,7 @@ use std::str::FromStr;
 
 use wmm_bench::{
     analyze, fig3, fig4, fig5, running, serve, soak, suite, table2, table3, table5, table6, trace,
-    write_json, Scale,
+    write_json, Failure, Scale,
 };
 use wmm_server::SoakProfile;
 use wmm_sim::chip::Chip;
@@ -62,7 +63,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     run(&args).unwrap_or_else(|e| {
         eprintln!("repro: {e}");
-        usage();
+        if let Failure::Usage(_) = e {
+            usage();
+        }
         ExitCode::from(2)
     })
 }
@@ -83,9 +86,9 @@ fn parsed<'a, T: FromStr>(
     v.parse().map_err(|_| format!("{flag}: cannot parse `{v}`"))
 }
 
-/// Parse the command line and run it. `Err` is a usage error; every
-/// other outcome is the exit code.
-fn run(args: &[String]) -> Result<ExitCode, String> {
+/// Parse the command line and run it. `Err` is a bad command line or an
+/// unwritable document; every other outcome is the exit code.
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
     let cmd = args.first().ok_or("no experiment given")?;
     let mut scale = if args.iter().any(|a| a == "--full") {
         Scale::full()
@@ -149,10 +152,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--json" => json_path = Some(value(&mut it, a)?.to_string()),
             "--placement" => placement = Some(value(&mut it, a)?.parse()?),
             "--full" => {}
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(Failure::Usage(format!("unknown flag `{other}`"))),
         }
     }
-    let run_suite = |chips: Option<Vec<Chip>>| -> Result<(), String> {
+    let run_suite = |chips: Option<Vec<Chip>>| -> Result<(), Failure> {
         let cells = suite::run(chips, placement, scale, provenance);
         if let Some(path) = &json_path {
             write_json(
@@ -235,7 +238,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             println!("\n{}\n", "=".repeat(76));
             run_suite(chips)?;
         }
-        other => return Err(format!("unknown experiment `{other}`")),
+        other => return Err(Failure::Usage(format!("unknown experiment `{other}`"))),
     }
     Ok(ExitCode::SUCCESS)
 }

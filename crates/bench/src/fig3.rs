@@ -1,7 +1,7 @@
 //! Fig. 3 — patch-finding plots: weak behaviours per stressed location.
 
 use crate::{bar, Scale};
-use wmm_core::tuning::{patch, TuningConfig};
+use wmm_core::tuning::patch;
 use wmm_gen::Shape;
 use wmm_sim::chip::Chip;
 
@@ -16,10 +16,8 @@ pub fn paper_panels() -> Vec<(&'static str, [u32; 3])> {
 
 /// Generate and print the figure for one chip.
 pub fn run_chip(chip: &Chip, distances: &[u32], scale: Scale) {
-    let mut cfg = TuningConfig::scaled();
-    cfg.execs = scale.execs.max(48);
-    cfg.base_seed = scale.seed;
-    cfg.parallelism = scale.workers;
+    let mut cfg = scale.tuning();
+    cfg.execs = cfg.execs.max(48);
     println!(
         "== Fig. 3 panel: {} ({}; critical patch size {}) ==",
         chip.name, chip.arch, chip.patch_words

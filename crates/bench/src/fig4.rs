@@ -1,15 +1,12 @@
 //! Fig. 4 — spread-finding curves (score per spread, per litmus test).
 
 use crate::{bar, Scale};
-use wmm_core::tuning::{spread, TuningConfig};
+use wmm_core::tuning::spread;
 use wmm_sim::chip::Chip;
 
 /// Generate and print the curve for one chip.
 pub fn run_chip(chip: &Chip, scale: Scale) {
-    let mut cfg = TuningConfig::scaled();
-    cfg.execs = scale.execs;
-    cfg.base_seed = scale.seed;
-    cfg.parallelism = scale.workers;
+    let cfg = scale.tuning();
     println!("== Fig. 4 panel: {} ==", chip.name);
     let scores = spread::score_spreads(&chip.clone(), chip.patch_words, &chip.preferred_seq, &cfg);
     let max = scores

@@ -37,7 +37,9 @@ pub mod table5;
 pub mod table6;
 pub mod trace;
 
+use std::fmt;
 use std::path::Path;
+use wmm_core::tuning::TuningConfig;
 use wmm_obs::Json;
 
 /// Execution-budget scaling shared by the experiment generators.
@@ -85,6 +87,17 @@ impl Scale {
             workers: 0,
         }
     }
+
+    /// The tuning pipeline's configuration at this scale: the scaled
+    /// defaults at this scale's execution count, seed and worker count.
+    pub fn tuning(&self) -> TuningConfig {
+        TuningConfig {
+            execs: self.execs,
+            base_seed: self.seed,
+            parallelism: self.workers,
+            ..TuningConfig::scaled()
+        }
+    }
 }
 
 impl Default for Scale {
@@ -93,13 +106,44 @@ impl Default for Scale {
     }
 }
 
+/// Why a `repro` command failed. Both kinds exit 2; only a bad command
+/// line is answered with the usage text.
+#[derive(Debug)]
+pub enum Failure {
+    /// A bad command line: an unknown subcommand, flag or name, or a
+    /// missing or unparsable value. The message names the token.
+    Usage(String),
+    /// A document that could not be written. The message names the path.
+    Write(String),
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Usage(msg) | Failure::Write(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// A bare message is a command-line error.
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_string())
+    }
+}
+
 /// Write `doc` to `path` and say so: the one way `repro` writes a JSON
-/// document (the `--json PATH` files and the soak report). The error
-/// names the path.
-pub fn write_json(path: impl AsRef<Path>, doc: &Json) -> Result<(), String> {
+/// document (the `--json PATH` files and the soak report).
+pub fn write_json(path: impl AsRef<Path>, doc: &Json) -> Result<(), Failure> {
     let path = path.as_ref();
     std::fs::write(path, doc.render())
-        .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+        .map_err(|e| Failure::Write(format!("failed to write {}: {e}", path.display())))?;
     println!("wrote {}", path.display());
     Ok(())
 }

@@ -9,18 +9,23 @@
 //! 2016.
 //!
 //! Returns whether every gate passed, or the error that stopped the
-//! run, an unwritable report included; the `repro` binary exits 1 on a
-//! failed gate and 2 on an error.
+//! run; the `repro` binary exits 1 on a failed gate and 2 on an error.
+//! The report's directory is made before the run, so a report that
+//! cannot be written stops the soak before it starts.
 
 use wmm_server::{run_soak, SoakConfig, SoakProfile};
 
 /// Run a soak profile end to end. Prints the report, writes it, and
-/// returns `Ok(true)` iff every gate passed, or `Err` when the soak run
-/// itself fails or the report cannot be written.
+/// returns `Ok(true)` iff every gate passed, or `Err` when the report's
+/// directory cannot be made, the soak run itself fails or the report
+/// cannot be written.
 pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> Result<bool, String> {
     let mut cfg = SoakConfig::new(profile);
     cfg.seed = seed;
     cfg.workers = workers;
+    let path = cfg.report_path();
+    let dir = path.parent().expect("the report sits in a directory");
+    std::fs::create_dir_all(dir).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
     println!("soak --{}: seed {}", profile, cfg.seed);
     let report = run_soak(&cfg).map_err(|e| format!("soak run failed: {e}"))?;
     println!(
@@ -59,10 +64,7 @@ pub fn run(profile: SoakProfile, seed: u64, workers: usize) -> Result<bool, Stri
         report.determinism_checked,
         report.determinism_mismatches
     );
-    let path = report.path();
-    let dir = path.parent().expect("the report sits in a directory");
-    std::fs::create_dir_all(dir).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
-    crate::write_json(&path, &report.to_json())?;
+    crate::write_json(&path, &report.to_json()).map_err(|e| e.to_string())?;
     if report.gates.pass {
         println!("soak: PASS");
     } else {

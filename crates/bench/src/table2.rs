@@ -1,16 +1,12 @@
 //! Tab. 2 — tuned stressing parameters and tuning time, per chip.
 
 use crate::Scale;
-use wmm_core::tuning::{tune_chip, ChipTuning, TuningConfig};
+use wmm_core::tuning::{tune_chip, ChipTuning};
 use wmm_sim::chip::Chip;
 
 /// Tune one chip with the scaled pipeline.
 pub fn tune_one(chip: &Chip, scale: Scale) -> ChipTuning {
-    let mut cfg = TuningConfig::scaled();
-    cfg.execs = scale.execs;
-    cfg.base_seed = scale.seed;
-    cfg.parallelism = scale.workers;
-    tune_chip(chip, &cfg)
+    tune_chip(chip, &scale.tuning())
 }
 
 /// Run the full pipeline for the requested chips (paper order when
@@ -55,6 +51,7 @@ pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<ChipTuning> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmm_core::tuning::TuningConfig;
 
     #[test]
     fn tune_one_runs_on_tiny_budget() {

@@ -1,7 +1,7 @@
 //! Tab. 3 — snippet of access-sequence scores for the GTX Titan.
 
 use crate::Scale;
-use wmm_core::tuning::{sequence, TuningConfig};
+use wmm_core::tuning::sequence;
 use wmm_gen::Shape;
 use wmm_sim::chip::Chip;
 
@@ -10,10 +10,7 @@ use wmm_sim::chip::Chip;
 /// (Pareto) winner in each per-test ranking.
 pub fn run(chip_short: &str, scale: Scale) {
     let chip = Chip::by_short(chip_short).expect("chip");
-    let mut cfg = TuningConfig::scaled();
-    cfg.execs = scale.execs;
-    cfg.base_seed = scale.seed;
-    cfg.parallelism = scale.workers;
+    let cfg = scale.tuning();
     println!("Tab. 3: access-sequence scores for {}\n", chip.name);
     let scores = sequence::score_sequences(&chip, chip.patch_words, &cfg);
     let winner = sequence::most_effective(&scores);

@@ -21,7 +21,7 @@
 //! on this path.
 
 use crate::suite::default_strategies;
-use crate::Scale;
+use crate::{Failure, Scale};
 use wmm_core::cache::ArtifactKey;
 use wmm_core::campaign::CampaignBuilder;
 use wmm_core::env::EnvKind;
@@ -195,14 +195,15 @@ fn print_report(r: &TraceReport) {
 /// `repro trace <shape>` entry point: resolve the shape (short name,
 /// as in `repro analyze`), the chip (`--chips`, first chip; default
 /// Titan), and the environment (`--env`, default by placement), replay,
-/// print, and optionally write JSON.
+/// print, and optionally write JSON. An unknown shape or environment is
+/// a [`Failure::Usage`], an unwritable path a [`Failure::Write`].
 pub fn run(
     target: &str,
     chips: Option<Vec<Chip>>,
     env: Option<&str>,
     scale: Scale,
     json_path: Option<&str>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let shape: Shape = target
         .parse()
         .map_err(|_| format!("unknown trace target `{target}` (want a shape short name)"))?;

@@ -61,9 +61,21 @@ fn an_unwritable_json_path_exits_2_and_names_the_path() {
     let dir = scratch_dir("json");
     let path = dir.join("missing").join("x.json");
     let path = path.to_str().expect("utf-8 temp path");
-    let (code, stderr) = repro(&["analyze", "MP", "--json", path]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains(path), "must name {path}: {stderr}");
+    let cases: &[&[&str]] = &[
+        &["analyze", "MP", "--json", path],
+        &["trace", "MP", "--execs", "1", "--json", path],
+        &["suite", "--execs", "1", "--chips", "Titan", "--json", path],
+    ];
+    for args in cases {
+        let (code, stderr) = repro(args);
+        assert_eq!(code, Some(2), "repro {args:?}: {stderr}");
+        assert!(
+            stderr.contains(path),
+            "repro {args:?} must name {path}: {stderr}"
+        );
+        // A write failure is not a bad command line.
+        assert!(!stderr.contains("usage:"), "repro {args:?}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -78,7 +90,11 @@ fn an_unwritable_soak_report_exits_2_and_names_the_report() {
         .output()
         .expect("repro runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("report.json"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    // The directory is made before the run, so no soak ran.
+    assert!(!stdout.contains("results digest"), "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

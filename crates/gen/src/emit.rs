@@ -174,7 +174,7 @@ mod tests {
     use super::*;
     use crate::shape::Shape;
     use wmm_sim::ir::validate::validate;
-    use wmm_sim::ir::Inst;
+    use wmm_sim::ir::{Inst, Space};
 
     fn layout(d: u32) -> LitmusLayout {
         LitmusLayout::standard(d, 4096)
@@ -198,7 +198,7 @@ mod tests {
             let shared_accesses = p
                 .insts
                 .iter()
-                .filter(|i| i.is_memory_access() && !i.is_global_access())
+                .filter(|i| i.space() == Some(Space::Shared))
                 .count();
             // One per data event: the rendezvous and result stores stay
             // global.
@@ -213,10 +213,7 @@ mod tests {
         }
         // Non-scoped shapes touch shared memory nowhere.
         let p = build_program(&Shape::MpCas.events(), &layout(64));
-        assert!(p
-            .insts
-            .iter()
-            .all(|i| !i.is_memory_access() || i.is_global_access()));
+        assert!(p.insts.iter().all(|i| i.space() != Some(Space::Shared)));
     }
 
     #[test]

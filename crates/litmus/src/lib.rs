@@ -140,13 +140,8 @@ impl LitmusLayout {
         self.comm_base + k * self.distance.max(1)
     }
 
-    /// Address of the second location (`y` in the two-location tests).
-    pub fn y_addr(&self) -> u32 {
-        self.loc_addr(1)
-    }
-
-    /// Address of the start-alignment counter (see
-    /// [`LitmusInstance::new`]), past the observer slots.
+    /// Address of the start-alignment counter the test threads
+    /// rendezvous on before racing, past the observer slots.
     pub fn sync_addr(&self) -> u32 {
         self.result_base + MAX_OBSERVERS
     }
@@ -181,7 +176,9 @@ pub struct LitmusInstance {
 }
 
 impl LitmusInstance {
-    /// Assemble an instance from parts, checking layout invariants.
+    /// Assemble an instance from parts — among them the thread placement
+    /// and the per-block shared-memory budget scoped instances need —
+    /// checking layout invariants.
     ///
     /// # Panics
     ///
@@ -189,34 +186,6 @@ impl LitmusInstance {
     /// the result region, memory is too small, an observer references a
     /// location outside `locations`, or there are more register
     /// observers than [`MAX_OBSERVERS`].
-    pub fn new(
-        name: impl Into<String>,
-        layout: LitmusLayout,
-        program: Program,
-        threads: u32,
-        locations: u32,
-        observers: Vec<Observer>,
-        allowed: BTreeSet<Vec<u32>>,
-    ) -> Self {
-        Self::with_placement(
-            name,
-            layout,
-            program,
-            threads,
-            locations,
-            observers,
-            allowed,
-            Placement::InterBlock,
-            0,
-        )
-    }
-
-    /// Like [`LitmusInstance::new`], with an explicit thread placement
-    /// and the per-block shared-memory budget scoped instances need.
-    ///
-    /// # Panics
-    ///
-    /// As [`LitmusInstance::new`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_placement(
         name: impl Into<String>,
@@ -418,7 +387,7 @@ pub(crate) mod testutil {
         let program = b.finish().expect("test kernel is valid");
         let allowed: BTreeSet<Vec<u32>> =
             [vec![0, 0], vec![0, 1], vec![1, 1]].into_iter().collect();
-        LitmusInstance::new(
+        LitmusInstance::with_placement(
             "MP",
             layout,
             program,
@@ -426,6 +395,8 @@ pub(crate) mod testutil {
             2,
             vec![Observer::Reg(0), Observer::Reg(1)],
             allowed,
+            Placement::InterBlock,
+            0,
         )
     }
 }
@@ -448,10 +419,10 @@ mod tests {
     #[test]
     fn layout_distance_zero_is_adjacent() {
         let l = LitmusLayout::standard(0, 4096);
-        assert_eq!(l.y_addr(), 1);
+        assert_eq!(l.loc_addr(1), 1);
         assert_eq!(l.loc_addr(2), 2);
         let l = LitmusLayout::standard(64, 4096);
-        assert_eq!(l.y_addr(), 64);
+        assert_eq!(l.loc_addr(1), 64);
         assert_eq!(l.loc_addr(2), 128);
     }
 

@@ -44,7 +44,9 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
 ///
 /// `f` must be pure up to its index (its output independent of execution
 /// order); all callers in this workspace guarantee that by deriving all
-/// randomness from `(base_seed, index)`.
+/// randomness from `(base_seed, index)`. One worker runs on the calling
+/// thread; more fold `(index, result)` pairs through [`parallel_fold`],
+/// scattered back into index order.
 pub fn parallel_map<T, F>(workers: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -53,34 +55,14 @@ where
     if workers <= 1 || jobs <= 1 {
         return (0..jobs).map(f).collect();
     }
-    let chunk = chunk_size(jobs, workers);
-    let next = AtomicUsize::new(0);
+    let shards = parallel_fold(workers, jobs, Vec::new, |out: &mut Vec<(usize, T)>, i| {
+        out.push((i, f(i)));
+    });
     let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
     slots.resize_with(jobs, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(jobs) {
-                            out.push((i, f(i)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, v) in handle.join().expect("parallel_map worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
+    for (i, v) in shards.into_iter().flatten() {
+        slots[i] = Some(v);
+    }
     slots
         .into_iter()
         .map(|s| s.expect("every index visited exactly once"))

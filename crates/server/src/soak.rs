@@ -252,6 +252,16 @@ impl SoakConfig {
             gates: profile.gates(),
         }
     }
+
+    /// Where this run's report belongs, relative to the directory the
+    /// soak runs in: `tests/artifacts/soak/<profile>-seed<seed>/report.json`,
+    /// the deterministic, seed-named location CI uploads. Known before
+    /// the run, so a caller can make the directory first.
+    pub fn report_path(&self) -> PathBuf {
+        Path::new("tests/artifacts/soak")
+            .join(format!("{}-seed{}", self.profile, self.seed))
+            .join("report.json")
+    }
 }
 
 /// Pass/fail summary of the three gates.
@@ -543,15 +553,6 @@ impl SoakReport {
             ("pass", gates.pass.into()),
         ])
     }
-
-    /// Where the report belongs, relative to the directory the soak runs
-    /// in: `tests/artifacts/soak/<profile>-seed<seed>/report.json`, the
-    /// deterministic, seed-named location CI uploads.
-    pub fn path(&self) -> PathBuf {
-        Path::new("tests/artifacts/soak")
-            .join(format!("{}-seed{}", self.profile, self.seed))
-            .join("report.json")
-    }
 }
 
 #[cfg(test)]
@@ -830,7 +831,7 @@ mod tests {
     #[test]
     fn report_path_is_seed_named() {
         assert_eq!(
-            hand_built().path(),
+            SoakConfig::new(SoakProfile::Quick).report_path(),
             Path::new("tests/artifacts/soak/quick-seed2016/report.json")
         );
     }

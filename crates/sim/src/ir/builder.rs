@@ -537,7 +537,7 @@ mod tests {
             })
             .collect();
         assert_eq!(spaces, vec![Space::Shared; 3]);
-        assert!(!p.insts.iter().any(Inst::is_global_access));
+        assert!(!p.insts.iter().any(|i| i.space() == Some(Space::Global)));
     }
 
     #[test]

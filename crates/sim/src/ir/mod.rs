@@ -202,19 +202,6 @@ impl Inst {
         )
     }
 
-    /// True if this is a *global* memory access — the accesses the paper's
-    /// conservative fencing strategy places a fence after.
-    pub fn is_global_access(&self) -> bool {
-        match self {
-            Inst::Load { space, .. }
-            | Inst::Store { space, .. }
-            | Inst::AtomicCas { space, .. }
-            | Inst::AtomicExch { space, .. }
-            | Inst::AtomicAdd { space, .. } => *space == Space::Global,
-            _ => false,
-        }
-    }
-
     /// The memory space this instruction accesses, if it is a memory
     /// access.
     pub fn space(&self) -> Option<Space> {
@@ -298,17 +285,6 @@ impl Program {
         self.insts.is_empty()
     }
 
-    /// Indices of all global memory accesses (the candidate fence sites of
-    /// the paper's conservative fencing strategy).
-    pub fn global_access_indices(&self) -> Vec<usize> {
-        self.insts
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.is_global_access())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Indices of *all* memory accesses, global and shared — the
     /// candidate fence sites of scope-aware fence insertion, where the
     /// cheaper `FenceLevel::Block` rung is admissible after shared
@@ -389,19 +365,25 @@ mod tests {
             addr: 1
         }
         .is_memory_access());
-        assert!(Inst::AtomicAdd {
-            dst: 0,
-            space: Space::Global,
-            addr: 1,
-            val: 2
-        }
-        .is_global_access());
-        assert!(!Inst::Load {
-            dst: 0,
-            space: Space::Shared,
-            addr: 1
-        }
-        .is_global_access());
+        assert_eq!(
+            Inst::AtomicAdd {
+                dst: 0,
+                space: Space::Global,
+                addr: 1,
+                val: 2
+            }
+            .space(),
+            Some(Space::Global)
+        );
+        assert_eq!(
+            Inst::Load {
+                dst: 0,
+                space: Space::Shared,
+                addr: 1
+            }
+            .space(),
+            Some(Space::Shared)
+        );
         assert!(!Inst::Barrier.is_memory_access());
     }
 
@@ -437,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn global_access_indices_found() {
+    fn memory_access_indices_found() {
         let p = Program {
             insts: vec![
                 Inst::Const { dst: 0, value: 0 },
@@ -461,6 +443,6 @@ mod tests {
             num_regs: 2,
             name: String::new(),
         };
-        assert_eq!(p.global_access_indices(), vec![1, 3]);
+        assert_eq!(p.memory_access_indices(), vec![1, 2, 3]);
     }
 }

@@ -353,7 +353,7 @@ mod tests {
         let f = with_all_fences(&p);
         for (i, inst) in f.insts.iter().enumerate() {
             if matches!(inst, Inst::Fence(_)) {
-                assert!(f.insts[i - 1].is_global_access());
+                assert_eq!(f.insts[i - 1].space(), Some(Space::Global));
             }
         }
     }
@@ -521,8 +521,7 @@ mod tests {
         let sites = fence_sites(&p);
         assert_eq!(sites.len(), 2);
         for s in &sites {
-            assert!(p.insts[*s].is_memory_access());
-            assert!(!p.insts[*s].is_global_access());
+            assert_eq!(p.insts[*s].space(), Some(Space::Shared));
         }
     }
 

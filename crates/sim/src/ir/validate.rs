@@ -6,7 +6,7 @@
 //! [`KernelBuilder::finish`](super::builder::KernelBuilder::finish) and the
 //! fence-transformation passes.
 
-use super::{Inst, Program, Reg, Space};
+use super::{Inst, Program, Reg};
 use std::fmt;
 
 /// A validation failure, carrying the offending instruction index.
@@ -35,25 +35,6 @@ pub enum ValidateError {
         /// Program length.
         len: usize,
     },
-    /// A shared-space access whose address register provably holds one
-    /// constant addresses a word at or past the launch's `shared_words`
-    /// budget — an out-of-bounds access on every execution.
-    SharedConstOutOfBounds {
-        /// Instruction index of the access.
-        at: usize,
-        /// The constant address.
-        addr: u32,
-        /// Words of shared memory the launch provides.
-        shared_words: u32,
-    },
-    /// The instruction after an unconditional backward jump is the
-    /// target of no branch: it can never execute.
-    UnreachableAfterBackwardJump {
-        /// Index of the unreachable instruction.
-        at: usize,
-        /// Index of the backward jump it follows.
-        jump_at: usize,
-    },
 }
 
 impl fmt::Display for ValidateError {
@@ -67,20 +48,6 @@ impl fmt::Display for ValidateError {
             ValidateError::TargetOutOfRange { at, target, len } => write!(
                 f,
                 "instruction {at} branches to {target} but the program has {len} instructions"
-            ),
-            ValidateError::SharedConstOutOfBounds {
-                at,
-                addr,
-                shared_words,
-            } => write!(
-                f,
-                "instruction {at} accesses shared[{addr}] but the launch provides only \
-                 {shared_words} shared words"
-            ),
-            ValidateError::UnreachableAfterBackwardJump { at, jump_at } => write!(
-                f,
-                "instruction {at} is unreachable: it follows the unconditional backward \
-                 jump at {jump_at} and no branch targets it"
             ),
         }
     }
@@ -119,88 +86,6 @@ pub fn validate(p: &Program) -> Result<(), ValidateError> {
         }
     }
     Ok(())
-}
-
-/// Launch-aware deep validation: everything [`validate`] checks, plus
-/// two static checks that need (or benefit from) launch context.
-///
-/// 1. **Shared-space constant addresses in bounds** — a shared access
-///    whose address register is written exactly once, by a `Const`, has
-///    a statically-known address; if it is `>= shared_words` every
-///    execution faults.
-/// 2. **No unreachable code after an unconditional backward jump** — an
-///    instruction directly after a backward `Jump` that no branch
-///    targets can never execute (a `Jump` does not fall through), which
-///    in builder-produced programs indicates a malformed loop.
-///
-/// These run here rather than in [`validate`] because the first needs
-/// the launch's shared-memory budget and both are lints over the
-/// *source* program — transformation passes (fence stripping, stress
-/// lane injection) are free to produce odd-but-harmless shapes.
-///
-/// # Errors
-///
-/// Returns the first error found: [`validate`]'s errors first, then
-/// these checks in instruction order.
-pub fn validate_launch(p: &Program, shared_words: u32) -> Result<(), ValidateError> {
-    validate(p)?;
-    // Registers holding exactly one statically-known constant: written
-    // once, by a Const. Any other write (or a second Const) demotes the
-    // register to unknown.
-    let mut const_of: Vec<Option<u32>> = vec![None; p.num_regs as usize];
-    let mut writes: Vec<u32> = vec![0; p.num_regs as usize];
-    for inst in &p.insts {
-        if let Some(dst) = inst_dst(inst) {
-            writes[dst as usize] += 1;
-            const_of[dst as usize] = match inst {
-                Inst::Const { value, .. } if writes[dst as usize] == 1 => Some(*value),
-                _ => None,
-            };
-        }
-    }
-    for (at, inst) in p.insts.iter().enumerate() {
-        if inst.space() == Some(Space::Shared) {
-            let addr = inst.addr_reg().expect("memory access has an address");
-            if let Some(value) = const_of[addr as usize] {
-                if value >= shared_words {
-                    return Err(ValidateError::SharedConstOutOfBounds {
-                        at,
-                        addr: value,
-                        shared_words,
-                    });
-                }
-            }
-        }
-    }
-    let targeted: std::collections::BTreeSet<usize> =
-        p.insts.iter().filter_map(Inst::target).collect();
-    for (at, inst) in p.insts.iter().enumerate() {
-        if let Inst::Jump { target } = inst {
-            let next = at + 1;
-            if *target <= at && next < p.insts.len() && !targeted.contains(&next) {
-                return Err(ValidateError::UnreachableAfterBackwardJump {
-                    at: next,
-                    jump_at: at,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The destination register an instruction writes, if any.
-fn inst_dst(inst: &Inst) -> Option<Reg> {
-    match *inst {
-        Inst::Const { dst, .. }
-        | Inst::Mov { dst, .. }
-        | Inst::Bin { dst, .. }
-        | Inst::Special { dst, .. }
-        | Inst::Load { dst, .. }
-        | Inst::AtomicCas { dst, .. }
-        | Inst::AtomicExch { dst, .. }
-        | Inst::AtomicAdd { dst, .. } => Some(dst),
-        _ => None,
-    }
 }
 
 /// All register operands mentioned by an instruction.
@@ -312,139 +197,5 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains('7') && msg.contains("r9"));
-    }
-
-    #[test]
-    fn shared_const_out_of_bounds_rejected() {
-        use crate::ir::builder::KernelBuilder;
-        let mut b = KernelBuilder::new("oob");
-        let a = b.const_(64);
-        let v = b.const_(1);
-        b.store_shared(a, v);
-        let p = b.finish().unwrap();
-        assert!(matches!(
-            validate_launch(&p, 64),
-            Err(ValidateError::SharedConstOutOfBounds {
-                addr: 64,
-                shared_words: 64,
-                ..
-            })
-        ));
-        assert_eq!(validate_launch(&p, 65), Ok(()));
-    }
-
-    #[test]
-    fn shared_bounds_check_skips_non_constant_addresses() {
-        use crate::ir::builder::KernelBuilder;
-        // tid-derived addresses are not statically constant: no verdict.
-        let mut b = KernelBuilder::new("dyn");
-        let tid = b.tid();
-        let big = b.const_(1 << 20);
-        let addr = b.add(tid, big);
-        let v = b.const_(1);
-        b.store_shared(addr, v);
-        let p = b.finish().unwrap();
-        assert_eq!(validate_launch(&p, 4), Ok(()));
-    }
-
-    #[test]
-    fn shared_bounds_check_skips_redefined_registers() {
-        use crate::ir::Space;
-        // r0 is written twice; its value is not statically known even
-        // though one of the writes is a large constant.
-        let p = prog(
-            vec![
-                Inst::Const { dst: 0, value: 99 },
-                Inst::Const { dst: 0, value: 1 },
-                Inst::Store {
-                    space: Space::Shared,
-                    addr: 0,
-                    src: 0,
-                },
-                Inst::Halt,
-            ],
-            1,
-        );
-        assert_eq!(validate_launch(&p, 8), Ok(()));
-    }
-
-    #[test]
-    fn global_const_addresses_not_bounds_checked() {
-        use crate::ir::builder::KernelBuilder;
-        // The shared-words budget constrains only Space::Shared.
-        let mut b = KernelBuilder::new("glob");
-        let a = b.const_(1 << 20);
-        let v = b.const_(1);
-        b.store_global(a, v);
-        let p = b.finish().unwrap();
-        assert_eq!(validate_launch(&p, 0), Ok(()));
-    }
-
-    #[test]
-    fn unreachable_after_backward_jump_rejected() {
-        let p = prog(
-            vec![
-                Inst::Const { dst: 0, value: 0 },
-                Inst::Jump { target: 0 },
-                Inst::Const { dst: 0, value: 1 }, // unreachable
-                Inst::Halt,
-            ],
-            1,
-        );
-        assert!(matches!(
-            validate_launch(&p, 0),
-            Err(ValidateError::UnreachableAfterBackwardJump { at: 2, jump_at: 1 })
-        ));
-    }
-
-    #[test]
-    fn targeted_instruction_after_backward_jump_allowed() {
-        // A loop exit branch targets the instruction after the back
-        // jump: the classic while-loop shape must pass.
-        let p = prog(
-            vec![
-                Inst::BranchZ { cond: 0, target: 3 },
-                Inst::Const { dst: 0, value: 1 },
-                Inst::Jump { target: 0 },
-                Inst::Halt,
-            ],
-            1,
-        );
-        assert_eq!(validate_launch(&p, 0), Ok(()));
-    }
-
-    #[test]
-    fn builder_loops_pass_launch_validation() {
-        use crate::ir::builder::KernelBuilder;
-        let mut b = KernelBuilder::new("loop");
-        let i = b.reg();
-        b.assign_const(i, 0);
-        let n = b.const_(5);
-        let one = b.const_(1);
-        let a = b.const_(3);
-        b.while_(
-            |k| k.lt_u(i, n),
-            |k| {
-                let x = k.load_shared(a);
-                k.store_shared(a, x);
-                k.bin_into(i, super::super::BinOp::Add, i, one);
-            },
-        );
-        let p = b.finish().unwrap();
-        assert_eq!(validate_launch(&p, 4), Ok(()));
-    }
-
-    #[test]
-    fn launch_error_display_texts() {
-        let e = ValidateError::SharedConstOutOfBounds {
-            at: 3,
-            addr: 128,
-            shared_words: 64,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("shared[128]") && msg.contains("64"), "{msg}");
-        let e = ValidateError::UnreachableAfterBackwardJump { at: 5, jump_at: 4 };
-        let msg = e.to_string();
-        assert!(msg.contains("unreachable") && msg.contains('5') && msg.contains('4'));
     }
 }

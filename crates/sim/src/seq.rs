@@ -5,7 +5,8 @@
 //! module provides the sequence type, its paper-style compact notation
 //! (`ld3 st ld` denotes three loads, a store, then a load), enumeration of
 //! all sequences up to a maximum length (63 sequences for N = 5), and the
-//! *transition signature* used by the simulator's contention model.
+//! extended *transition signature* ([`AccessSeq::signature8`]) the
+//! simulator's contention model reads.
 
 use std::fmt;
 use std::str::FromStr;
@@ -133,13 +134,6 @@ impl AccessSeq {
         t
     }
 
-    /// The transition signature normalised to unit (L2) length, or the zero
-    /// vector for length-1 sequences (which have no intra-iteration
-    /// transitions).
-    pub fn signature(&self) -> [f64; 4] {
-        normalize4(self.transition_counts())
-    }
-
     /// The *extended* signature: intra-iteration transitions plus the
     /// loop-boundary features `[first=ld, first=st, last=ld, last=st]`.
     /// The boundary features are what distinguish rotations (and
@@ -187,23 +181,6 @@ pub fn transition_index(from: Acc, to: Acc) -> usize {
         (Acc::St, Acc::Ld) => 2,
         (Acc::St, Acc::St) => 3,
     }
-}
-
-/// Normalise a 4-vector to unit L2 length (zero vector maps to itself).
-pub fn normalize4(v: [f64; 4]) -> [f64; 4] {
-    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm == 0.0 {
-        v
-    } else {
-        [v[0] / norm, v[1] / norm, v[2] / norm, v[3] / norm]
-    }
-}
-
-/// Cosine similarity between two transition vectors (0 if either is zero).
-pub fn cosine4(a: [f64; 4], b: [f64; 4]) -> f64 {
-    let na = normalize4(a);
-    let nb = normalize4(b);
-    na.iter().zip(nb.iter()).map(|(x, y)| x * y).sum()
 }
 
 impl fmt::Display for AccessSeq {
@@ -348,7 +325,7 @@ mod tests {
         // differ in boundary features.
         let a: AccessSeq = "ld st2 ld".parse().unwrap();
         let b: AccessSeq = "st2 ld st".parse().unwrap();
-        assert_eq!(a.signature(), b.signature());
+        assert_eq!(a.transition_counts(), b.transition_counts());
         assert_ne!(a.signature8(), b.signature8());
         let c = cosine8(a.signature8(), b.signature8());
         assert!(c < 0.7, "cos = {c}");
@@ -365,27 +342,13 @@ mod tests {
     #[test]
     fn signature_distinguishes_rotations() {
         // `ld4 st` and `ld3 st ld` are rotations but have distinct
-        // intra-iteration signatures (the wrap transition is excluded).
+        // intra-iteration transition counts (the wrap transition is
+        // excluded).
         let a: AccessSeq = "ld4 st".parse().unwrap();
         let b: AccessSeq = "ld3 st ld".parse().unwrap();
         assert!(a.is_rotation_of(&b));
-        assert_ne!(a.signature(), b.signature());
-    }
-
-    #[test]
-    fn cosine_self_is_max() {
-        let seqs = AccessSeq::enumerate(4);
-        for s in &seqs {
-            if s.len() < 2 {
-                continue;
-            }
-            let sig = s.signature();
-            for other in &seqs {
-                let c = cosine4(other.signature(), sig);
-                assert!(c <= 1.0 + 1e-12);
-            }
-            assert!((cosine4(sig, sig) - 1.0).abs() < 1e-12);
-        }
+        assert_ne!(a.transition_counts(), b.transition_counts());
+        assert_ne!(a.signature8(), b.signature8());
     }
 
     #[test]

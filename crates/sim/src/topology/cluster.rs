@@ -51,12 +51,6 @@ impl Topology {
     pub fn home_sm(&self, launch_index: u32) -> u32 {
         launch_index % self.total_sms()
     }
-
-    /// Which cluster an SM belongs to.
-    pub fn cluster_of(&self, sm: u32) -> u32 {
-        debug_assert!(sm < self.total_sms(), "SM index out of range");
-        sm / self.sms_per_cluster
-    }
 }
 
 #[cfg(test)]
@@ -86,15 +80,6 @@ mod tests {
         for i in 0..t.total_sms() - 1 {
             assert_ne!(t.home_sm(i), t.home_sm(i + 1));
         }
-    }
-
-    #[test]
-    fn cluster_of_partitions_sms() {
-        let t = Topology::uniform(2, 4, 8);
-        assert_eq!(t.cluster_of(0), 0);
-        assert_eq!(t.cluster_of(3), 0);
-        assert_eq!(t.cluster_of(4), 1);
-        assert_eq!(t.cluster_of(7), 1);
     }
 
     #[test]

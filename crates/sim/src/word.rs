@@ -21,18 +21,6 @@ pub fn from_f32(f: f32) -> Word {
     f.to_bits()
 }
 
-/// Reinterpret a word as a signed 32-bit integer.
-#[inline]
-pub fn to_i32(w: Word) -> i32 {
-    w as i32
-}
-
-/// Reinterpret a signed 32-bit integer as a word.
-#[inline]
-pub fn from_i32(i: i32) -> Word {
-    i as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,12 +37,5 @@ mod tests {
         let bits = 0x7fc0_0001u32;
         assert!(to_f32(bits).is_nan());
         assert_eq!(from_f32(to_f32(bits)), bits);
-    }
-
-    #[test]
-    fn i32_round_trip() {
-        for i in [0i32, 1, -1, i32::MAX, i32::MIN] {
-            assert_eq!(to_i32(from_i32(i)), i);
-        }
     }
 }

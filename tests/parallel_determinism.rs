@@ -5,7 +5,7 @@
 //! commutative, so 1-, 2- and 8-worker runs must agree exactly.
 
 use gpu_wmm::core::campaign::CampaignBuilder;
-use gpu_wmm::core::stress::{Scratchpad, StressArtifacts};
+use gpu_wmm::core::stress::{Scratchpad, StressArtifacts, StressStrategy};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::{Histogram, LitmusInstance, LitmusLayout};
 use wmm_litmus::parallel::{parallel_fold, parallel_map};
@@ -50,34 +50,54 @@ fn campaign_native_is_worker_count_invariant() {
     }
 }
 
-/// The same invariance under systematic stressing, where the per-run
-/// stress blocks themselves come from the per-run RNG — and the stress
-/// kernel is compiled once per campaign, not per run.
+/// The same invariance under stress, where the per-run stress blocks
+/// themselves come from the per-run RNG: systematic stress pinned to one
+/// location (its kernel compiled once per campaign, not per run),
+/// `rand-str+` (a kernel built per run from a per-run seed) and
+/// `cache-str-` (one fixed kernel, no thread-id randomisation).
 #[test]
 fn campaign_stressed_is_worker_count_invariant() {
     let chip = Chip::by_short("K20").unwrap();
     let pad = Scratchpad::new(2048, 2048);
-    let artifacts = StressArtifacts::pinned(pad, &chip.preferred_seq, &[0], 40);
-    for test in Shape::TRIO {
-        for d in [16, 64] {
-            let inst = test.instance(LitmusLayout::standard(d, pad.required_words()));
-            let run = |parallelism: usize| {
-                CampaignBuilder::new(&chip)
-                    .stress(artifacts.clone())
-                    .randomize_ids(true)
-                    .count(32)
-                    .base_seed(0xBEEF ^ d as u64)
-                    .parallelism(parallelism)
-                    .build()
-                    .run_litmus(&inst)
-            };
-            let reference = run(1);
-            for workers in &WORKER_COUNTS[1..] {
-                assert_eq!(
-                    run(*workers),
-                    reference,
-                    "{test} d={d}: stressed histogram diverged at {workers} workers"
-                );
+    let stresses = [
+        (
+            "pinned sys-str+",
+            StressArtifacts::pinned(pad, &chip.preferred_seq, &[0], 40),
+            true,
+        ),
+        (
+            "rand-str+",
+            StressArtifacts::for_strategy(&chip, &StressStrategy::Random, pad, 40),
+            true,
+        ),
+        (
+            "cache-str-",
+            StressArtifacts::for_strategy(&chip, &StressStrategy::CacheSized, pad, 40),
+            false,
+        ),
+    ];
+    for (name, artifacts, randomize) in &stresses {
+        for test in Shape::TRIO {
+            for d in [16, 64] {
+                let inst = test.instance(LitmusLayout::standard(d, pad.required_words()));
+                let run = |parallelism: usize| {
+                    CampaignBuilder::new(&chip)
+                        .stress(artifacts.clone())
+                        .randomize_ids(*randomize)
+                        .count(32)
+                        .base_seed(0xBEEF ^ d as u64)
+                        .parallelism(parallelism)
+                        .build()
+                        .run_litmus(&inst)
+                };
+                let reference = run(1);
+                for workers in &WORKER_COUNTS[1..] {
+                    assert_eq!(
+                        run(*workers),
+                        reference,
+                        "{test} d={d} under {name}: histogram diverged at {workers} workers"
+                    );
+                }
             }
         }
     }
@@ -274,6 +294,62 @@ fn provenance_counters_are_worker_count_invariant() {
     };
     assert!(corr.channels().l1_stale > 0);
     assert!(corr.provenance_total().l1_stale > 0);
+}
+
+/// Zero cost when off: on chips where every weakness channel is
+/// structurally disabled the channel counters read exactly zero — the
+/// telemetry never invents activity.
+#[test]
+fn channel_counters_vanish_when_every_channel_is_off() {
+    use gpu_wmm::core::env::Environment;
+    let pad = Scratchpad::new(2048, 2048);
+    // An SC chip has no store window and no stale L1: every counter
+    // stays pinned at zero even under systematic stress.
+    let sc = Chip::by_short("K20").unwrap().sequentially_consistent();
+    let env = Environment::sys_str_plus(&sc);
+    for test in [Shape::Mp, Shape::MpShared, Shape::MpCas] {
+        let inst = test.instance(LitmusLayout::standard(64, pad.required_words()));
+        let h = CampaignBuilder::new(&sc)
+            .environment(&env, pad, 40)
+            .count(32)
+            .base_seed(3)
+            .build()
+            .run_litmus(&inst);
+        assert_eq!(h.weak(), 0, "{test} on SC chip: {h}");
+        assert!(
+            h.channels().is_zero(),
+            "{test} on SC chip: counters invented activity: {:?}",
+            h.channels()
+        );
+        assert_eq!(h.provenance_total().total(), 0);
+    }
+    // Zeroed staleness knobs disengage the L1 entirely: the three
+    // structural counters read exactly zero while the window channel
+    // still counts.
+    let mut coherent = Chip::by_short("C2075").unwrap();
+    coherent.l1.stale_base = 0.0;
+    coherent.l1.stale_gain = 0.0;
+    let env = Environment::l1_str_plus();
+    for test in [Shape::CoRR, Shape::MpCas] {
+        let inst = test.instance(LitmusLayout::standard(64, pad.required_words()));
+        let h = CampaignBuilder::new(&coherent)
+            .environment(&env, pad, 40)
+            .count(32)
+            .base_seed(0x11CA)
+            .build()
+            .run_litmus(&inst);
+        let c = h.channels();
+        assert_eq!(c.l1_stale, 0, "{test}: stale hits on a disengaged L1");
+        assert_eq!(
+            c.fence_inval, 0,
+            "{test}: fence invalidations without an L1"
+        );
+        assert_eq!(
+            c.atomic_read_through, 0,
+            "{test}: atomic read-throughs without an L1"
+        );
+        assert_eq!(h.provenance_total().l1_stale, 0);
+    }
 }
 
 /// Different seeds must not produce identical streams (sanity check that
