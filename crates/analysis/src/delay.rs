@@ -22,8 +22,8 @@
 //! then old. [`l1_read_read_edges`] computes those pairs as an extra,
 //! chip-gated edge set: callers with an incoherent-L1
 //! [`Chip`](wmm_sim::chip::Chip) union it into the delay set (see
-//! `analyze_litmus_on_chip`), while the chip-independent analysis keeps
-//! the coherence exemption.
+//! `analyze_program`), while the chip-independent analysis keeps the
+//! coherence exemption.
 //!
 //! Each delay edge carries the *minimal* fence level that orders it:
 //! [`FenceLevel::Block`] when both endpoints are provably shared-space

@@ -26,9 +26,9 @@
 //! warning (`tests/static_dynamic_agreement.rs` enforces this over the
 //! whole shape catalogue). The contract is per chip: on chips whose
 //! SM-private L1s are incoherent, same-address global load-load pairs
-//! can go weak structurally, so the chip-aware entry points
-//! ([`analyze_litmus_on_chip`], [`analyze_program_on_chip`]) add the L1
-//! read-read channel instead of coherence-exempting those pairs. For
+//! can go weak structurally, so given such a chip the entry points
+//! ([`analyze_litmus`], [`analyze_program`]) add the L1 read-read
+//! channel instead of coherence-exempting those pairs. For
 //! applications, callers choose a bounded set of representative
 //! threads; the result is a heuristic (still conservative per modeled
 //! thread) rather than a proof.
@@ -90,27 +90,17 @@ fn models_for(input: &AnalysisInput<'_>) -> Vec<ThreadModel> {
         .collect()
 }
 
-/// Analyze a program under a launch geometry, chip-independently: the
-/// delay set every chip's in-flight reordering can break. Same-address
-/// pairs are coherence-exempt here; for chips whose SM-private L1s are
-/// incoherent, use [`analyze_program_on_chip`], which adds the
-/// structural read-read channel.
-pub fn analyze_program(input: &AnalysisInput<'_>) -> ProgramAnalysis {
-    let models = models_for(input);
-    let edges = delay_edges(input.program, &models);
-    summarize(input.program, &edges)
-}
-
-/// Analyze a program under a launch geometry **on a specific chip**:
-/// the chip-independent delay set, plus — when `chip.l1_weak()` — the
-/// incoherent-L1 read-read edges ([`l1_read_read_edges`]), so
-/// same-address global load-load pairs warn instead of being
-/// coherence-exempt. On coherent-L1 chips this is identical to
-/// [`analyze_program`].
-pub fn analyze_program_on_chip(input: &AnalysisInput<'_>, chip: &Chip) -> ProgramAnalysis {
+/// Analyze a program under a launch geometry. With no chip, the
+/// analysis is chip-independent: the delay set every chip's in-flight
+/// reordering can break, with same-address pairs coherence-exempt. On
+/// a chip whose SM-private L1s are incoherent (`chip.l1_weak()`), the
+/// incoherent-L1 read-read edges ([`l1_read_read_edges`]) join the
+/// delay set, so same-address global load-load pairs warn instead; on
+/// every other chip the result is the chip-independent one.
+pub fn analyze_program(input: &AnalysisInput<'_>, chip: Option<&Chip>) -> ProgramAnalysis {
     let models = models_for(input);
     let mut edges = delay_edges(input.program, &models);
-    if chip.l1_weak() {
+    if chip.is_some_and(Chip::l1_weak) {
         edges.extend(l1_read_read_edges(input.program, &models));
     }
     summarize(input.program, &edges)
@@ -139,31 +129,16 @@ pub fn litmus_reps(placement: Placement, threads: u32) -> (Vec<ThreadRep>, u32, 
 }
 
 /// Analyze a litmus instance with exact per-test-thread models,
-/// chip-independently.
-pub fn analyze_litmus(li: &LitmusInstance) -> ProgramAnalysis {
+/// chip-independently or on `chip` (see [`analyze_program`]).
+pub fn analyze_litmus(li: &LitmusInstance, chip: Option<&Chip>) -> ProgramAnalysis {
     let (reps, block_dim, grid_dim) = litmus_reps(li.placement, li.threads);
-    analyze_program(&AnalysisInput {
+    let input = AnalysisInput {
         program: li.program.as_ref(),
         reps,
         block_dim,
         grid_dim,
-    })
-}
-
-/// Analyze a litmus instance with exact per-test-thread models on a
-/// specific chip — see [`analyze_program_on_chip`] for what the chip
-/// adds.
-pub fn analyze_litmus_on_chip(li: &LitmusInstance, chip: &Chip) -> ProgramAnalysis {
-    let (reps, block_dim, grid_dim) = litmus_reps(li.placement, li.threads);
-    analyze_program_on_chip(
-        &AnalysisInput {
-            program: li.program.as_ref(),
-            reps,
-            block_dim,
-            grid_dim,
-        },
-        chip,
-    )
+    };
+    analyze_program(&input, chip)
 }
 
 /// Relative runtime cost of one fence at the given level. A device
@@ -191,7 +166,7 @@ mod tests {
 
     #[test]
     fn mp_warns_at_device_level() {
-        let a = analyze_litmus(&instance(Shape::Mp));
+        let a = analyze_litmus(&instance(Shape::Mp), None);
         assert!(!a.quiet(), "MP communicates weakly through global memory");
         assert_eq!(a.max_warning_level(), Some(FenceLevel::Device));
         // Both the writer pair and the reader pair warn.
@@ -200,14 +175,14 @@ mod tests {
 
     #[test]
     fn mp_fences_is_certified_quiet() {
-        let a = analyze_litmus(&instance(Shape::MpFences));
+        let a = analyze_litmus(&instance(Shape::MpFences), None);
         assert!(a.quiet(), "fenced MP must be quiet: {:?}", a.warnings);
         assert!(a.ordered_edges >= 2, "the fences order the delay pairs");
     }
 
     #[test]
     fn scoped_mp_is_demotable_to_block() {
-        let a = analyze_litmus(&instance(Shape::MpShared));
+        let a = analyze_litmus(&instance(Shape::MpShared), None);
         assert!(!a.quiet());
         assert_eq!(
             a.max_warning_level(),
@@ -227,7 +202,7 @@ mod tests {
     #[test]
     fn coherence_shapes_are_quiet() {
         for shape in [Shape::CoRR, Shape::CoWW, Shape::CoAdd, Shape::CoRRShared] {
-            let a = analyze_litmus(&instance(shape));
+            let a = analyze_litmus(&instance(shape), None);
             assert!(
                 a.quiet(),
                 "{shape:?} is same-location only, no delay: {:?}",
@@ -240,24 +215,24 @@ mod tests {
     fn corr_warns_only_on_incoherent_l1_chips() {
         let li = instance(Shape::CoRR);
         // Chip-independently, CoRR stays coherence-exempt...
-        assert!(analyze_litmus(&li).quiet());
+        assert!(analyze_litmus(&li, None).quiet());
         // ...and on coherent-L1 chips the chip-aware form agrees.
         let k20 = Chip::by_short("K20").unwrap();
-        assert!(analyze_litmus_on_chip(&li, &k20).quiet());
+        assert!(analyze_litmus(&li, Some(&k20)).quiet());
         // On an incoherent-L1 Tesla the load-load pair joins the delay
         // set, at device level (the fence that refreshes the L1).
         let c2075 = Chip::by_short("C2075").unwrap();
-        let a = analyze_litmus_on_chip(&li, &c2075);
+        let a = analyze_litmus(&li, Some(&c2075));
         assert!(!a.quiet(), "stale L1 lines break CoRR on C2075");
         assert_eq!(a.max_warning_level(), Some(FenceLevel::Device));
         // Zeroing the staleness rates removes the channel again.
-        assert!(analyze_litmus_on_chip(&li, &c2075.clone().sequentially_consistent()).quiet());
+        assert!(analyze_litmus(&li, Some(&c2075.clone().sequentially_consistent())).quiet());
     }
 
     #[test]
     fn corr_fence_is_quiet_even_on_incoherent_l1_chips() {
         let c2075 = Chip::by_short("C2075").unwrap();
-        let a = analyze_litmus_on_chip(&instance(Shape::CoRRFence), &c2075);
+        let a = analyze_litmus(&instance(Shape::CoRRFence), Some(&c2075));
         assert!(a.quiet(), "{:?}", a.warnings);
         assert!(a.ordered_edges >= 1, "the fence orders the read-read pair");
     }
@@ -267,7 +242,7 @@ mod tests {
         // CoRR.shared reads shared memory — no L1 in that path — and an
         // intra-block global pair would share a home SM anyway.
         let c2075 = Chip::by_short("C2075").unwrap();
-        let a = analyze_litmus_on_chip(&instance(Shape::CoRRShared), &c2075);
+        let a = analyze_litmus(&instance(Shape::CoRRShared), Some(&c2075));
         assert!(a.quiet(), "{:?}", a.warnings);
     }
 
@@ -276,7 +251,7 @@ mod tests {
         // Every emitted kernel rendezvouses through an atomic counter;
         // those same-address pairs must not produce spurious warnings.
         let li = instance(Shape::Mp);
-        let a = analyze_litmus(&li);
+        let a = analyze_litmus(&li, None);
         let sync = li.layout.sync_addr();
         let (reps, block_dim, grid_dim) = litmus_reps(li.placement, li.threads);
         let models: Vec<ThreadModel> = reps
@@ -328,12 +303,13 @@ mod tests {
     fn barrier_orders_shared_exchange() {
         let mk = |with_barrier| {
             let p = cross_warp_kernel(with_barrier);
-            analyze_program(&AnalysisInput {
+            let input = AnalysisInput {
                 program: &p,
                 reps: vec![ThreadRep { bid: 0, tid: 0 }, ThreadRep { bid: 0, tid: 32 }],
                 block_dim: 64,
                 grid_dim: 1,
-            })
+            };
+            analyze_program(&input, None)
         };
         let bare = mk(false);
         assert!(!bare.quiet(), "unsynchronised cross-warp exchange warns");
@@ -348,12 +324,13 @@ mod tests {
         // The same kernel run across two blocks: shared memory is
         // per-block, so the exchange cannot conflict and stays quiet.
         let p = cross_warp_kernel(false);
-        let a = analyze_program(&AnalysisInput {
+        let input = AnalysisInput {
             program: &p,
             reps: vec![ThreadRep { bid: 0, tid: 0 }, ThreadRep { bid: 1, tid: 0 }],
             block_dim: 32,
             grid_dim: 2,
-        });
+        };
+        let a = analyze_program(&input, None);
         let shared_warning = a
             .warnings
             .iter()

@@ -13,8 +13,8 @@
 //! * `apps` — the Tab. 4 set plus the scoped `shm-pipe` demo;
 //! * `all` — both of the above.
 //!
-//! `--chips A,B` routes shape targets through the chip-aware analyzer
-//! (`wmm_analysis::analyze_litmus_on_chip`), one report per chip: on
+//! `--chips A,B` runs the analyzer on each chip
+//! (`wmm_analysis::analyze_litmus` given the chip), one report per chip: on
 //! incoherent-L1 chips (C2075/C2050) the structural read-read channel
 //! joins the delay set, so `CoRR` warns there and stays quiet on the
 //! coherent presets. Without the flag the analysis is chip-independent,
@@ -25,8 +25,8 @@
 //! `Required(Device)`, `RemovalCandidate`), warning counts, and per-chip
 //! quiet flags are what CI checks.
 
-use crate::Failure;
-use wmm_analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
+use crate::{Failure, JsonFile};
+use wmm_analysis::{analyze_litmus, ProgramAnalysis};
 use wmm_apps::{app_by_name, app_names};
 use wmm_core::analyze_spec;
 use wmm_core::suite::litmus_pad;
@@ -64,15 +64,11 @@ fn analyze_shape(shape: Shape, chip: Option<&Chip>) -> Report {
         DISTANCE,
         litmus_pad().required_words(),
     ));
-    let analysis = match chip {
-        Some(c) => analyze_litmus_on_chip(&li, c),
-        None => analyze_litmus(&li),
-    };
     Report::Shape {
         shape,
         threads: li.threads,
         chip: chip.map(|c| c.short.to_string()),
-        analysis,
+        analysis: analyze_litmus(&li, chip),
     }
 }
 
@@ -239,18 +235,20 @@ fn to_json(reports: &[Report]) -> Json {
     Json::Object(vec![("targets", targets)])
 }
 
-/// Analyze `target` — on specific chips when `chips` names any — print
-/// the report, and optionally write JSON. An unknown target is a
-/// [`Failure::Usage`], an unwritable path a [`Failure::Write`].
+/// Analyze `target` — on specific chips when `chips` names any — create
+/// the `--json` file if asked, print the report, and write the JSON. An
+/// unknown target is a [`Failure::Usage`], an unwritable path a
+/// [`Failure::Write`] before anything is printed.
 pub fn run(target: &str, chips: Option<Vec<Chip>>, json_path: Option<&str>) -> Result<(), Failure> {
     let reports = resolve(target, &chips)?;
+    let out = json_path.map(JsonFile::create).transpose()?;
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             println!();
         }
         print_report(r);
     }
-    json_path.map_or(Ok(()), |path| crate::write_json(path, &to_json(&reports)))
+    out.map_or(Ok(()), |out| out.write(&to_json(&reports)))
 }
 
 #[cfg(test)]

@@ -28,20 +28,20 @@
 //!   serve           batch campaign jobs through the engine
 //!                   (--jobs FILE-or-inline-spec; jobs separated by
 //!                   newlines or `;`)
-//!   soak            deterministic soak/throughput harness
-//!                   (--quick|--extended|--stress; seed from --seed,
-//!                   else SOAK_SEED, else 2016; exits 1 when a
-//!                   throughput/cache/determinism gate fails)
+//!   soak            deterministic soak/throughput harness (seed from
+//!                   --seed; exits 1 when a throughput/cache/determinism
+//!                   gate fails)
 //!   all             everything above, in order (except serve/soak)
 //!
 //! `--seed N` sets the base seed every subcommand derives its
 //! per-campaign seeds from (default 2016) — one flag reseeds the entire
 //! reproduction. `--workers N` sets the campaign worker-thread count
-//! (0 = all cores; default from the WMM_WORKERS env var). Results are
-//! bit-identical for every worker count. `--json PATH` (suite, trace
-//! and analyze) writes the result as JSON. `--placement inter|intra`
-//! (suite only) restricts the catalogue to one thread placement —
-//! `intra` runs just the scoped shared-memory shapes.
+//! (0 = all cores, the default). Results are bit-identical for every
+//! worker count. `--json PATH` (suite, trace and analyze) writes the
+//! result as JSON; the file is made before any campaign runs or any
+//! table prints. `--placement inter|intra` (suite only) restricts the
+//! catalogue to one thread placement — `intra` runs just the scoped
+//! shared-memory shapes.
 //!
 //! A bad command line — an unknown subcommand, flag, chip, placement,
 //! target or environment, or a missing or unparsable value — prints the
@@ -54,9 +54,8 @@ use std::str::FromStr;
 
 use wmm_bench::{
     analyze, fig3, fig4, fig5, running, serve, soak, suite, table2, table3, table5, table6, trace,
-    write_json, Failure, Scale,
+    Failure, JsonFile, Scale,
 };
-use wmm_server::SoakProfile;
 use wmm_sim::chip::Chip;
 
 fn main() -> ExitCode {
@@ -95,18 +94,10 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
     } else {
         Scale::quick()
     };
-    // Env fallback first; an explicit --workers flag overrides it.
-    if let Ok(v) = std::env::var("WMM_WORKERS") {
-        if let Ok(w) = v.parse() {
-            scale.workers = w;
-        }
-    }
     let mut chips: Option<Vec<Chip>> = None;
     let mut json_path: Option<String> = None;
     let mut placement: Option<wmm_gen::Placement> = None;
     let mut jobs_spec: Option<String> = None;
-    let mut soak_profile = SoakProfile::Quick;
-    let mut seed_flag: Option<u64> = None;
     let mut provenance = false;
     let mut env_name: Option<String> = None;
     // `analyze` and `trace` take one positional target before the flags.
@@ -138,16 +129,10 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             }
             "--execs" => scale.execs = parsed(&mut it, a)?,
             "--runs" => scale.app_runs = parsed(&mut it, a)?,
-            "--seed" => {
-                scale.seed = parsed(&mut it, a)?;
-                seed_flag = Some(scale.seed);
-            }
+            "--seed" => scale.seed = parsed(&mut it, a)?,
             "--jobs" => jobs_spec = Some(value(&mut it, a)?.to_string()),
             "--provenance" => provenance = true,
             "--env" => env_name = Some(value(&mut it, a)?.to_string()),
-            "--quick" => soak_profile = SoakProfile::Quick,
-            "--extended" => soak_profile = SoakProfile::Extended,
-            "--stress" => soak_profile = SoakProfile::Stress,
             "--workers" => scale.workers = parsed(&mut it, a)?,
             "--json" => json_path = Some(value(&mut it, a)?.to_string()),
             "--placement" => placement = Some(value(&mut it, a)?.parse()?),
@@ -155,15 +140,14 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             other => return Err(Failure::Usage(format!("unknown flag `{other}`"))),
         }
     }
-    let run_suite = |chips: Option<Vec<Chip>>| -> Result<(), Failure> {
+    // The suite's `--json` file, made before any campaign runs (for
+    // `all`, before the first table).
+    let suite_json = || json_path.as_deref().map(JsonFile::create).transpose();
+    let run_suite = |chips: Option<Vec<Chip>>, out: Option<JsonFile>| -> Result<(), Failure> {
         let cells = suite::run(chips, placement, scale, provenance);
-        if let Some(path) = &json_path {
-            write_json(
-                path,
-                &suite::to_json(&cells, scale.execs, scale.seed, provenance),
-            )?;
-        }
-        Ok(())
+        out.map_or(Ok(()), |out| {
+            out.write(&suite::to_json(&cells, scale.execs, scale.seed, provenance))
+        })
     };
     match cmd.as_str() {
         "fig3" => fig3::run(scale),
@@ -184,7 +168,7 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
         "running-example" => {
             running::run(scale);
         }
-        "suite" => run_suite(chips)?,
+        "suite" => run_suite(chips, suite_json()?)?,
         "trace" => trace::run(
             target,
             chips,
@@ -201,16 +185,9 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             }
         }
         "soak" => {
-            // Precedence: explicit --seed, then SOAK_SEED, then 2016.
-            let seed = seed_flag.unwrap_or_else(|| {
-                std::env::var("SOAK_SEED")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(scale.seed)
-            });
             // The soak-harness convention: 1 for a failed gate, 2 for a
             // run that could not finish.
-            match soak::run(soak_profile, seed, scale.workers) {
+            match soak::run(scale.seed, scale.workers) {
                 Ok(true) => {}
                 Ok(false) => return Ok(ExitCode::FAILURE),
                 Err(e) => {
@@ -220,6 +197,7 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             }
         }
         "all" => {
+            let out = suite_json()?;
             running::run(scale);
             println!("\n{}\n", "=".repeat(76));
             fig3::run(scale);
@@ -236,7 +214,7 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             println!("\n{}\n", "=".repeat(76));
             fig5::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
-            run_suite(chips)?;
+            run_suite(chips, out)?;
         }
         other => return Err(Failure::Usage(format!("unknown experiment `{other}`"))),
     }
@@ -248,11 +226,10 @@ fn usage() {
         "usage: repro <fig3|table2|table3|fig4|table5|table6|fig5|running-example|suite|\
          analyze TARGET|trace SHAPE|serve|soak|all> \
          [--chips A,B] [--execs N] [--runs N] [--seed N] [--workers N] [--json PATH] \
-         [--placement inter|intra] [--provenance] [--env NAME] [--jobs SPEC] \
-         [--quick|--extended|--stress] [--full]\n\
+         [--placement inter|intra] [--provenance] [--env NAME] [--jobs SPEC] [--full]\n\
          \n\
          --seed N       base seed for every subcommand's campaigns (default 2016)\n\
-         --workers N    campaign worker threads (0 = all cores; WMM_WORKERS env default);\n\
+         --workers N    campaign worker threads (0 = all cores, the default);\n\
          \x20              results are bit-identical for every value\n\
          --placement P  (suite) restrict the catalogue to inter- or intra-block shapes\n\
          --provenance   (suite) add the weakness-channel breakdown column; with --json,\n\
@@ -267,11 +244,9 @@ fn usage() {
          \x20              read-read channel on chips that have one)\n\
          serve          batch campaign jobs through the engine; --jobs is a file\n\
          \x20              of job lines or an inline `;`-separated spec; exits 1 on a bad job\n\
-         soak           deterministic soak harness; --quick/--extended/--stress\n\
-         \x20              pick the mix, seed from --seed else SOAK_SEED else 2016;\n\
-         \x20              writes tests/artifacts/soak/<profile>-seed<seed>/report.json\n\
-         \x20              and nothing else; exits 1 on a failed gate, 2 on a run that\n\
-         \x20              could not finish\n\
+         soak           deterministic soak harness over one seeded job grid; writes\n\
+         \x20              tests/artifacts/soak/seed<seed>/report.json and nothing else;\n\
+         \x20              exits 1 on a failed gate, 2 on a run that could not finish\n\
          \n\
          A bad command line exits 2."
     );

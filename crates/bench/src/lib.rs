@@ -38,7 +38,9 @@ pub mod table6;
 pub mod trace;
 
 use std::fmt;
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use wmm_core::tuning::TuningConfig;
 use wmm_obs::Json;
 
@@ -58,8 +60,8 @@ pub struct Scale {
     /// (the `repro` binary's global `--seed` flag; default 2016).
     pub seed: u64,
     /// Worker threads for campaign layers (0 ⇒ all cores). Set by the
-    /// `repro` binary's `--workers` flag or the `WMM_WORKERS` env var;
-    /// results are bit-identical for every value.
+    /// `repro` binary's `--workers` flag; results are bit-identical for
+    /// every value.
     pub workers: usize,
 }
 
@@ -138,14 +140,35 @@ impl From<&str> for Failure {
     }
 }
 
-/// Write `doc` to `path` and say so: the one way `repro` writes a JSON
+/// A JSON document's file, created before the work that fills it, so a
+/// path that cannot be written fails before any campaign runs or any
+/// table prints. [`JsonFile::write`] is the one way `repro` writes a
 /// document (the `--json PATH` files and the soak report).
-pub fn write_json(path: impl AsRef<Path>, doc: &Json) -> Result<(), Failure> {
-    let path = path.as_ref();
-    std::fs::write(path, doc.render())
-        .map_err(|e| Failure::Write(format!("failed to write {}: {e}", path.display())))?;
-    println!("wrote {}", path.display());
-    Ok(())
+pub struct JsonFile {
+    path: PathBuf,
+    file: File,
+}
+
+impl JsonFile {
+    /// Create (or truncate) the file at `path`.
+    pub fn create(path: impl AsRef<Path>) -> Result<JsonFile, Failure> {
+        let path = path.as_ref().to_path_buf();
+        let file = File::create(&path).map_err(|e| write_failure(&path, e))?;
+        Ok(JsonFile { path, file })
+    }
+
+    /// Write `doc` and say so.
+    pub fn write(mut self, doc: &Json) -> Result<(), Failure> {
+        self.file
+            .write_all(doc.render().as_bytes())
+            .map_err(|e| write_failure(&self.path, e))?;
+        println!("wrote {}", self.path.display());
+        Ok(())
+    }
+}
+
+fn write_failure(path: &Path, e: std::io::Error) -> Failure {
+    Failure::Write(format!("failed to write {}: {e}", path.display()))
 }
 
 /// Render a histogram bar for plot-style terminal output.

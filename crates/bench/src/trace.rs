@@ -21,7 +21,7 @@
 //! on this path.
 
 use crate::suite::default_strategies;
-use crate::{Failure, Scale};
+use crate::{Failure, JsonFile, Scale};
 use wmm_core::cache::ArtifactKey;
 use wmm_core::campaign::CampaignBuilder;
 use wmm_core::env::EnvKind;
@@ -194,9 +194,10 @@ fn print_report(r: &TraceReport) {
 
 /// `repro trace <shape>` entry point: resolve the shape (short name,
 /// as in `repro analyze`), the chip (`--chips`, first chip; default
-/// Titan), and the environment (`--env`, default by placement), replay,
-/// print, and optionally write JSON. An unknown shape or environment is
-/// a [`Failure::Usage`], an unwritable path a [`Failure::Write`].
+/// Titan), and the environment (`--env`, default by placement), create
+/// the `--json` file if asked, replay, print, and write the JSON. An
+/// unknown shape or environment is a [`Failure::Usage`], an unwritable
+/// path a [`Failure::Write`] before the replay.
 pub fn run(
     target: &str,
     chips: Option<Vec<Chip>>,
@@ -211,9 +212,10 @@ pub fn run(
         .and_then(|c| c.into_iter().next())
         .unwrap_or_else(|| Chip::by_short("Titan").expect("chip"));
     let column = resolve_env(shape, env)?;
+    let out = json_path.map(JsonFile::create).transpose()?;
     let report = trace(shape, &chip, column, scale);
     print_report(&report);
-    json_path.map_or(Ok(()), |path| crate::write_json(path, &report.to_json()))
+    out.map_or(Ok(()), |out| out.write(&report.to_json()))
 }
 
 #[cfg(test)]

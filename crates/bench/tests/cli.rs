@@ -5,16 +5,14 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Run `repro` with `args`; return its exit code and stderr.
-fn repro(args: &[&str]) -> (Option<i32>, String) {
+/// Run `repro` with `args`; return its exit code, stdout and stderr.
+fn repro(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("repro runs");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
 }
 
 #[test]
@@ -36,9 +34,11 @@ fn bad_command_lines_exit_2_and_name_the_offending_token() {
         (&["analyze", "NOPE"], "NOPE"),
         (&["analyze"], "analyze"),
         (&["serve"], "--jobs"),
+        (&["soak", "--quick"], "--quick"),
+        (&["soak", "--extended"], "--extended"),
     ];
     for (args, token) in cases {
-        let (code, stderr) = repro(args);
+        let (code, _, stderr) = repro(args);
         assert_eq!(code, Some(2), "repro {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "repro {args:?}: {stderr}");
         assert!(
@@ -65,9 +65,10 @@ fn an_unwritable_json_path_exits_2_and_names_the_path() {
         &["analyze", "MP", "--json", path],
         &["trace", "MP", "--execs", "1", "--json", path],
         &["suite", "--execs", "1", "--chips", "Titan", "--json", path],
+        &["all", "--execs", "1", "--chips", "Titan", "--json", path],
     ];
     for args in cases {
-        let (code, stderr) = repro(args);
+        let (code, stdout, stderr) = repro(args);
         assert_eq!(code, Some(2), "repro {args:?}: {stderr}");
         assert!(
             stderr.contains(path),
@@ -75,6 +76,8 @@ fn an_unwritable_json_path_exits_2_and_names_the_path() {
         );
         // A write failure is not a bad command line.
         assert!(!stderr.contains("usage:"), "repro {args:?}: {stderr}");
+        // The file is made first, so nothing ran and nothing printed.
+        assert_eq!(stdout, "", "repro {args:?}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -85,7 +88,7 @@ fn an_unwritable_soak_report_exits_2_and_names_the_report() {
     let dir = scratch_dir("soak");
     std::fs::write(dir.join("tests"), "").unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["soak", "--quick", "--workers", "2"])
+        .args(["soak", "--workers", "2"])
         .current_dir(&dir)
         .output()
         .expect("repro runs");
@@ -94,7 +97,7 @@ fn an_unwritable_soak_report_exits_2_and_names_the_report() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("report.json"), "{stderr}");
     assert!(!stderr.contains("usage:"), "{stderr}");
-    // The directory is made before the run, so no soak ran.
+    // The report's file is made before the run, so no soak ran.
     assert!(!stdout.contains("results digest"), "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

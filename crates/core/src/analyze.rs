@@ -87,12 +87,13 @@ pub fn analyze_spec(spec: &AppSpec) -> SpecAnalysis {
         .phases
         .iter()
         .map(|phase| {
-            analyze_program(&AnalysisInput {
+            let input = AnalysisInput {
                 program: &phase.program,
                 reps: representatives(phase.blocks, phase.threads_per_block),
                 block_dim: phase.threads_per_block,
                 grid_dim: phase.blocks,
-            })
+            };
+            analyze_program(&input, None)
         })
         .collect();
     SpecAnalysis { phases }

@@ -355,24 +355,38 @@ impl<'a> Campaign<'a> {
         self.count
     }
 
-    /// Execute the workload `count` times and return the folded summary.
-    pub fn run<W: Workload>(&self, workload: &W) -> W::Summary {
-        let jobs = self.count as usize;
-        let workers = wmm_litmus::parallel::resolve_workers(self.parallelism, jobs);
+    /// Run `i` of `workload` on `gpu`, folded into `acc` after
+    /// `observe` sees its verdict. Every run draws all of its randomness
+    /// from `mix_seed(base_seed, i)` alone, so no run depends on which
+    /// worker or simulator executes it.
+    fn step<W: Workload>(
+        &self,
+        workload: &W,
+        gpu: &mut Gpu,
+        acc: &mut W::Summary,
+        i: u64,
+        observe: impl FnOnce(&W::Verdict),
+    ) {
         let ctx = RunCtx {
             chip: self.chip,
             stress: &self.stress,
             randomize_ids: self.randomize_ids,
         };
+        let mut rng = SmallRng::seed_from_u64(mix_seed(self.base_seed, i));
+        let verdict = workload.run_once(gpu, &ctx, &mut rng);
+        observe(&verdict);
+        workload.fold(acc, verdict);
+    }
+
+    /// Execute the workload `count` times and return the folded summary.
+    pub fn run<W: Workload>(&self, workload: &W) -> W::Summary {
+        let jobs = self.count as usize;
+        let workers = wmm_litmus::parallel::resolve_workers(self.parallelism, jobs);
         let shards = wmm_litmus::parallel::parallel_fold(
             workers,
             jobs,
             || (Gpu::new(self.chip.clone()), workload.summary()),
-            |(gpu, acc), i| {
-                let mut rng = SmallRng::seed_from_u64(mix_seed(self.base_seed, i as u64));
-                let verdict = workload.run_once(gpu, &ctx, &mut rng);
-                workload.fold(acc, verdict);
-            },
+            |(gpu, acc), i| self.step(workload, gpu, acc, i as u64, |_| {}),
         );
         let mut out = workload.summary();
         for (_, shard) in shards {
@@ -403,40 +417,36 @@ impl<'a> Campaign<'a> {
     /// histogram, applying any intra-block shared-space stress the
     /// campaign's artifacts carry (see [`Campaign::litmus_instance`]).
     pub fn run_litmus(&self, inst: &LitmusInstance) -> Histogram {
-        match self.litmus_instance(inst) {
-            Some(stressed) => self.run(&LitmusWorkload(&stressed)),
-            None => self.run(&LitmusWorkload(inst)),
-        }
+        self.on_litmus(inst, |workload| self.run(workload))
     }
 
     /// [`Campaign::run_litmus`], replayed **sequentially** with a
     /// per-run observer: `observe(i, &outcome)` fires for run `i` in
     /// index order before the outcome is folded — the hook `repro
-    /// trace` builds its event log on. Because every run draws all of
-    /// its randomness from `mix_seed(base_seed, i)` alone, the returned
-    /// histogram is bit-identical to [`Campaign::run_litmus`] at any
-    /// worker count; only the observation order is fixed here.
+    /// trace` builds its event log on. Each run is the same step as in
+    /// [`Campaign::run`], so the returned histogram is bit-identical to
+    /// [`Campaign::run_litmus`] at any worker count; only the
+    /// observation order is fixed here.
     pub fn run_litmus_observed(
         &self,
         inst: &LitmusInstance,
         mut observe: impl FnMut(u64, &LitmusOutcome),
     ) -> Histogram {
+        self.on_litmus(inst, |workload| {
+            let mut gpu = Gpu::new(self.chip.clone());
+            let mut hist = workload.summary();
+            for i in 0..u64::from(self.count) {
+                self.step(workload, &mut gpu, &mut hist, i, |out| observe(i, out));
+            }
+            hist
+        })
+    }
+
+    /// `go` over the litmus workload this campaign executes for `inst`
+    /// (see [`Campaign::litmus_instance`]).
+    fn on_litmus<R>(&self, inst: &LitmusInstance, go: impl FnOnce(&LitmusWorkload) -> R) -> R {
         let stressed = self.litmus_instance(inst);
-        let workload = LitmusWorkload(stressed.as_ref().unwrap_or(inst));
-        let ctx = RunCtx {
-            chip: self.chip,
-            stress: &self.stress,
-            randomize_ids: self.randomize_ids,
-        };
-        let mut gpu = Gpu::new(self.chip.clone());
-        let mut hist = workload.summary();
-        for i in 0..u64::from(self.count) {
-            let mut rng = SmallRng::seed_from_u64(mix_seed(self.base_seed, i));
-            let outcome = workload.run_once(&mut gpu, &ctx, &mut rng);
-            observe(i, &outcome);
-            workload.fold(&mut hist, outcome);
-        }
-        hist
+        go(&LitmusWorkload(stressed.as_ref().unwrap_or(inst)))
     }
 }
 

@@ -159,10 +159,9 @@ impl StaticVerdict {
     /// Compute the verdict for one litmus instance on a specific chip:
     /// on incoherent-L1 chips the analyzer adds the structural
     /// read-read channel, so `CoRR`-style rows warn there while staying
-    /// quiet on coherent chips (see
-    /// [`wmm_analysis::analyze_litmus_on_chip`]).
+    /// quiet on coherent chips (see [`wmm_analysis::analyze_program`]).
     pub fn of_chip(inst: &wmm_litmus::LitmusInstance, chip: &Chip) -> StaticVerdict {
-        let a = wmm_analysis::analyze_litmus_on_chip(inst, chip);
+        let a = wmm_analysis::analyze_litmus(inst, Some(chip));
         StaticVerdict {
             warnings: a.warnings.len(),
             level: a.max_warning_level(),

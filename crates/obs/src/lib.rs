@@ -9,14 +9,13 @@
 //!
 //! Two strictly separated kinds of data flow through here:
 //!
-//! * **Deterministic counters** ([`ChannelCounts`], [`Provenance`],
-//!   [`MetricsRegistry`] counters): pure counts taken at existing
-//!   decision points in the executor. They draw no randomness and are
+//! * **Deterministic counters** ([`ChannelCounts`], [`Provenance`]):
+//!   pure counts taken at existing decision points in the executor. They draw no randomness and are
 //!   folded commutatively, so they are bit-identical across worker
 //!   counts and reruns at a fixed seed — safe to assert on in tests
 //!   and in CI.
-//! * **Wall-clock spans** ([`LatencyHistogram`], [`MetricsRegistry`]
-//!   spans): machine-dependent timings. They are kept out of every
+//! * **Wall-clock spans** ([`LatencyHistogram`], named in a
+//!   [`MetricsRegistry`]): machine-dependent timings. They are kept out of every
 //!   digest and every equivalence check, and every JSON rendering
 //!   labels them as such (the soak report's `wall_clock_us`).
 //!
@@ -412,16 +411,13 @@ impl fmt::Display for LatencyHistogram {
 // Metrics registry
 // ---------------------------------------------------------------------------
 
-/// A named collection of counters (deterministic) and wall-clock span
-/// histograms (non-deterministic), kept strictly apart.
+/// A named collection of wall-clock span histograms
+/// (non-deterministic); it holds no deterministic counts.
 ///
 /// The registry itself is plain data; callers that share one across
-/// threads wrap it in a `Mutex` (the campaign server does). Counters
-/// and spans live in separate maps with separate accessors, so a
-/// wall-clock value can never be read back as a deterministic count.
+/// threads wrap it in a `Mutex` (the campaign server does).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
     spans: BTreeMap<String, LatencyHistogram>,
 }
 
@@ -429,20 +425,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Add `by` to the counter `name` (creating it at zero).
-    pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
-    }
-
-    /// Current value of counter `name` (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Record a wall-clock span sample under `name`.
@@ -660,14 +642,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_separates_counters_from_spans() {
+    fn registry_keeps_one_span_histogram_per_name() {
         let mut r = MetricsRegistry::new();
-        r.incr("jobs", 2);
-        r.incr("jobs", 1);
         r.record_span("execute", Duration::from_micros(150));
-        assert_eq!(r.counter("jobs"), 3);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.span("execute").unwrap().count(), 1);
+        r.record_span("execute", Duration::from_micros(7));
+        r.record_span("queue_wait", Duration::from_micros(3));
+        assert_eq!(r.span("execute").unwrap().count(), 2);
+        assert_eq!(r.span("execute").unwrap().max_us(), 150);
+        assert_eq!(r.span("queue_wait").unwrap().count(), 1);
+        assert!(r.span("missing").is_none());
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! calibration once per chip, however many environments and seeds they
 //! span.
 //!
+//! [`serve`] is the one batch path both front ends take (`repro serve`
+//! and the soak): it serves a job list through a fresh engine, one
+//! simulator per job, and returns a [`Batch`]: the results, the cache
+//! counters, the wall-clock spans and the deterministic weakness totals,
+//! whose `Display` is the summary both print.
+//!
 //! Determinism: a result depends only on its spec (see [`job`](crate::job)),
 //! so neither the number of workers nor which worker happens to claim a
 //! job can change any histogram, and [`Engine::drain`] returns results
@@ -22,13 +28,14 @@
 
 use crate::job::JobSpec;
 use std::any::Any;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 use wmm_core::cache::{ArtifactCache, CacheStats};
 use wmm_core::campaign::SummaryValue;
 use wmm_litmus::parallel::{parallel_map, resolve_workers};
-use wmm_obs::{LatencyHistogram, MetricsRegistry};
+use wmm_obs::{ChannelCounts, LatencyHistogram, MetricsRegistry, Provenance};
 
 /// Engine sizing.
 #[derive(Debug, Clone, Copy)]
@@ -82,9 +89,8 @@ pub struct Engine {
     config: EngineConfig,
     pending: Mutex<Pending>,
     cache: ArtifactCache,
-    /// Wall-clock telemetry: `queue_wait` / `execute` span histograms
-    /// and the `jobs` counter. Observation only — results and digests
-    /// never read this.
+    /// Wall-clock telemetry: `queue_wait` / `execute` span histograms.
+    /// Observation only — results and digests never read this.
     metrics: Mutex<MetricsRegistry>,
 }
 
@@ -137,7 +143,6 @@ impl Engine {
             let mut m = self.metrics.lock().expect("engine metrics poisoned");
             m.record_span("queue_wait", queue_wait);
             m.record_span("execute", executed);
-            m.incr("jobs", 1);
             outcome.map(|summary| (summary, executed.as_secs_f64() * 1e3))
         });
         let mut results = Vec::with_capacity(batch.len());
@@ -162,16 +167,14 @@ impl Engine {
         Ok(results)
     }
 
-    /// The shared artifact cache's counters (the soak report's
-    /// `cache_hit_rate` source) and its calibration runs.
+    /// The shared artifact cache's counters and its calibration runs.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Snapshot of the engine's wall-clock telemetry: `queue_wait` and
-    /// `execute` span histograms (microseconds) plus the `jobs`
-    /// counter. Values are machine-dependent; only the counter is
-    /// deterministic.
+    /// `execute` span histograms (microseconds), one sample per drained
+    /// job. Values are machine-dependent.
     pub fn metrics(&self) -> MetricsRegistry {
         self.metrics
             .lock()
@@ -183,6 +186,126 @@ impl Engine {
     /// latency histogram.
     pub fn compile_times(&self) -> LatencyHistogram {
         self.cache.compile_times()
+    }
+}
+
+/// One served batch: its results and what serving them cost.
+#[derive(Debug, Clone)]
+pub struct Batch {
+    /// The results, in submission order.
+    pub results: Vec<JobResult>,
+    /// Worker threads the batch ran on (the requested count resolved:
+    /// 0 ⇒ all cores, never more than the batch has jobs).
+    pub workers: usize,
+    /// Wall-clock seconds from the first submission to the drained
+    /// batch.
+    pub elapsed_sec: f64,
+    /// The artifact cache's counters.
+    pub cache: CacheStats,
+    /// Wall-clock per-job queue wait.
+    pub queue_wait: LatencyHistogram,
+    /// Wall-clock per-job execute span.
+    pub execute: LatencyHistogram,
+    /// Wall-clock artifact-compile span, one sample per cache build.
+    pub compile: LatencyHistogram,
+    /// Weakness-channel totals over every litmus result
+    /// (deterministic, like the results).
+    pub channels: ChannelCounts,
+    /// Weak-run attribution summed over every litmus result; its total
+    /// is the batch's weak-outcome count (deterministic).
+    pub provenance: Provenance,
+}
+
+/// Serve `jobs` through a fresh engine on `workers` threads (0 ⇒ all
+/// cores), one simulator per job, and summarise the batch. An `Err`
+/// names the first job that failed validation or execution.
+pub fn serve(jobs: Vec<JobSpec>, workers: usize) -> Result<Batch, String> {
+    let workers = resolve_workers(workers, jobs.len());
+    let engine = Engine::start(EngineConfig {
+        workers,
+        job_parallelism: 1,
+    });
+    let started = Instant::now();
+    for job in jobs {
+        engine.submit(job)?;
+    }
+    let results = engine.drain()?;
+    let elapsed_sec = started.elapsed().as_secs_f64();
+    let mut channels = ChannelCounts::default();
+    let mut provenance = Provenance::default();
+    for h in results.iter().filter_map(|r| r.summary.as_litmus()) {
+        channels.add(h.channels());
+        provenance.add(&h.provenance_total());
+    }
+    let spans = engine.metrics();
+    let span = |name| spans.span(name).cloned().unwrap_or_default();
+    Ok(Batch {
+        workers,
+        elapsed_sec,
+        cache: engine.cache_stats(),
+        queue_wait: span("queue_wait"),
+        execute: span("execute"),
+        compile: engine.compile_times(),
+        channels,
+        provenance,
+        results,
+    })
+}
+
+impl Batch {
+    /// How many results are litmus campaigns.
+    pub fn litmus_jobs(&self) -> usize {
+        self.results
+            .iter()
+            .filter(|r| r.summary.as_litmus().is_some())
+            .count()
+    }
+
+    /// How many results are application campaigns.
+    pub fn app_jobs(&self) -> usize {
+        self.results.len() - self.litmus_jobs()
+    }
+
+    /// Sustained throughput over the whole batch (infinite when the
+    /// clock saw no time pass).
+    pub fn jobs_per_sec(&self) -> f64 {
+        if self.elapsed_sec > 0.0 {
+            self.results.len() as f64 / self.elapsed_sec
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+impl fmt::Display for Batch {
+    /// The three summary lines: counts, time and cache; the wall-clock
+    /// spans; the deterministic weakness totals.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (cache, apps) = (&self.cache, self.app_jobs());
+        writeln!(
+            f,
+            "{} jobs ({} litmus, {apps} app) on {} workers in {:.2}s ({:.1} jobs/sec); \
+             artifact cache: {} builds, {} hits ({:.1}% hit rate); calibrations: {} for {apps} app jobs",
+            self.results.len(),
+            self.litmus_jobs(),
+            self.workers,
+            self.elapsed_sec,
+            self.jobs_per_sec(),
+            cache.builds,
+            cache.hits,
+            cache.hit_rate() * 100.0,
+            cache.calibrations,
+        )?;
+        writeln!(
+            f,
+            "spans (wall-clock): queue_wait {}; execute {}; compile {}",
+            self.queue_wait, self.execute, self.compile
+        )?;
+        write!(
+            f,
+            "weakness channels (deterministic): {}; provenance: {}",
+            self.channels, self.provenance
+        )
     }
 }
 
@@ -259,7 +382,6 @@ mod tests {
         // Telemetry: one queue-wait and one execute sample per job, one
         // compile sample per build.
         let m = engine.metrics();
-        assert_eq!(m.counter("jobs"), 24);
         assert_eq!(m.span("queue_wait").unwrap().count(), 24);
         assert_eq!(m.span("execute").unwrap().count(), 24);
         assert_eq!(engine.compile_times().count(), 2);
@@ -352,13 +474,61 @@ mod tests {
                 err.contains("panicked: ") && err.contains("injected failure"),
                 "{err}"
             );
-            assert_eq!(engine.metrics().counter("jobs"), 5, "{workers} workers");
+            let executed = engine.metrics().span("execute").unwrap().count();
+            assert_eq!(executed, 5, "{workers} workers");
             let next = litmus_job(Shape::Sb, EnvKind::Native, 7);
             assert_eq!(engine.submit(next.clone()).unwrap(), 5);
             let results = engine.drain().unwrap();
             assert_eq!(results.len(), 1);
             assert_eq!((results[0].id, &results[0].spec), (5, &next));
         }
+    }
+
+    #[test]
+    fn serve_summarises_the_batch_at_any_worker_count() {
+        // CoRR on the incoherent-L1 C2075 under `l1-str+` fires the L1
+        // channel on nearly every run, so the totals cannot pass at zero.
+        let jobs = crate::job::parse_jobs(
+            "litmus Titan sys-str+ MP 64 8 1; litmus C2075 l1-str+ CoRR 64 24 2; \
+             litmus Titan no-str- SB 64 8 3; app Titan no-str- shm-pipe 2 4",
+        )
+        .unwrap();
+        let one = serve(jobs.clone(), 1).unwrap();
+        let three = serve(jobs.clone(), 3).unwrap();
+        assert_eq!((one.workers, three.workers), (1, 3));
+        for batch in [&one, &three] {
+            let specs: Vec<&JobSpec> = batch.results.iter().map(|r| &r.spec).collect();
+            assert_eq!(specs, jobs.iter().collect::<Vec<_>>(), "submission order");
+            assert_eq!((batch.litmus_jobs(), batch.app_jobs()), (3, 1));
+            assert_eq!((batch.queue_wait.count(), batch.execute.count()), (4, 4));
+            assert_eq!(batch.compile.count(), batch.cache.builds);
+            assert_eq!(batch.cache.calibrations, 1);
+        }
+        let digests =
+            |b: &Batch| -> Vec<u64> { b.results.iter().map(|r| r.summary.digest()).collect() };
+        assert_eq!(digests(&one), digests(&three));
+        assert_eq!(
+            (one.channels, one.provenance),
+            (three.channels, three.provenance)
+        );
+        assert!(one.channels.l1_stale > 0, "{}", one.channels);
+        let weak: u64 = one
+            .results
+            .iter()
+            .filter_map(|r| r.summary.as_litmus())
+            .map(|h| h.weak())
+            .sum();
+        assert_eq!(one.provenance.total(), weak);
+        let summary = one.to_string();
+        assert!(
+            summary.starts_with("4 jobs (3 litmus, 1 app) on 1 workers in "),
+            "{summary}"
+        );
+        assert!(
+            summary.contains("; calibrations: 1 for 1 app jobs\n"),
+            "{summary}"
+        );
+        assert_eq!(summary.lines().count(), 3, "{summary}");
     }
 
     #[test]

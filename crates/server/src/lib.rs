@@ -25,13 +25,14 @@
 //!   structurally on chip × environment, so a thousand jobs against
 //!   five environments compile stress kernels five times, not a
 //!   thousand; the same cache runs each application's native
-//!   calibration once per chip.
+//!   calibration once per chip. [`serve`] is the one batch path: a job
+//!   list through a fresh engine, summarised as a [`Batch`] (results,
+//!   cache counters, wall-clock spans, deterministic weakness totals).
 //! * [`soak`] — the deterministic soak/throughput harness behind
-//!   `repro soak`: a seeded (`SOAK_SEED`) generator streams a fixed job
-//!   mix (all 28 shapes × chips × the five suite strategies, plus
-//!   applications), reports sustained jobs/sec, latency percentiles
-//!   and cache hit rate, and gates the run on throughput,
-//!   cache effectiveness and determinism.
+//!   `repro soak`: one seeded grid of jobs (all 28 shapes × two chips ×
+//!   the five suite environments, plus applications) served as one
+//!   batch, a standalone re-execution sample, and three fixed gates on
+//!   throughput, cache effectiveness and determinism.
 //!
 //! # Determinism
 //!
@@ -47,9 +48,6 @@ pub mod engine;
 pub mod job;
 pub mod soak;
 
-pub use engine::{Engine, EngineConfig, JobResult};
+pub use engine::{serve, Batch, Engine, EngineConfig, JobResult};
 pub use job::{parse_jobs, EnvKind, JobSpec, WorkloadSpec};
-pub use soak::{
-    run_soak, run_soak_mix, GateReport, SoakConfig, SoakGates, SoakMetrics, SoakMix, SoakProfile,
-    SoakReport,
-};
+pub use soak::{run_soak, GateReport, SoakReport};

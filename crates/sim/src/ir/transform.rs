@@ -3,11 +3,12 @@
 //! The paper's fencing strategies are program transformations over a
 //! *fence-free* base program:
 //!
-//! * **cons fences** — a device fence after *every* global memory access
-//!   ([`with_all_fences`]), the paper's conservative, safe-but-slow
-//!   strategy;
+//! * **cons fences** — a device fence after *every* memory access
+//!   ([`with_leveled_fences`] at every [`fence_sites`] entry), the
+//!   paper's conservative, safe-but-slow strategy;
 //! * **emp fences** — a fence after a *subset* of accesses
-//!   ([`with_fences`]), the output of empirical fence insertion (Alg. 1);
+//!   ([`with_leveled_fences`]), the output of empirical fence insertion
+//!   (Alg. 1);
 //! * **no fences** — the base program itself, or [`strip_fences`] applied
 //!   to an application that shipped with fences (how the paper
 //!   manufactured the `-nf` variants).
@@ -17,7 +18,7 @@
 //! stable set to reduce over. Since the static scoped-communication
 //! analyzer landed, sites cover *shared*-space accesses too, and
 //! [`with_leveled_fences`] can place the cheaper `FenceLevel::Block`
-//! rung at a site — the device-only entry points below delegate to it.
+//! rung at a site.
 
 use super::validate::validate;
 use super::{BinOp, FenceLevel, Inst, Program, SpecialReg};
@@ -31,31 +32,20 @@ pub fn fence_sites(p: &Program) -> Vec<usize> {
     p.memory_access_indices()
 }
 
-/// Insert a device fence after each instruction index in `sites`.
+/// Insert a fence of the given level after each listed instruction
+/// index. Duplicate sites keep the *strongest* requested level (device
+/// beats block), so a site never carries two fences.
 ///
-/// `sites` must refer to instruction indices of `p`; duplicates are
-/// ignored. Branch targets are remapped so control flow is preserved; a
-/// branch that targeted the instruction *after* a site now targets the
-/// first instruction after the inserted fence, so fences only execute on
-/// paths that execute their memory access.
+/// `sites` must refer to instruction indices of `p`. Branch targets are
+/// remapped so control flow is preserved; a branch that targeted the
+/// instruction *after* a site now targets the first instruction after
+/// the inserted fence, so fences only execute on paths that execute
+/// their memory access.
 ///
 /// # Panics
 ///
 /// Panics if any site index is out of range, or if the transformed
 /// program fails validation (a bug in this pass, not in the caller).
-pub fn with_fences(p: &Program, sites: &[usize]) -> Program {
-    let leveled: Vec<(usize, FenceLevel)> =
-        sites.iter().map(|&s| (s, FenceLevel::Device)).collect();
-    with_leveled_fences(p, &leveled)
-}
-
-/// Insert a fence of the given level after each listed instruction
-/// index. Duplicate sites keep the *strongest* requested level (device
-/// beats block), so a site never carries two fences.
-///
-/// # Panics
-///
-/// As [`with_fences`].
 pub fn with_leveled_fences(p: &Program, sites: &[(usize, FenceLevel)]) -> Program {
     for &(s, _) in sites {
         assert!(s < p.insts.len(), "fence site {s} out of range");
@@ -99,12 +89,6 @@ pub fn with_leveled_fences(p: &Program, sites: &[(usize, FenceLevel)]) -> Progra
     };
     validate(&out).expect("fence insertion must preserve validity");
     out
-}
-
-/// The paper's conservative strategy: a device fence after every memory
-/// access.
-pub fn with_all_fences(p: &Program) -> Program {
-    with_fences(p, &fence_sites(p))
 }
 
 /// Remove every fence instruction, remapping branch targets. This is how
@@ -329,6 +313,17 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// A device fence after each of `sites`.
+    fn device_fences(p: &Program, sites: &[usize]) -> Program {
+        let leveled: Vec<_> = sites.iter().map(|&s| (s, FenceLevel::Device)).collect();
+        with_leveled_fences(p, &leveled)
+    }
+
+    /// The conservative strategy: a device fence after every access.
+    fn all_fences(p: &Program) -> Program {
+        device_fences(p, &fence_sites(p))
+    }
+
     #[test]
     fn sites_are_memory_accesses() {
         let p = sample();
@@ -342,7 +337,7 @@ mod tests {
     #[test]
     fn all_fences_adds_one_per_site() {
         let p = sample();
-        let f = with_all_fences(&p);
+        let f = all_fences(&p);
         assert_eq!(f.len(), p.len() + fence_sites(&p).len());
         assert_eq!(f.fence_count(), fence_sites(&p).len());
     }
@@ -350,7 +345,7 @@ mod tests {
     #[test]
     fn each_fence_follows_its_access() {
         let p = sample();
-        let f = with_all_fences(&p);
+        let f = all_fences(&p);
         for (i, inst) in f.insts.iter().enumerate() {
             if matches!(inst, Inst::Fence(_)) {
                 assert_eq!(f.insts[i - 1].space(), Some(Space::Global));
@@ -361,7 +356,7 @@ mod tests {
     #[test]
     fn strip_round_trips() {
         let p = sample();
-        let stripped = strip_fences(&with_all_fences(&p));
+        let stripped = strip_fences(&all_fences(&p));
         assert_eq!(stripped, p);
     }
 
@@ -369,7 +364,7 @@ mod tests {
     fn partial_fences_subset() {
         let p = sample();
         let sites = fence_sites(&p);
-        let f = with_fences(&p, &sites[..2]);
+        let f = device_fences(&p, &sites[..2]);
         assert_eq!(f.fence_count(), 2);
         assert_eq!(strip_fences(&f), p);
     }
@@ -377,14 +372,14 @@ mod tests {
     #[test]
     fn empty_site_set_is_identity() {
         let p = sample();
-        assert_eq!(with_fences(&p, &[]), p);
+        assert_eq!(device_fences(&p, &[]), p);
     }
 
     #[test]
     fn duplicate_sites_ignored() {
         let p = sample();
         let sites = fence_sites(&p);
-        let f = with_fences(&p, &[sites[0], sites[0]]);
+        let f = device_fences(&p, &[sites[0], sites[0]]);
         assert_eq!(f.fence_count(), 1);
     }
 
@@ -393,7 +388,7 @@ mod tests {
         // Branch targets must be remapped: the loop back-edge in the
         // sample must still point at the loop head's condition.
         let p = sample();
-        let f = with_all_fences(&p);
+        let f = all_fences(&p);
         // Check all branch targets land on sensible instructions (not
         // out of range — validate covers that — and the program still has
         // exactly one back-jump).

@@ -165,13 +165,6 @@ pub fn normalize8(v: [f64; 8]) -> [f64; 8] {
     out
 }
 
-/// Cosine similarity between two 8-vectors (0 if either is zero).
-pub fn cosine8(a: [f64; 8], b: [f64; 8]) -> f64 {
-    let na = normalize8(a);
-    let nb = normalize8(b);
-    na.iter().zip(nb.iter()).map(|(x, y)| x * y).sum()
-}
-
 /// Map an adjacent access pair to its index in a transition vector.
 #[inline]
 pub fn transition_index(from: Acc, to: Acc) -> usize {
@@ -267,6 +260,11 @@ impl FromStr for AccessSeq {
 mod tests {
     use super::*;
 
+    /// The cosine of two unit vectors such as [`AccessSeq::signature8`]'s.
+    fn dot(a: [f64; 8], b: [f64; 8]) -> f64 {
+        a.iter().zip(&b).map(|(x, y)| x * y).sum()
+    }
+
     #[test]
     fn display_compresses_runs() {
         let s = AccessSeq::new(vec![Acc::Ld, Acc::Ld, Acc::Ld, Acc::St, Acc::Ld]);
@@ -327,7 +325,7 @@ mod tests {
         let b: AccessSeq = "st2 ld st".parse().unwrap();
         assert_eq!(a.transition_counts(), b.transition_counts());
         assert_ne!(a.signature8(), b.signature8());
-        let c = cosine8(a.signature8(), b.signature8());
+        let c = dot(a.signature8(), b.signature8());
         assert!(c < 0.7, "cos = {c}");
     }
 
@@ -335,7 +333,7 @@ mod tests {
     fn signature8_self_cosine_is_one() {
         for s in AccessSeq::enumerate(4) {
             let sig = s.signature8();
-            assert!((cosine8(sig, sig) - 1.0).abs() < 1e-9, "{s}");
+            assert!((dot(sig, sig) - 1.0).abs() < 1e-9, "{s}");
         }
     }
 

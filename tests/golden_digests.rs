@@ -56,7 +56,7 @@
 //! [`GOLDEN`], [`WORK_GOLDEN`] or [`ANALYSIS_GOLDEN`], and `CHANGES.md`
 //! says why the results moved.
 
-use gpu_wmm::analysis::{analyze_litmus, analyze_litmus_on_chip, ProgramAnalysis};
+use gpu_wmm::analysis::{analyze_litmus, ProgramAnalysis};
 use gpu_wmm::apps::{app_by_name, app_names};
 use gpu_wmm::core::analyze_spec;
 use gpu_wmm::core::cache::ArtifactCache;
@@ -479,11 +479,11 @@ fn recompute_analysis() -> Vec<(String, u64)> {
             digest_analysis(&mut f, &a);
             out.push((name, f.finish()));
         };
-        row(format!("analyze {shape}"), analyze_litmus(&li));
+        row(format!("analyze {shape}"), analyze_litmus(&li, None));
         for chip in &chips {
             row(
                 format!("analyze {shape}@{}", chip.short),
-                analyze_litmus_on_chip(&li, chip),
+                analyze_litmus(&li, Some(chip)),
             );
         }
     }

@@ -6,8 +6,8 @@
 //! The baseline is `JobSpec::execute(1, None)`: one job, no queue, no
 //! pool, freshly built artifacts. Every engine configuration under test
 //! (workers {1, 2, 8} × shuffled submission orders) must reproduce that
-//! baseline per job, and the aggregate soak digest must be a pure
-//! function of the (mix, seed) pair.
+//! baseline per job, and the aggregate results digest must be a pure
+//! function of the job set.
 //!
 //! The last property feeds generated job text, mostly valid and partly
 //! malformed, through the parser and an engine: no input may panic
@@ -18,7 +18,7 @@ use gpu_wmm::core::env::AppHarness;
 use gpu_wmm::core::suite::{cell_seed, run_suite_with_cache, SuiteConfig, SuiteStrategy};
 use gpu_wmm::gen::Shape;
 use gpu_wmm::server::soak::results_digest;
-use gpu_wmm::server::{parse_jobs, Engine, EngineConfig, EnvKind, JobSpec, SoakMix, WorkloadSpec};
+use gpu_wmm::server::{parse_jobs, serve, Engine, EngineConfig, EnvKind, JobSpec, WorkloadSpec};
 use gpu_wmm::sim::chip::Chip;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -98,18 +98,11 @@ fn shuffled<T>(mut v: Vec<T>, seed: u64) -> Vec<T> {
     v
 }
 
-/// Run a batch through an engine and index the result digests by spec.
-/// The engine calibrates once per distinct (chip, application) pair.
+/// Serve a batch and index the result digests by spec. The engine
+/// calibrates once per distinct (chip, application) pair.
 fn engine_digests(jobs: &[JobSpec], workers: usize) -> HashMap<String, u64> {
-    let engine = Engine::start(EngineConfig {
-        workers,
-        job_parallelism: 1,
-    });
-    for j in jobs {
-        engine.submit(j.clone()).expect("valid spec");
-    }
-    let results = engine.drain().expect("drain");
-    assert_eq!(results.len(), jobs.len());
+    let batch = serve(jobs.to_vec(), workers).expect("valid batch");
+    assert_eq!(batch.results.len(), jobs.len());
     let app_pairs: HashSet<(&str, &str)> = jobs
         .iter()
         .filter_map(|j| match &j.workload {
@@ -118,11 +111,12 @@ fn engine_digests(jobs: &[JobSpec], workers: usize) -> HashMap<String, u64> {
         })
         .collect();
     assert_eq!(
-        engine.cache_stats().calibrations,
+        batch.cache.calibrations,
         app_pairs.len() as u64,
         "{workers} workers"
     );
-    results
+    batch
+        .results
         .into_iter()
         .map(|r| (r.spec.to_string(), r.summary.digest()))
         .collect()
@@ -167,23 +161,15 @@ fn submission_order_cannot_change_any_result() {
 fn batched_jobs_share_artifact_builds() {
     let jobs = job_set();
     let litmus_jobs = jobs
-        .iter()
+        .into_iter()
         .filter(|j| matches!(j.workload, WorkloadSpec::Litmus { .. }))
-        .cloned()
         .collect::<Vec<_>>();
-    let engine = Engine::start(EngineConfig {
-        workers: 4,
-        job_parallelism: 1,
-    });
-    for j in &litmus_jobs {
-        engine.submit(j.clone()).unwrap();
-    }
-    engine.drain().unwrap();
-    let stats = engine.cache_stats();
+    let n = litmus_jobs.len() as u64;
+    let stats = serve(litmus_jobs, 4).unwrap().cache;
     // 2 chips × 5 environments, 3 shapes each: builds bounded by the
     // key count, everything else is a hit.
     assert_eq!(stats.builds, 10, "one build per chip × environment");
-    assert_eq!(stats.hits, litmus_jobs.len() as u64 - 10);
+    assert_eq!(stats.hits, n - 10);
     assert!(stats.hit_rate() > 0.6);
 }
 
@@ -262,48 +248,46 @@ fn litmus_jobs_reproduce_their_suite_cells() {
     assert_eq!(cache.stats().builds, builds, "a job rebuilt an artifact");
 }
 
-/// The soak mix a proptest case runs: litmus-only (fast) but spanning
-/// environments, shapes and a second chip.
-fn tiny_mix() -> SoakMix {
-    SoakMix {
-        litmus_chips: vec!["Titan".to_string(), "C2075".to_string()],
-        app_chips: vec![],
-        envs: vec![EnvKind::Native, EnvKind::SysStrPlus, EnvKind::L1StrPlus],
-        shapes: vec![Shape::Mp, Shape::Sb, Shape::CoRR],
-        distances: vec![64],
-        execs: 4,
-        apps: vec![],
-        app_runs: 0,
+/// The batch a proptest case shuffles: litmus-only (fast) but spanning
+/// environments, shapes and a second chip, each job seeded apart.
+fn litmus_batch() -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for chip in ["Titan", "C2075"] {
+        for env in [EnvKind::Native, EnvKind::SysStrPlus, EnvKind::L1StrPlus] {
+            for shape in [Shape::Mp, Shape::Sb, Shape::CoRR] {
+                jobs.push(JobSpec {
+                    chip: chip.to_string(),
+                    env,
+                    workload: WorkloadSpec::Litmus {
+                        shape,
+                        distance: 64,
+                    },
+                    execs: 4,
+                    seed: 2016 + jobs.len() as u64,
+                });
+            }
+        }
     }
+    jobs
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite property: under a fixed SOAK_SEED, any shuffle of the
-    /// submission order × any worker count in {1, 2, 8} yields the same
-    /// per-job histograms and the same aggregate digest.
+    /// Any shuffle of the submission order × any worker count in
+    /// {1, 2, 8} yields the same per-job histograms and the same
+    /// aggregate digest.
     #[test]
     fn any_shuffle_and_worker_count_reproduces_the_soak_digest(
         shuffle_seed in 0u64..u64::MAX,
         widx in 0usize..3,
     ) {
-        const SOAK_SEED: u64 = 2016;
-        let jobs = tiny_mix().jobs(SOAK_SEED);
+        let jobs = litmus_batch();
         let expect = baseline(&jobs);
-
-        let order = shuffled(jobs.clone(), shuffle_seed);
-        let engine = Engine::start(EngineConfig {
-            workers: WORKER_COUNTS[widx],
-            job_parallelism: 1,
-        });
-        for j in &order {
-            engine.submit(j.clone()).expect("valid spec");
-        }
-        let results = engine.drain().expect("drain");
+        let batch = serve(shuffled(jobs.clone(), shuffle_seed), WORKER_COUNTS[widx]).expect("serve");
 
         // Per-job histograms match the standalone baseline...
-        for r in &results {
+        for r in &batch.results {
             prop_assert_eq!(
                 r.summary.digest(),
                 expect[&r.spec.to_string()],
@@ -315,16 +299,9 @@ proptest! {
         }
         // ...and the aggregate digest is shuffle- and pool-invariant
         // (results_digest sorts by spec, so it hashes the result *set*):
-        // an independent engine over the unshuffled order agrees.
-        let reference_engine = Engine::start(EngineConfig {
-            workers: 2,
-            job_parallelism: 1,
-        });
-        for j in &jobs {
-            reference_engine.submit(j.clone()).expect("valid spec");
-        }
-        let reference = reference_engine.drain().expect("drain");
-        prop_assert_eq!(results_digest(&results), results_digest(&reference));
+        // an independent batch over the unshuffled order agrees.
+        let reference = serve(jobs, 2).expect("serve");
+        prop_assert_eq!(results_digest(&batch.results), results_digest(&reference.results));
     }
 }
 

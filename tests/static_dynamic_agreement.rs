@@ -41,7 +41,7 @@ fn instance(shape: Shape) -> gpu_wmm::litmus::LitmusInstance {
 #[test]
 fn every_catalogue_shape_has_the_expected_static_verdict() {
     for shape in Shape::ALL {
-        let a = analyze_litmus(&instance(shape));
+        let a = analyze_litmus(&instance(shape), None);
         if QUIET.contains(&shape) {
             assert!(a.quiet(), "{shape} should be quiet: {:?}", a.warnings);
         } else {
@@ -66,7 +66,7 @@ fn every_catalogue_shape_has_the_expected_static_verdict() {
 #[test]
 fn scoped_shapes_warn_at_block_level_and_mixed_at_device() {
     for shape in [Shape::MpShared, Shape::SbShared] {
-        let a = analyze_litmus(&instance(shape));
+        let a = analyze_litmus(&instance(shape), None);
         assert_eq!(
             a.max_warning_level(),
             Some(FenceLevel::Block),
@@ -74,7 +74,7 @@ fn scoped_shapes_warn_at_block_level_and_mixed_at_device() {
         );
     }
     for shape in Shape::MIXED {
-        let a = analyze_litmus(&instance(shape));
+        let a = analyze_litmus(&instance(shape), None);
         assert_eq!(
             a.max_warning_level(),
             Some(FenceLevel::Device),
@@ -182,8 +182,8 @@ fn incoherent_l1_weakness_implies_a_chip_aware_static_warning() {
 fn static_reports_are_deterministic_across_runs_and_workers() {
     // The analyzer itself is a pure function of the instance.
     for shape in [Shape::Mp, Shape::MpShared, Shape::Isa2Scoped] {
-        let a = format!("{:?}", analyze_litmus(&instance(shape)));
-        let b = format!("{:?}", analyze_litmus(&instance(shape)));
+        let a = format!("{:?}", analyze_litmus(&instance(shape), None));
+        let b = format!("{:?}", analyze_litmus(&instance(shape), None));
         assert_eq!(a, b, "{shape}");
     }
     // And the suite's static column is identical for every worker
