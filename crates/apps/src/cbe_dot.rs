@@ -84,10 +84,6 @@ impl Default for CbeDot {
 }
 
 impl Application for CbeDot {
-    fn name(&self) -> &str {
-        "cbe-dot"
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

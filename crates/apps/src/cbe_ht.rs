@@ -68,10 +68,6 @@ impl Default for CbeHt {
 }
 
 impl Application for CbeHt {
-    fn name(&self) -> &str {
-        "cbe-ht"
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

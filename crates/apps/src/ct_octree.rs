@@ -81,10 +81,6 @@ impl Default for CtOctree {
 }
 
 impl Application for CtOctree {
-    fn name(&self) -> &str {
-        "ct-octree"
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

@@ -76,10 +76,6 @@ impl CubScan {
 }
 
 impl Application for CubScan {
-    fn name(&self) -> &str {
-        &self.spec.name
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

@@ -126,10 +126,6 @@ impl LsBh {
 }
 
 impl Application for LsBh {
-    fn name(&self) -> &str {
-        &self.spec.name
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

@@ -70,10 +70,6 @@ impl SdkRed {
 }
 
 impl Application for SdkRed {
-    fn name(&self) -> &str {
-        &self.spec.name
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

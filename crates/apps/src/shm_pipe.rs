@@ -139,10 +139,6 @@ impl Default for ShmPipe {
 }
 
 impl Application for ShmPipe {
-    fn name(&self) -> &str {
-        "shm-pipe"
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

@@ -81,10 +81,6 @@ impl Default for TpoTm {
 }
 
 impl Application for TpoTm {
-    fn name(&self) -> &str {
-        "tpo-tm"
-    }
-
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

@@ -6,14 +6,14 @@
 //!                    [--provenance] [--env NAME] [--full]
 //!
 //! experiments:
-//!   fig3            patch-finding plots (Titan, C2075, 980)
+//!   fig3            patch-finding plots (default Titan, C2075, 980)
 //!   table2          tuned stressing parameters per chip
-//!   table3          access-sequence ranking snippet (Titan)
-//!   fig4            spread-finding curves (980, K20)
+//!   table3          access-sequence ranking snippet (default Titan)
+//!   fig4            spread-finding curves (default 980, K20)
 //!   table5          testing-environment effectiveness
 //!   table6          empirical fence insertion
 //!   fig5            fence runtime/energy cost
-//!   running-example cbe-dot on the K20 (Sec. 1)
+//!   running-example the cbe-dot running example (Sec. 1; default K20)
 //!   suite           generated litmus suite (shapes x chips x strategies;
 //!                   --provenance adds the weakness-channel breakdown
 //!                   column and JSON fields)
@@ -28,20 +28,21 @@
 //!   serve           batch campaign jobs through the engine
 //!                   (--jobs FILE-or-inline-spec; jobs separated by
 //!                   newlines or `;`)
-//!   soak            deterministic soak/throughput harness (seed from
-//!                   --seed; exits 1 when a throughput/cache/determinism
-//!                   gate fails)
+//!   soak            serve the soak's seeded job grid (seed from --seed)
+//!                   and print the batch summary and results digest
 //!   all             everything above, in order (except serve/soak)
 //!
-//! `--seed N` sets the base seed every subcommand derives its
-//! per-campaign seeds from (default 2016) — one flag reseeds the entire
-//! reproduction. `--workers N` sets the campaign worker-thread count
-//! (0 = all cores, the default). Results are bit-identical for every
-//! worker count. `--json PATH` (suite, trace and analyze) writes the
-//! result as JSON; the file is made before any campaign runs or any
-//! table prints. `--placement inter|intra` (suite only) restricts the
-//! catalogue to one thread placement — `intra` runs just the scoped
-//! shared-memory shapes.
+//! `--chips A,B` picks the chips of every experiment that runs per chip;
+//! without it, each runs on the paper's chips for its panels (all seven
+//! where the paper tabulates every chip). `--seed N` sets the base seed
+//! every subcommand derives its per-campaign seeds from (default 2016) —
+//! one flag reseeds the entire reproduction. `--workers N` sets the
+//! campaign worker-thread count (0 = all cores, the default). Results
+//! are bit-identical for every worker count. `--json PATH` (suite, trace
+//! and analyze) writes the result as JSON; the file is made before any
+//! campaign runs or any table prints. `--placement inter|intra` (suite
+//! only) restricts the catalogue to one thread placement — `intra` runs
+//! just the scoped shared-memory shapes.
 //!
 //! A bad command line — an unknown subcommand, flag, chip, placement,
 //! target or environment, or a missing or unparsable value — prints the
@@ -150,12 +151,12 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
         })
     };
     match cmd.as_str() {
-        "fig3" => fig3::run(scale),
+        "fig3" => fig3::run(chips, scale),
         "table2" => {
             table2::run(chips, scale);
         }
-        "table3" => table3::run("Titan", scale),
-        "fig4" => fig4::run(scale),
+        "table3" => table3::run(chips, scale),
+        "fig4" => fig4::run(chips, scale),
         "table5" => {
             table5::run(chips, scale);
         }
@@ -165,9 +166,7 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
         "fig5" => {
             fig5::run(chips, scale);
         }
-        "running-example" => {
-            running::run(scale);
-        }
+        "running-example" => running::run(chips, scale),
         "suite" => run_suite(chips, suite_json()?)?,
         "trace" => trace::run(
             target,
@@ -177,36 +176,29 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             json_path.as_deref(),
         )?,
         "analyze" => analyze::run(target, chips, json_path.as_deref())?,
-        "serve" => {
-            let spec = jobs_spec.ok_or("serve wants --jobs FILE-or-inline-spec")?;
-            if let Err(e) = serve::run(&spec, scale.workers) {
+        "serve" | "soak" => {
+            let served = if cmd == "soak" {
+                soak::run(scale.seed, scale.workers)
+            } else {
+                let spec = jobs_spec.ok_or("serve wants --jobs FILE-or-inline-spec")?;
+                serve::run(&spec, scale.workers)
+            };
+            if let Err(e) = served {
                 eprintln!("{e}");
                 return Ok(ExitCode::FAILURE);
             }
         }
-        "soak" => {
-            // The soak-harness convention: 1 for a failed gate, 2 for a
-            // run that could not finish.
-            match soak::run(scale.seed, scale.workers) {
-                Ok(true) => {}
-                Ok(false) => return Ok(ExitCode::FAILURE),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return Ok(ExitCode::from(2));
-                }
-            }
-        }
         "all" => {
             let out = suite_json()?;
-            running::run(scale);
+            running::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
-            fig3::run(scale);
+            fig3::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
             table2::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
-            table3::run("Titan", scale);
+            table3::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
-            fig4::run(scale);
+            fig4::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
             table5::run(chips.clone(), scale);
             println!("\n{}\n", "=".repeat(76));
@@ -228,6 +220,7 @@ fn usage() {
          [--chips A,B] [--execs N] [--runs N] [--seed N] [--workers N] [--json PATH] \
          [--placement inter|intra] [--provenance] [--env NAME] [--jobs SPEC] [--full]\n\
          \n\
+         --chips A,B    the chips to run on (default: the paper's chips for each experiment)\n\
          --seed N       base seed for every subcommand's campaigns (default 2016)\n\
          --workers N    campaign worker threads (0 = all cores, the default);\n\
          \x20              results are bit-identical for every value\n\
@@ -244,9 +237,8 @@ fn usage() {
          \x20              read-read channel on chips that have one)\n\
          serve          batch campaign jobs through the engine; --jobs is a file\n\
          \x20              of job lines or an inline `;`-separated spec; exits 1 on a bad job\n\
-         soak           deterministic soak harness over one seeded job grid; writes\n\
-         \x20              tests/artifacts/soak/seed<seed>/report.json and nothing else;\n\
-         \x20              exits 1 on a failed gate, 2 on a run that could not finish\n\
+         soak           serve the soak's seeded job grid (--seed, --workers) and print\n\
+         \x20              the batch summary and results digest; exits 1 on a failed job\n\
          \n\
          A bad command line exits 2."
     );

@@ -1,28 +1,21 @@
 //! Fig. 3 — patch-finding plots: weak behaviours per stressed location.
 
-use crate::{bar, Scale};
+use crate::{bar, chips_or, Scale};
 use wmm_core::tuning::patch;
 use wmm_gen::Shape;
 use wmm_sim::chip::Chip;
 
-/// The figure's chips and distance rows: (chip, distances).
-pub fn paper_panels() -> Vec<(&'static str, [u32; 3])> {
-    vec![
-        ("Titan", [0, 32, 64]),
-        ("C2075", [0, 64, 128]),
-        ("980", [0, 64, 128]),
-    ]
-}
-
-/// Generate and print the figure for one chip.
-pub fn run_chip(chip: &Chip, distances: &[u32], scale: Scale) {
+/// Generate and print the panel for one chip: MP and LB swept at the
+/// distances 0, P and 2P for the chip's critical patch size P.
+fn run_chip(chip: &Chip, scale: Scale) {
     let mut cfg = scale.tuning();
     cfg.execs = cfg.execs.max(48);
     println!(
         "== Fig. 3 panel: {} ({}; critical patch size {}) ==",
         chip.name, chip.arch, chip.patch_words
     );
-    for &d in distances {
+    let p = chip.patch_words;
+    for d in [0, p, 2 * p] {
         for test in [Shape::Mp, Shape::Lb] {
             let grid = patch::sweep(chip, test, d, &cfg);
             let max = grid.counts.iter().copied().max().unwrap_or(0);
@@ -58,28 +51,14 @@ pub fn run_chip(chip: &Chip, distances: &[u32], scale: Scale) {
     println!();
 }
 
-/// Generate and print the full figure.
-pub fn run(scale: Scale) {
+/// Generate and print one panel per chip (the paper's Titan, C2075 and
+/// 980 when `chips` is `None`).
+pub fn run(chips: Option<Vec<Chip>>, scale: Scale) {
     println!("Fig. 3: patch finding (x axis = stressed scratchpad location, 0..256 step 8)\n");
-    for (short, distances) in paper_panels() {
-        let chip = Chip::by_short(short).expect("paper chip");
-        run_chip(&chip, &distances, scale);
+    for chip in chips_or(chips, &["Titan", "C2075", "980"]) {
+        run_chip(&chip, scale);
     }
     println!("Expected shape: no weak behaviour for d < patch size; effective patches of");
     println!("size 32 (Kepler) / 64 (Fermi, Maxwell) whose positions shift with d; the 980");
     println!("shows only ambient MP noise at these distances (its MP patches need d >= 256).");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn panels_match_figure() {
-        let p = paper_panels();
-        assert_eq!(p.len(), 3);
-        assert_eq!(p[0].0, "Titan");
-        assert_eq!(p[0].1, [0, 32, 64]);
-        assert_eq!(p[1].1, [0, 64, 128]);
-    }
 }

@@ -1,14 +1,15 @@
 //! Fig. 4 — spread-finding curves (score per spread, per litmus test).
 
-use crate::{bar, Scale};
+use crate::{bar, chips_or, Scale};
 use wmm_core::tuning::spread;
 use wmm_sim::chip::Chip;
 
-/// Generate and print the curve for one chip.
-pub fn run_chip(chip: &Chip, scale: Scale) {
+/// Generate and print the curve for one chip, at its preset patch size
+/// and sequence.
+fn run_chip(chip: &Chip, scale: Scale) {
     let cfg = scale.tuning();
     println!("== Fig. 4 panel: {} ==", chip.name);
-    let scores = spread::score_spreads(&chip.clone(), chip.patch_words, &chip.preferred_seq, &cfg);
+    let scores = spread::score_spreads(chip, chip.patch_words, &chip.preferred_seq, &cfg);
     let max = scores
         .entries
         .iter()
@@ -37,11 +38,11 @@ pub fn run_chip(chip: &Chip, scale: Scale) {
     );
 }
 
-/// Generate and print the figure's two panels (980 and K20).
-pub fn run(scale: Scale) {
+/// Generate and print one panel per chip (the paper's 980 and K20 when
+/// `chips` is `None`).
+pub fn run(chips: Option<Vec<Chip>>, scale: Scale) {
     println!("Fig. 4: spread finding\n");
-    for short in ["980", "K20"] {
-        let chip = Chip::by_short(short).expect("paper chip");
+    for chip in chips_or(chips, &["980", "K20"]) {
         run_chip(&chip, scale);
     }
     println!("Expected shape: scores peak at a spread of 2 and decline as stress spreads");

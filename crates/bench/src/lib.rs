@@ -4,24 +4,26 @@
 //!
 //! | module | reproduces |
 //! |---|---|
-//! | [`fig3`] | Fig. 3 — patch finding plots (Titan, C2075, 980) |
+//! | [`fig3`] | Fig. 3 — patch finding plots (default Titan, C2075, 980) |
 //! | [`table2`] | Tab. 2 — tuned stressing parameters per chip |
-//! | [`table3`] | Tab. 3 — access-sequence ranking snippet (Titan) |
-//! | [`fig4`] | Fig. 4 — spread finding curves (980, K20) |
+//! | [`table3`] | Tab. 3 — access-sequence ranking snippet (default Titan) |
+//! | [`fig4`] | Fig. 4 — spread finding curves (default 980, K20) |
 //! | [`table5`] | Tab. 5 — testing-environment effectiveness |
 //! | [`table6`] | Tab. 6 — empirical fence insertion results |
 //! | [`fig5`] | Fig. 5 — fence runtime/energy cost scatter |
-//! | [`running`] | Sec. 1 — the cbe-dot running example |
+//! | [`running`] | Sec. 1 — the cbe-dot running example (default K20) |
 //! | [`suite`] | generated litmus suite: shapes × chips × the five `EnvKind` columns |
 //! | [`analyze`] | static delay-set analyzer over shapes and app kernels |
 //! | [`serve`] | `repro serve` — batch jobs through the campaign engine |
-//! | [`soak`] | `repro soak` — deterministic soak/throughput harness, gated report under `tests/artifacts/soak/` |
+//! | [`soak`] | `repro soak` — serve the seeded soak grid, print its summary and results digest |
 //! | [`trace`] | `repro trace` — replay one campaign with a bounded event log |
 //!
 //! Every generator takes a [`Scale`] so the half-billion-execution grids
 //! of the paper shrink to laptop scale while preserving the shapes; the
-//! `repro` binary exposes them as subcommands. None of them is a perf
-//! harness: speed is measured by `perfbench/` alone.
+//! `repro` binary exposes them as subcommands. Each generator that runs
+//! per chip takes the `--chips` list and falls back to its paper panels
+//! ([`chips_or`]). None of them is a perf harness: speed is measured by
+//! `perfbench/` alone.
 
 pub mod analyze;
 pub mod fig3;
@@ -43,6 +45,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use wmm_core::tuning::TuningConfig;
 use wmm_obs::Json;
+use wmm_sim::chip::Chip;
 
 /// Execution-budget scaling shared by the experiment generators.
 #[derive(Debug, Clone, Copy)]
@@ -143,7 +146,7 @@ impl From<&str> for Failure {
 /// A JSON document's file, created before the work that fills it, so a
 /// path that cannot be written fails before any campaign runs or any
 /// table prints. [`JsonFile::write`] is the one way `repro` writes a
-/// document (the `--json PATH` files and the soak report).
+/// document (the `--json PATH` files).
 pub struct JsonFile {
     path: PathBuf,
     file: File,
@@ -169,6 +172,17 @@ impl JsonFile {
 
 fn write_failure(path: &Path, e: std::io::Error) -> Failure {
     Failure::Write(format!("failed to write {}: {e}", path.display()))
+}
+
+/// The chips `--chips` named, or the paper's panels `paper` (short
+/// names) when it named none.
+pub fn chips_or(chips: Option<Vec<Chip>>, paper: &[&str]) -> Vec<Chip> {
+    chips.unwrap_or_else(|| {
+        paper
+            .iter()
+            .map(|short| Chip::by_short(short).expect("a paper chip"))
+            .collect()
+    })
 }
 
 /// Render a histogram bar for plot-style terminal output.

@@ -12,7 +12,7 @@
 //! a hand-written predicate. `--json <path>` also writes the matrix as
 //! a JSON document, one line per cell ([`to_json`]).
 
-use crate::Scale;
+use crate::{chips_or, Scale};
 use wmm_core::env::EnvKind;
 use wmm_core::suite::{run_suite, SuiteCell, SuiteConfig, SuiteStrategy};
 use wmm_gen::{Placement, Shape};
@@ -46,12 +46,7 @@ pub fn run(
     scale: Scale,
     provenance: bool,
 ) -> Vec<SuiteCell> {
-    let chips = chips.unwrap_or_else(|| {
-        vec![
-            Chip::by_short("Titan").expect("chip"),
-            Chip::by_short("K20").expect("chip"),
-        ]
-    });
+    let chips = chips_or(chips, &["Titan", "K20"]);
     let shapes: Vec<Shape> = Shape::ALL
         .into_iter()
         .filter(|s| placement.is_none_or(|p| s.placement() == p))

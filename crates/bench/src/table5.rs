@@ -16,17 +16,21 @@ pub struct Row {
     pub cells: Vec<(String, u32, u32, Vec<String>)>,
 }
 
-/// Evaluate every environment × application for one chip.
+/// Evaluate every environment × application for one chip, calibrating
+/// each application once.
 pub fn run_chip(chip: &Chip, scale: Scale) -> Row {
     let apps = all_apps();
+    let harnesses: Vec<AppHarness> = apps
+        .iter()
+        .map(|app| AppHarness::new(chip, app.as_ref()))
+        .collect();
     let envs = Environment::all_eight(chip);
     let mut cells = Vec::new();
     for env in &envs {
         let mut effective = 0;
         let mut any = 0;
         let mut failing = Vec::new();
-        for app in &apps {
-            let h = AppHarness::new(chip, app.as_ref());
+        for (app, h) in apps.iter().zip(&harnesses) {
             let r = h.campaign(env, scale.app_runs, scale.seed, scale.workers);
             if r.any_error() {
                 any += 1;

@@ -81,23 +81,3 @@ fn an_unwritable_json_path_exits_2_and_names_the_path() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
-
-#[test]
-fn an_unwritable_soak_report_exits_2_and_names_the_report() {
-    // `tests` is a regular file, so the report's directory cannot exist.
-    let dir = scratch_dir("soak");
-    std::fs::write(dir.join("tests"), "").unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["soak", "--workers", "2"])
-        .current_dir(&dir)
-        .output()
-        .expect("repro runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("report.json"), "{stderr}");
-    assert!(!stderr.contains("usage:"), "{stderr}");
-    // The report's file is made before the run, so no soak ran.
-    assert!(!stdout.contains("results digest"), "{stdout}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}

@@ -138,8 +138,10 @@ impl AppSpec {
 /// (Tab. 4's third column). Implemented by every case study in
 /// `wmm-apps`.
 pub trait Application: Sync {
-    /// The paper's short name (e.g. `"cbe-dot"`).
-    fn name(&self) -> &str;
+    /// The paper's short name (e.g. `"cbe-dot"`): the spec's name.
+    fn name(&self) -> &str {
+        &self.spec().name
+    }
 
     /// The application as shipped (the original variants of `sdk-red`,
     /// `cub-scan` and `ls-bh` contain fences; the rest are fence-free).

@@ -130,8 +130,8 @@ impl Hash for CalibrationKey {
     }
 }
 
-/// Counters describing a cache's history, for the soak report's
-/// `cache_hit_rate` gate and the exactly-once-compile assertions.
+/// Counters describing a cache's history, for a served batch's summary
+/// and the exactly-once-compile assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Artifact lookups served from an existing entry.

@@ -140,9 +140,9 @@ impl Workload for LitmusWorkload<'_> {
 }
 
 /// 64-bit FNV-1a, the workspace's stable digest for campaign summaries
-/// and soak reports: tiny, dependency-free, and — unlike `DefaultHasher`
-/// — pinned, so digests written into committed JSON stay comparable
-/// across toolchains and runs.
+/// and the soak's results digest: tiny, dependency-free, and — unlike
+/// `DefaultHasher` — pinned, so committed digests stay comparable across
+/// toolchains and runs.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -211,7 +211,7 @@ impl SummaryValue {
     /// A stable 64-bit digest of the summary's contents ([`Fnv64`] over
     /// the histogram's sorted outcome vectors, or the campaign result's
     /// counters). Equal summaries digest equal on every platform, so
-    /// soak reports can compare runs by digest alone.
+    /// soak runs can compare results by digest alone.
     pub fn digest(&self) -> u64 {
         let mut f = Fnv64::new();
         match self {

@@ -622,9 +622,6 @@ pub(crate) mod tests {
     }
 
     impl Application for LockCounter {
-        fn name(&self) -> &str {
-            "lock-counter"
-        }
         fn spec(&self) -> &AppSpec {
             &self.spec
         }

@@ -16,8 +16,8 @@
 //!   and in CI.
 //! * **Wall-clock spans** ([`LatencyHistogram`], named in a
 //!   [`MetricsRegistry`]): machine-dependent timings. They are kept out of every
-//!   digest and every equivalence check, and every JSON rendering
-//!   labels them as such (the soak report's `wall_clock_us`).
+//!   digest and every equivalence check, and every rendering labels
+//!   them as such (`repro serve`'s `spans (wall-clock)` line).
 //!
 //! Everything is allocation-light: counters are plain `u64` fields,
 //! histograms are fixed arrays, and the event log is a bounded ring

@@ -44,10 +44,9 @@ pub struct EngineConfig {
     /// never more than the batch has jobs). One worker runs the batch
     /// on the draining thread.
     pub workers: usize,
-    /// Inner campaign parallelism per job (0 ⇒ all cores). The soak
-    /// harness keeps this at 1 — throughput comes from job-level
-    /// concurrency, and one simulator per worker keeps the measurement
-    /// honest.
+    /// Inner campaign parallelism per job (0 ⇒ all cores). [`serve`]
+    /// keeps this at 1 — throughput comes from job-level concurrency,
+    /// one simulator per worker.
     pub job_parallelism: usize,
 }
 

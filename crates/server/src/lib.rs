@@ -28,11 +28,10 @@
 //!   calibration once per chip. [`serve`] is the one batch path: a job
 //!   list through a fresh engine, summarised as a [`Batch`] (results,
 //!   cache counters, wall-clock spans, deterministic weakness totals).
-//! * [`soak`] — the deterministic soak/throughput harness behind
-//!   `repro soak`: one seeded grid of jobs (all 28 shapes × two chips ×
-//!   the five suite environments, plus applications) served as one
-//!   batch, a standalone re-execution sample, and three fixed gates on
-//!   throughput, cache effectiveness and determinism.
+//! * [`soak`] — the deterministic soak behind `repro soak`: one seeded
+//!   grid of jobs (all 28 shapes × two chips × the five suite
+//!   environments, plus applications) served as one batch, and the
+//!   results digest that names its results whatever the worker count.
 //!
 //! # Determinism
 //!
@@ -50,4 +49,4 @@ pub mod soak;
 
 pub use engine::{serve, Batch, Engine, EngineConfig, JobResult};
 pub use job::{parse_jobs, EnvKind, JobSpec, WorkloadSpec};
-pub use soak::{run_soak, GateReport, SoakReport};
+pub use soak::run_soak;

@@ -12,7 +12,7 @@
 //! The profile parameters fall into three groups:
 //!
 //! 1. **Structure**: patch (cache-line) size in words, memory channel
-//!    count, occupancy, in-flight window depth.
+//!    and SM counts, occupancy, in-flight window depth.
 //! 2. **Reordering**: per-[`ReorderKind`] base probability (native runs)
 //!    and stress gain (how strongly channel contention amplifies the
 //!    reordering), plus contention-model coefficients.
@@ -20,7 +20,7 @@
 //!    runtime/energy study of Sec. 6.
 
 use crate::seq::AccessSeq;
-use crate::topology::{L1Params, Topology};
+use crate::topology::L1Params;
 
 /// The three NVIDIA architectures spanned by Tab. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,6 +116,11 @@ pub struct Chip {
     /// Number of memory channels; a line maps to channel
     /// `line % channels`. Contention is tracked per channel.
     pub channels: u32,
+    /// Number of streaming multiprocessors. Every launched block is
+    /// deterministically assigned a home SM, its launch index modulo
+    /// `sms` (round-robin over the launch order, wrapping past the last
+    /// SM); the home SM's private L1 is what [`Chip::l1`] parameterises.
+    pub sms: u32,
     /// Maximum concurrently-resident threads (scaled down ~50× from real
     /// occupancies so a run simulates in microseconds).
     pub max_concurrent_threads: u32,
@@ -126,10 +131,6 @@ pub struct Chip {
     pub window: usize,
     /// Probability that the window head completes on a given drain turn.
     pub drain_q: f64,
-    /// Cluster/SM layout. Every launched block is deterministically
-    /// assigned a home SM (round-robin over the launch order); the home
-    /// SM's private L1 is what [`Chip::l1`] parameterises.
-    pub topology: Topology,
     /// The per-SM L1 staleness channel. All-zero rates mean the L1 is
     /// *coherent*: global loads always see the latest completed store and
     /// the execution engine skips the channel entirely (the pre-topology
@@ -332,6 +333,8 @@ fn base_chip(
         released,
         patch_words,
         channels: 8,
+        // Eight SMs: the same ~50× scaling as `max_concurrent_threads`.
+        sms: 8,
         max_concurrent_threads: 512,
         l2_scaled_words: match arch {
             Arch::Fermi => 1536,
@@ -340,9 +343,6 @@ fn base_chip(
         },
         window: 6,
         drain_q: 0.30,
-        // Two clusters of four SMs each, eight resident blocks per SM —
-        // the same ~50× occupancy scaling as `max_concurrent_threads`.
-        topology: Topology::uniform(2, 4, 8),
         // Coherent L1 by default: zero staleness rates. The structural
         // knobs (capacity, TTL, pressure curve) are shared across chips;
         // only the Fermi Tesla boards switch the rates on.
@@ -625,18 +625,12 @@ mod tests {
     }
 
     #[test]
-    fn every_chip_has_a_uniform_topology() {
+    fn every_chip_has_more_than_one_sm() {
+        // Round-robin home-SM assignment puts consecutive launches on
+        // distinct SMs, so a two-block litmus test always spans two
+        // private L1s.
         for c in Chip::all() {
-            assert!(c.topology.total_sms() > 1, "{}", c.short);
-            assert!(
-                c.topology.capacity_blocks() >= c.topology.total_sms(),
-                "{}",
-                c.short
-            );
-            // Round-robin home-SM assignment puts consecutive launches
-            // on distinct SMs, so a two-block litmus test always spans
-            // two private L1s.
-            assert_ne!(c.topology.home_sm(0), c.topology.home_sm(1), "{}", c.short);
+            assert!(c.sms > 1, "{}", c.short);
         }
     }
 

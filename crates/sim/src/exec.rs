@@ -28,9 +28,10 @@
 //!   complete out of order with each other (subject to fences), which is
 //!   what makes mixed-scope litmus shapes observable.
 //!
-//! Orthogonal to the window, the chip's [`topology`](crate::topology)
-//! adds a *structural* weakness channel: every block is assigned a home
-//! SM at launch, and on chips with incoherent per-SM L1s
+//! Orthogonal to the window, the chip's per-SM L1s
+//! ([`topology`](crate::topology)) add a *structural* weakness channel:
+//! every block is assigned a home SM at launch (its launch index modulo
+//! [`Chip::sms`]), and on chips with incoherent per-SM L1s
 //! ([`Chip::l1_weak`]) a completed global store leaves the pre-write
 //! value visible as a stale line to every **other** SM. A later global
 //! load may hit that stale line with a probability driven by cross-SM
@@ -376,9 +377,9 @@ struct BlockState {
     /// Threads that halted and drained their window; the block retires
     /// when this reaches its size.
     dead: u32,
-    /// The SM this block is resident on (deterministic round-robin over
-    /// the launch order, see [`crate::topology::Topology::home_sm`]);
-    /// selects which private L1 the block's global loads consult.
+    /// The SM this block is resident on: its launch index modulo
+    /// [`Chip::sms`], a deterministic round-robin over the launch order.
+    /// It selects which private L1 the block's global loads consult.
     home_sm: u32,
     /// Decaying read/write pressure on this block's shared memory — the
     /// per-block analogue of a channel tracker, feeding the shared-space
@@ -842,8 +843,8 @@ impl Gpu {
     ///
     /// Panics if the chip's window is empty or deeper than
     /// [`MAX_WINDOW`], if its lines are empty (`patch_words == 0`), if
-    /// its channel count is outside `1..=`[`MAX_CHANNELS`], or if its
-    /// topology has no SMs. The first issue into an empty window would
+    /// its channel count is outside `1..=`[`MAX_CHANNELS`], or if it has
+    /// no SMs. The first issue into an empty window would
     /// complete a slot that does not exist; the address decode of every
     /// global access divides by the line size and indexes the trackers by
     /// the channel; and each block's home SM is its launch index modulo
@@ -862,11 +863,7 @@ impl Gpu {
             chip.short,
             chip.channels
         );
-        assert!(
-            chip.topology.total_sms() > 0,
-            "{}: topology has no SMs",
-            chip.short
-        );
+        assert!(chip.sms > 0, "{}: no SMs", chip.short);
         Gpu {
             chip,
             arena: Arena::default(),
@@ -1028,9 +1025,9 @@ impl<'a> Run<'a> {
                 mem,
                 shared,
                 blocks,
-                l1: chip.l1_weak().then(|| {
-                    l1.unwrap_or_else(|| L1System::new(chip.topology.total_sms(), chip.l1))
-                }),
+                l1: chip
+                    .l1_weak()
+                    .then(|| l1.unwrap_or_else(|| L1System::new(chip.sms, chip.l1))),
                 rng,
                 drain_below: drain_threshold(chip.drain_q),
                 turn: 0,
@@ -1178,11 +1175,9 @@ impl<'a> Run<'a> {
         let num_regs = usize::from(g.program.num_regs);
         let logical_bid = self.bid_maps[(self.bid_at[gi as usize] + bid_phys) as usize];
         let block_index = self.m.blocks.len() as u32;
-        // Home-SM assignment is total: launch indices past the chip's
-        // block capacity wrap onto earlier SMs deterministically, so
-        // oversubscribed grids share (and re-pollute) the same L1s.
-        let home_sm = self.m.chip.topology.home_sm(block_index);
-        debug_assert!(home_sm < self.m.chip.topology.total_sms());
+        // Launch indices past the last SM wrap onto earlier SMs, so
+        // later blocks share (and re-pollute) the same L1s.
+        let home_sm = block_index % self.m.chip.sms;
         let lanes = &mut self.lanes;
         let t0 = lanes.threads.len() as u32;
         let w0 = self.warps.len() as u32;
@@ -3050,10 +3045,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Titan: topology has no SMs")]
+    #[should_panic(expected = "Titan: no SMs")]
     fn chips_without_sms_are_rejected() {
         let mut chip = Chip::by_short("Titan").unwrap();
-        chip.topology.clusters = 0;
+        chip.sms = 0;
         Gpu::new(chip);
     }
 

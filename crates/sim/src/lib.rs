@@ -50,5 +50,5 @@ pub mod word;
 pub use chip::{Arch, Chip, ReorderKind};
 pub use exec::{Gpu, KernelGroup, LaunchSpec, Role, RunResult, RunStatus};
 pub use ir::{builder::KernelBuilder, Program};
-pub use topology::{L1Params, Topology};
+pub use topology::L1Params;
 pub use word::Word;

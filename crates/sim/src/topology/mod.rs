@@ -1,23 +1,16 @@
-//! Structural chip topology: clusters of SMs with private, incoherent
-//! L1 caches.
+//! Structural chip topology: SMs with private, incoherent L1 caches.
 //!
 //! The paper's headline observation is *structural*: GPUs are built
-//! from streaming multiprocessors (SMs), grouped into clusters, each
-//! with a private L1 cache that is **not coherent** with its peers —
-//! which is why even read-read coherence (`CoRR`) is observably weak
-//! on the Tesla-class chips of Tab. 1. Until now the simulator's
-//! [`Chip`](crate::chip::Chip) was a flat bag of reorder matrices with
-//! no notion of SMs or caches, so that relaxation was structurally
-//! impossible to produce.
+//! from streaming multiprocessors (SMs), each with a private L1 cache
+//! that is **not coherent** with its peers — which is why even
+//! read-read coherence (`CoRR`) is observably weak on the Tesla-class
+//! chips of Tab. 1.
 //!
-//! This module adds the missing structure at the simulator's
-//! abstraction level (the SIMT-core / cluster / L1 decomposition of
-//! real GPU simulators, kept parameter-light):
+//! A chip has [`Chip::sms`](crate::chip::Chip::sms) SMs, and every
+//! launched block is deterministically assigned a **home SM**: its
+//! launch index modulo the SM count (round-robin over the launch order,
+//! wrapping past the last SM). This module holds the per-SM L1s:
 //!
-//! * [`Topology`] — N clusters × M SMs with a per-SM occupancy limit;
-//!   every launched block is deterministically assigned a **home SM**
-//!   (round-robin over the launch order, wrapping when the grid
-//!   exceeds capacity).
 //! * [`L1Params`] — the per-chip knobs of the incoherent-L1 weakness
 //!   channel: staleness rates, capacity, time-to-live, and the
 //!   write-pressure coupling.
@@ -34,8 +27,6 @@
 //! staleness rates never consult any of this state — the legacy
 //! execution path, bit for bit.
 
-mod cluster;
 mod l1;
 
-pub use cluster::Topology;
 pub use l1::{L1Params, L1System};

@@ -62,9 +62,6 @@ fn kernel() -> gpu_wmm::sim::Program {
 }
 
 impl Application for Handoff {
-    fn name(&self) -> &str {
-        "handoff"
-    }
     fn spec(&self) -> &AppSpec {
         &self.spec
     }

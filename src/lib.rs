@@ -24,8 +24,8 @@
 //!   post-conditions;
 //! * [`server`] — campaign-as-a-service: a batched job engine whose
 //!   drain runs deterministic campaign jobs on the parallel layer
-//!   with structurally-cached stress artifacts, plus the seeded
-//!   soak/throughput harness behind `repro soak`;
+//!   with structurally-cached stress artifacts, plus the seeded soak
+//!   grid behind `repro soak`;
 //! * [`obs`] — the deterministic observability layer: per-channel
 //!   weakness provenance counters threaded from the executor into every
 //!   histogram, wall-clock span histograms for the server, and the
