@@ -36,7 +36,10 @@
 //! without it, each runs on the paper's chips for its panels (all seven
 //! where the paper tabulates every chip). `--seed N` sets the base seed
 //! every subcommand derives its per-campaign seeds from (default 2016) —
-//! one flag reseeds the entire reproduction. `--workers N` sets the
+//! one flag reseeds the entire reproduction. `--execs N` (litmus
+//! executions per configuration, default 32) and `--runs N` (executions
+//! per application campaign, default 120) are used as given; `--full`
+//! raises both defaults (to 200 and 600). `--workers N` sets the
 //! campaign worker-thread count (0 = all cores, the default). Results
 //! are bit-identical for every worker count. `--json PATH` (suite, trace
 //! and analyze) writes the result as JSON; the file is made before any

@@ -6,46 +6,47 @@ use wmm_gen::Shape;
 use wmm_sim::chip::Chip;
 
 /// Generate and print the panel for one chip: MP and LB swept at the
-/// distances 0, P and 2P for the chip's critical patch size P.
+/// distances 0, P and 2P for the chip's critical patch size P, all six
+/// sweeps in one batch.
 fn run_chip(chip: &Chip, scale: Scale) {
-    let mut cfg = scale.tuning();
-    cfg.execs = cfg.execs.max(48);
+    let cfg = scale.tuning();
     println!(
         "== Fig. 3 panel: {} ({}; critical patch size {}) ==",
         chip.name, chip.arch, chip.patch_words
     );
     let p = chip.patch_words;
-    for d in [0, p, 2 * p] {
-        for test in [Shape::Mp, Shape::Lb] {
-            let grid = patch::sweep(chip, test, d, &cfg);
-            let max = grid.counts.iter().copied().max().unwrap_or(0);
-            print!("{test} d={d:<4} |");
-            for &c in &grid.counts {
-                // One character per sampled location, height-coded.
-                let ch = match bar(c, max.max(1), 4).len() {
-                    0 => {
-                        if c > cfg.noise {
-                            '.'
-                        } else {
-                            ' '
-                        }
+    let panel = [0, p, 2 * p]
+        .map(|d| [(Shape::Mp, d), (Shape::Lb, d)])
+        .concat();
+    for grid in patch::sweeps(chip, &panel, &cfg) {
+        let (test, d) = (grid.test, grid.distance);
+        let max = grid.counts.iter().copied().max().unwrap_or(0);
+        print!("{test} d={d:<4} |");
+        for &c in &grid.counts {
+            // One character per sampled location, height-coded.
+            let ch = match bar(c, max.max(1), 4).len() {
+                0 => {
+                    if c > cfg.noise {
+                        '.'
+                    } else {
+                        ' '
                     }
-                    1 => '_',
-                    2 => '=',
-                    3 => '#',
-                    _ => '#',
-                };
-                print!("{ch}");
-            }
-            println!("| max={max}/{}", cfg.execs);
-            let patches = patch::epsilon_patches(&grid, cfg.noise);
-            if !patches.is_empty() {
-                let sizes: Vec<String> = patches
-                    .iter()
-                    .map(|p| format!("@{}+{}", p.start, p.size_words))
-                    .collect();
-                println!("          eps-patches: {}", sizes.join(" "));
-            }
+                }
+                1 => '_',
+                2 => '=',
+                3 => '#',
+                _ => '#',
+            };
+            print!("{ch}");
+        }
+        println!("| max={max}/{}", cfg.execs);
+        let patches = patch::epsilon_patches(&grid, cfg.noise);
+        if !patches.is_empty() {
+            let sizes: Vec<String> = patches
+                .iter()
+                .map(|p| format!("@{}+{}", p.start, p.size_words))
+                .collect();
+            println!("          eps-patches: {}", sizes.join(" "));
         }
     }
     println!();

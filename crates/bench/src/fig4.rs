@@ -32,10 +32,7 @@ fn run_chip(chip: &Chip, scale: Scale) {
             bar(total, max, 30)
         );
     }
-    println!(
-        "best spread = {} (paper: 2)\n",
-        spread::best_spread(&scores)
-    );
+    println!("best spread = {} (paper: 2)\n", scores.winner());
 }
 
 /// Generate and print one panel per chip (the paper's 980 and K20 when

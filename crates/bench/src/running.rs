@@ -16,7 +16,7 @@ use wmm_sim::chip::Chip;
 /// Run the example on each chip (the paper's K20 when `chips` is
 /// `None`) and print both campaign results.
 pub fn run(chips: Option<Vec<Chip>>, scale: Scale) {
-    let runs = scale.app_runs.max(200);
+    let runs = scale.app_runs;
     let app = CbeDot::new();
     for (i, chip) in chips_or(chips, &["K20"]).iter().enumerate() {
         let paper = |quote: &str| match chip.short {

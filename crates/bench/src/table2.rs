@@ -4,11 +4,6 @@ use crate::Scale;
 use wmm_core::tuning::{tune_chip, ChipTuning};
 use wmm_sim::chip::Chip;
 
-/// Tune one chip with the scaled pipeline.
-pub fn tune_one(chip: &Chip, scale: Scale) -> ChipTuning {
-    tune_chip(chip, &scale.tuning())
-}
-
 /// Run the full pipeline for the requested chips (paper order when
 /// `None`) and print the table next to the paper's values.
 pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<ChipTuning> {
@@ -28,7 +23,7 @@ pub fn run(chips: Option<Vec<Chip>>, scale: Scale) -> Vec<ChipTuning> {
     );
     let mut out = Vec::new();
     for chip in &chips {
-        let t = tune_one(chip, scale);
+        let t = tune_chip(chip, &scale.tuning());
         println!(
             "{:8} {:>8} {:>8} {:12} {:12} {:>7} {:>7}  {:>10} {:>8.1}s",
             chip.short,

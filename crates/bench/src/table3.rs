@@ -15,42 +15,38 @@ fn run_chip(chip: &Chip, scale: Scale) {
     let cfg = scale.tuning();
     println!("Tab. 3: access-sequence scores for {}\n", chip.name);
     let scores = sequence::score_sequences(chip, chip.patch_words, &cfg);
-    let winner = sequence::most_effective(&scores);
+    let winner = scores.winner();
     println!(
         "overall most effective sequence: '{}' (paper: '{}')\n",
-        winner.seq, chip.preferred_seq
+        winner, chip.preferred_seq
     );
     for (ti, test) in Shape::TRIO.iter().enumerate() {
         let ranked = scores.ranked_for(*test);
-        let rank_of = |seq: &AccessSeq| {
-            ranked
-                .iter()
-                .position(|e| e.seq == *seq)
-                .map_or(0, |p| p + 1)
-        };
+        let rank_of =
+            |seq: &AccessSeq| ranked.iter().position(|e| e.0 == *seq).map_or(0, |p| p + 1);
         println!("{test}:");
         for (rank, e) in ranked.iter().take(3).enumerate() {
             println!(
                 "  rank {:>2}  {:12} score {}",
                 rank + 1,
-                e.seq.to_string(),
-                e.scores[ti]
+                e.0.to_string(),
+                e.1[ti]
             );
         }
         println!(
             "  ...     {:12} rank {} (the overall winner is rarely #1 for any single test)",
-            winner.seq.to_string(),
-            rank_of(&winner.seq)
+            winner.to_string(),
+            rank_of(winner)
         );
         // `ranked_for` sorts on the score alone, so a place among equal
         // scores is enumeration order: name the ranks the tie spans.
         let preset = &chip.preferred_seq;
         let score = ranked
             .iter()
-            .find(|e| e.seq == *preset)
-            .map_or(0, |e| e.scores[ti]);
-        let above = ranked.iter().filter(|e| e.scores[ti] > score).count();
-        let tied = ranked.iter().filter(|e| e.scores[ti] == score).count();
+            .find(|e| e.0 == *preset)
+            .map_or(0, |e| e.1[ti]);
+        let above = ranked.iter().filter(|e| e.1[ti] > score).count();
+        let tied = ranked.iter().filter(|e| e.1[ti] == score).count();
         let span = if tied > 1 {
             format!(", tied over ranks {}-{}", above + 1, above + tied)
         } else {
@@ -66,8 +62,8 @@ fn run_chip(chip: &Chip, scale: Scale) {
             println!(
                 "  rank {:>2}  {:12} score {}",
                 n - 2 + back,
-                e.seq.to_string(),
-                e.scores[ti]
+                e.0.to_string(),
+                e.1[ti]
             );
         }
     }

@@ -12,6 +12,11 @@
 //! 3. [`spread`] — select how many patch-sized regions to stress
 //!    simultaneously (Sec. 3.4).
 //!
+//! Each stage lists its grid as *probes*, one `⟨T_d, stress@l⟩` campaign
+//! each, seeded from the probe's coordinates alone, for one probe runner,
+//! the only place Sec. 3 batches campaigns. The sequence and spread
+//! stages total their counts per candidate in one [`Scores`] table.
+//!
 //! [`tune_chip`] chains the stages, feeding each stage's output to the
 //! next, and yields a Tab. 2 row.
 
@@ -20,7 +25,10 @@ pub mod patch;
 pub mod sequence;
 pub mod spread;
 
-use crate::stress::Scratchpad;
+use crate::stress::{Scratchpad, StressArtifacts};
+use std::sync::Arc;
+use wmm_gen::Shape;
+use wmm_litmus::{LitmusInstance, LitmusLayout};
 use wmm_sim::chip::Chip;
 use wmm_sim::seq::AccessSeq;
 
@@ -41,8 +49,10 @@ pub struct TuningConfig {
     pub location_step: u32,
     /// Executions per configuration (the paper's `C`).
     pub execs: u32,
-    /// Noise threshold ε for ε-patch detection (the paper uses 3 at
-    /// C = 1000; this scales proportionally with `execs`).
+    /// Noise threshold ε for ε-patch detection, fixed per preset (the
+    /// paper's 3 at C = 1000, 1 in `scaled()` and `quick()`): nothing
+    /// scales it with `execs` (the ROADMAP's closed-loop Tab. 2 item
+    /// replaces this rule).
     pub noise: u64,
     /// Maximum access-sequence length `N`.
     pub max_seq_len: usize,
@@ -52,11 +62,10 @@ pub struct TuningConfig {
     pub stress_iters: u32,
     /// Base seed for all campaigns.
     pub base_seed: u64,
-    /// Worker threads (0 ⇒ all cores). The stages parallelise across
-    /// *configurations* (locations, sequences, spreads) with each
-    /// configuration's campaign sequential on its worker; results are
-    /// identical for every value of this knob because per-configuration
-    /// seeds depend only on the configuration's coordinates.
+    /// Worker threads (0 ⇒ all cores). The probe runner parallelises
+    /// across a stage's probes, each probe's campaign sequential on its
+    /// worker; results are identical for every value of this knob
+    /// because each probe's seed depends only on its coordinates.
     pub parallelism: usize,
 }
 
@@ -129,6 +138,124 @@ impl TuningConfig {
     }
 }
 
+/// One `⟨T_d, stress@l⟩` campaign of a tuning stage: litmus test `test`
+/// at distance `distance` under the stage's stress, its runs drawn from
+/// base seed `seed`.
+struct Probe {
+    stress: Arc<StressArtifacts>,
+    test: Shape,
+    distance: u32,
+    seed: u64,
+}
+
+/// Weak behaviours of each probe over `execs` runs, in probe order, on
+/// `workers` threads (0 ⇒ all cores) with each probe's runs in sequence
+/// on its worker. Each `(test, distance)` instance, laid out past `pad`,
+/// is built once for every probe at it.
+fn weak_counts(
+    chip: &Chip,
+    pad: Scratchpad,
+    probes: &[Probe],
+    execs: u32,
+    workers: usize,
+) -> Vec<u64> {
+    let mut insts: Vec<(Shape, u32, LitmusInstance)> = Vec::new();
+    for p in probes {
+        if !insts.iter().any(|i| (i.0, i.1) == (p.test, p.distance)) {
+            let layout = LitmusLayout::standard(p.distance, pad.required_words());
+            insts.push((p.test, p.distance, p.test.instance(layout)));
+        }
+    }
+    let workers = wmm_litmus::parallel::resolve_workers(workers, probes.len());
+    wmm_litmus::parallel::parallel_map(workers, probes.len(), |k| {
+        let probe = &probes[k];
+        let (.., inst) = insts
+            .iter()
+            .find(|i| (i.0, i.1) == (probe.test, probe.distance))
+            .expect("every probe's instance is built above");
+        crate::campaign::CampaignBuilder::new(chip)
+            .stress(Arc::clone(&probe.stress))
+            .count(execs)
+            .base_seed(probe.seed)
+            .parallelism(1)
+            .build()
+            .run_litmus(inst)
+            .weak()
+    })
+}
+
+/// The score table of the sequence and spread stages: each candidate (an
+/// access sequence, a spread) with its weak totals per test.
+#[derive(Debug, Clone)]
+pub struct Scores<C> {
+    /// `(candidate, weak totals in [`Shape::TRIO`] order)`, in the order
+    /// the stage enumerates its candidates.
+    pub entries: Vec<(C, [u64; 3])>,
+    /// Litmus executions spent.
+    pub executions: u64,
+}
+
+impl<C> Scores<C> {
+    /// Run every candidate's probes in one batch and total each
+    /// candidate's weak behaviours per test.
+    fn measure(
+        chip: &Chip,
+        pad: Scratchpad,
+        candidates: Vec<(C, Vec<Probe>)>,
+        execs: u32,
+        workers: usize,
+    ) -> Self {
+        let mut entries = Vec::new();
+        let mut probes = Vec::new();
+        let mut owners = Vec::new();
+        for (i, (candidate, list)) in candidates.into_iter().enumerate() {
+            entries.push((candidate, [0; 3]));
+            owners.extend(list.iter().map(|p| (i, trio_index(p.test))));
+            probes.extend(list);
+        }
+        let weaks = weak_counts(chip, pad, &probes, execs, workers);
+        for ((i, k), weak) in owners.into_iter().zip(weaks) {
+            entries[i].1[k] += weak;
+        }
+        Scores {
+            entries,
+            executions: probes.len() as u64 * u64::from(execs),
+        }
+    }
+
+    /// The maximally effective candidate: Pareto optimal, then the
+    /// paper's two-of-three tie-break ([`pareto::select_winner`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no candidates.
+    pub fn winner(&self) -> &C {
+        let scores: Vec<[u64; 3]> = self.entries.iter().map(|e| e.1).collect();
+        &self.entries[pareto::select_winner(&scores)].0
+    }
+
+    /// Entries ranked by score for one test, best first (Tab. 3's
+    /// per-test ranking); equal scores keep enumeration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `test` is not one of [`Shape::TRIO`].
+    pub fn ranked_for(&self, test: Shape) -> Vec<&(C, [u64; 3])> {
+        let k = trio_index(test);
+        let mut v: Vec<&(C, [u64; 3])> = self.entries.iter().collect();
+        v.sort_by(|a, b| b.1[k].cmp(&a.1[k]));
+        v
+    }
+}
+
+/// The index of `test`'s score: its place in [`Shape::TRIO`].
+fn trio_index(test: Shape) -> usize {
+    Shape::TRIO
+        .iter()
+        .position(|&t| t == test)
+        .expect("scores are indexed by the Fig. 2 trio")
+}
+
 /// The outcome of the full pipeline for one chip: a row of Tab. 2.
 #[derive(Debug, Clone)]
 pub struct ChipTuning {
@@ -157,11 +284,11 @@ pub fn tune_chip(chip: &Chip, cfg: &TuningConfig) -> ChipTuning {
 
     let seq_scores = sequence::score_sequences(chip, patch_words, cfg);
     executions += seq_scores.executions;
-    let seq = sequence::most_effective(&seq_scores).seq.clone();
+    let seq = seq_scores.winner().clone();
 
     let spread_scores = spread::score_spreads(chip, patch_words, &seq, cfg);
     executions += spread_scores.executions;
-    let spread = spread::best_spread(&spread_scores);
+    let spread = *spread_scores.winner();
 
     ChipTuning {
         chip: chip.short.to_string(),

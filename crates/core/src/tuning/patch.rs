@@ -9,13 +9,16 @@
 //!
 //! Patch-finding stress uses the paper's pre-tuning sequence: each
 //! stressing thread "stores to and then loads from location l" (`st ld`).
+//! [`sweeps`] lists every sampled location of any number of `(test, d)`
+//! sweeps as probes of one pinned `st ld` kernel and runs them in one
+//! batch.
 
-use super::TuningConfig;
-use crate::campaign::CampaignBuilder;
+use super::{weak_counts, Probe, TuningConfig};
 use crate::stress::StressArtifacts;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use wmm_gen::Shape;
 use wmm_litmus::runner::mix_seed;
-use wmm_litmus::LitmusLayout;
 use wmm_sim::chip::Chip;
 use wmm_sim::seq::AccessSeq;
 
@@ -58,48 +61,44 @@ pub struct PatchReport {
     pub executions: u64,
 }
 
-/// Sweep stress location `l` over `0, step, …` for one `(test, d)`.
+/// Sweep stress location `l` over `0, step, …` for each `(test, d)` of
+/// `grid`, one grid per pair in the same order.
 ///
-/// The sweep parallelises across *locations* (each location's campaign
-/// runs sequentially on one worker): location campaigns are independent
-/// and there are far more of them than cores, so this keeps every core
-/// busy without paying a thread fan-out per inner campaign. Each
-/// location's base seed is derived from `(test, distance, l)` alone, so
-/// the grid is identical for every `cfg.parallelism`.
-pub fn sweep(chip: &Chip, test: Shape, distance: u32, cfg: &TuningConfig) -> PatchGrid {
+/// One pinned `st ld` kernel serves every sweep, re-pinned per location.
+/// Each location's seed is derived from `(test, d, l)` alone, so the
+/// grids are identical for every `cfg.parallelism` and whichever sweeps
+/// share the batch.
+pub fn sweeps(chip: &Chip, grid: &[(Shape, u32)], cfg: &TuningConfig) -> Vec<PatchGrid> {
     let pad = cfg.scratchpad(chip);
-    let inst = test.instance(LitmusLayout::standard(distance, pad.required_words()));
     let seq: AccessSeq = "st ld".parse().expect("literal");
-    // Seed index from the full catalogue so any shape can be swept
-    // (the trio occupies positions 0..3, keeping legacy seeds intact).
-    let test_idx = Shape::ALL.iter().position(|t| *t == test).unwrap() as u64;
+    let artifacts = StressArtifacts::pinned(pad, &seq, &[0], cfg.stress_iters);
     let locations: Vec<u32> = (0..cfg.locations)
         .step_by(cfg.location_step as usize)
         .collect();
-    // One pinned stress kernel serves the whole sweep: every location's
-    // campaign re-pins the same compiled program to its location.
-    let artifacts = StressArtifacts::pinned(pad, &seq, &[0], cfg.stress_iters);
-    let workers = wmm_litmus::parallel::resolve_workers(cfg.parallelism, locations.len());
-    let counts = wmm_litmus::parallel::parallel_map(workers, locations.len(), |k| {
-        let l = locations[k];
-        CampaignBuilder::new(chip)
-            .stress(artifacts.with_locations(&[l]))
-            .count(cfg.execs)
-            .base_seed(mix_seed(
-                cfg.base_seed,
-                (test_idx * 1_000_003 + u64::from(distance)) * 1_000_003 + u64::from(l),
-            ))
-            .parallelism(1)
-            .build()
-            .run_litmus(&inst)
-            .weak()
-    });
-    PatchGrid {
-        test,
-        distance,
-        step: cfg.location_step,
-        counts,
+    let mut probes = Vec::new();
+    for &(test, distance) in grid {
+        // Seed index from the full catalogue so any shape can be swept
+        // (the trio occupies positions 0..3, keeping legacy seeds intact).
+        let t = Shape::ALL.iter().position(|s| *s == test).unwrap() as u64;
+        for &l in &locations {
+            let at = (t * 1_000_003 + u64::from(distance)) * 1_000_003 + u64::from(l);
+            probes.push(Probe {
+                stress: Arc::new(artifacts.with_locations(&[l])),
+                test,
+                distance,
+                seed: mix_seed(cfg.base_seed, at),
+            });
+        }
     }
+    let mut weaks = weak_counts(chip, pad, &probes, cfg.execs, cfg.parallelism).into_iter();
+    grid.iter()
+        .map(|&(test, distance)| PatchGrid {
+            test,
+            distance,
+            step: cfg.location_step,
+            counts: weaks.by_ref().take(locations.len()).collect(),
+        })
+        .collect()
 }
 
 /// Extract the ε-patches of a grid: maximal runs of sampled locations
@@ -146,14 +145,12 @@ pub fn snap_size(words: u32) -> u32 {
     best
 }
 
-/// The modal (snapped) patch size across a set of grids, if any patches
-/// were seen.
-pub fn modal_patch_size(grids: &[&PatchGrid], noise: u64) -> Option<u32> {
-    let mut histogram: std::collections::BTreeMap<u32, usize> = Default::default();
-    for g in grids {
-        for p in epsilon_patches(g, noise) {
-            *histogram.entry(snap_size(p.size_words)).or_insert(0) += 1;
-        }
+/// The most frequent of `sizes`, ties going to the larger (`None` when
+/// there are none).
+fn mode(sizes: impl IntoIterator<Item = u32>) -> Option<u32> {
+    let mut histogram: BTreeMap<u32, usize> = BTreeMap::new();
+    for size in sizes {
+        *histogram.entry(size).or_insert(0) += 1;
     }
     histogram
         .into_iter()
@@ -161,62 +158,51 @@ pub fn modal_patch_size(grids: &[&PatchGrid], noise: u64) -> Option<u32> {
         .map(|(size, _)| size)
 }
 
-/// The full patch-finding stage for one chip.
-///
-/// Sweeps run one after another (each internally parallel across its
-/// location grid), because the extended-distance probe is conditional on
-/// the ordinary sweeps' outcome.
+/// The modal (snapped) patch size across a set of grids, if any patches
+/// were seen.
+pub fn modal_patch_size<'a>(
+    grids: impl IntoIterator<Item = &'a PatchGrid>,
+    noise: u64,
+) -> Option<u32> {
+    let patches = grids.into_iter().flat_map(|g| epsilon_patches(g, noise));
+    mode(patches.map(|p| snap_size(p.size_words)))
+}
+
+/// The full patch-finding stage for one chip: one batch of sweeps over
+/// the trio at every patch distance, and a second over the extended
+/// distances only when MP shows no patch.
 pub fn find_patch_size(chip: &Chip, cfg: &TuningConfig) -> PatchReport {
-    let mut grids = Vec::new();
-    let mut executions = 0u64;
-    let samples_per_sweep = u64::from(cfg.locations.div_ceil(cfg.location_step));
-    for test in Shape::TRIO {
-        for &d in &cfg.patch_distances {
-            grids.push(sweep(chip, test, d, cfg));
-            executions += samples_per_sweep * u64::from(cfg.execs);
-        }
-    }
-    let mut per_test = Vec::new();
-    let mut used_extended_mp = false;
-    for test in Shape::TRIO {
-        let test_grids: Vec<&PatchGrid> = grids.iter().filter(|g| g.test == test).collect();
-        let mut size = modal_patch_size(&test_grids, cfg.noise);
-        if size.is_none() && test == Shape::Mp {
-            // The paper's 980 path: MP patches only emerge at larger
-            // distances; probe the extended range.
-            used_extended_mp = true;
-            let mut extra = Vec::new();
-            for &d in &cfg.extended_distances {
-                extra.push(sweep(chip, test, d, cfg));
-                executions += samples_per_sweep * u64::from(cfg.execs);
-            }
-            let refs: Vec<&PatchGrid> = extra.iter().collect();
-            size = modal_patch_size(&refs, cfg.noise);
-            grids.extend(extra);
-        }
-        per_test.push((test, size));
+    let sweep_grid = |tests: &[Shape], distances: &[u32]| {
+        let grid: Vec<_> = tests
+            .iter()
+            .flat_map(|&test| distances.iter().map(move |&d| (test, d)))
+            .collect();
+        sweeps(chip, &grid, cfg)
+    };
+    let modal = |grids: &[PatchGrid], test| {
+        modal_patch_size(grids.iter().filter(|g| g.test == test), cfg.noise)
+    };
+    let mut grids = sweep_grid(&Shape::TRIO, &cfg.patch_distances);
+    let mut per_test = Shape::TRIO.map(|test| (test, modal(&grids, test))).to_vec();
+    // The paper's 980 path: MP patches only emerge at larger distances;
+    // probe the extended range.
+    let used_extended_mp = per_test[0].1.is_none();
+    if used_extended_mp {
+        let extra = sweep_grid(&[Shape::Mp], &cfg.extended_distances);
+        per_test[0].1 = modal(&extra, Shape::Mp);
+        grids.extend(extra);
     }
     // The paper calls P critical when all three tests agree; for
     // judgement-call chips (980) we accept the majority of the observed
     // sizes.
-    let sizes: Vec<u32> = per_test.iter().filter_map(|&(_, s)| s).collect();
-    let critical = if sizes.is_empty() {
-        None
-    } else {
-        let mut hist: std::collections::BTreeMap<u32, usize> = Default::default();
-        for &s in &sizes {
-            *hist.entry(s).or_insert(0) += 1;
-        }
-        hist.into_iter()
-            .max_by_key(|&(s, n)| (n, s))
-            .map(|(s, _)| s)
-    };
+    let critical = mode(per_test.iter().filter_map(|&(_, size)| size));
+    let samples = u64::from(cfg.locations.div_ceil(cfg.location_step));
     PatchReport {
+        executions: grids.len() as u64 * samples * u64::from(cfg.execs),
         grids,
         per_test,
         critical,
         used_extended_mp,
-        executions,
     }
 }
 
@@ -290,7 +276,6 @@ mod tests {
         let g1 = grid(vec![9, 9, 9, 9, 0, 0, 0, 0], 8); // 32 words
         let g2 = grid(vec![0, 0, 9, 9, 9, 9, 0, 0], 8); // 32 words
         let g3 = grid(vec![9, 9, 9, 9, 9, 9, 9, 9], 8); // 64 words
-        let refs: Vec<&PatchGrid> = vec![&g1, &g2, &g3];
-        assert_eq!(modal_patch_size(&refs, 1), Some(32));
+        assert_eq!(modal_patch_size([&g1, &g2, &g3], 1), Some(32));
     }
 }

@@ -3,56 +3,19 @@
 //! Enumerate every σ ∈ (ld|st)+ with |σ| ≤ N, score each against the
 //! three litmus tests — summing weak behaviours over all distances and
 //! patch-aligned stressing locations — and select the maximally
-//! effective sequence (Pareto optimal, two-of-three tie-break).
+//! effective sequence ([`Scores::winner`]: Pareto optimal, two-of-three
+//! tie-break).
 
-use super::pareto::select_winner;
-use super::TuningConfig;
-use crate::campaign::CampaignBuilder;
+use super::{Probe, Scores, TuningConfig};
 use crate::stress::StressArtifacts;
+use std::sync::Arc;
 use wmm_gen::Shape;
 use wmm_litmus::runner::mix_seed;
-use wmm_litmus::{LitmusInstance, LitmusLayout};
 use wmm_sim::chip::Chip;
 use wmm_sim::seq::AccessSeq;
 
 /// Seed salt separating this stage's randomness from the other stages.
 const SEQ_STAGE_SALT: u64 = 0x5e9;
-
-/// One sequence's scores: weak-behaviour totals per test (MP, LB, SB).
-#[derive(Debug, Clone)]
-pub struct SeqScore {
-    /// The access sequence.
-    pub seq: AccessSeq,
-    /// Weak totals, indexed by [`Shape::TRIO`] order.
-    pub scores: [u64; 3],
-}
-
-/// The sequence stage's full output, ordered as enumerated.
-#[derive(Debug, Clone)]
-pub struct SeqScores {
-    /// Per-sequence scores.
-    pub entries: Vec<SeqScore>,
-    /// Litmus executions spent.
-    pub executions: u64,
-}
-
-impl SeqScores {
-    /// Entries ranked by score for one test, best first (Tab. 3's
-    /// per-test ranking).
-    /// # Panics
-    ///
-    /// Panics if `test` is not one of [`Shape::TRIO`] — the score
-    /// arrays are indexed by the Fig. 2 trio the stage campaigns over.
-    pub fn ranked_for(&self, test: Shape) -> Vec<&SeqScore> {
-        let k = Shape::TRIO
-            .iter()
-            .position(|t| *t == test)
-            .expect("sequence scores are indexed by the Fig. 2 trio");
-        let mut v: Vec<&SeqScore> = self.entries.iter().collect();
-        v.sort_by(|a, b| b.scores[k].cmp(&a.scores[k]));
-        v
-    }
-}
 
 /// Score every sequence up to the configured length.
 ///
@@ -61,116 +24,54 @@ impl SeqScores {
 /// not worthwhile").
 ///
 /// This is the most expensive tuning stage (62 sequences × 3 tests ×
-/// distances × regions at `N = 5`), so the whole configuration grid is
-/// flattened into one job list and spread across workers
-/// ([`wmm_litmus::parallel`]), with each configuration's campaign run
-/// sequentially on its worker. Per-configuration seeds depend only on
-/// the configuration's coordinates, so the scores are identical for
-/// every `cfg.parallelism`.
-pub fn score_sequences(chip: &Chip, patch_words: u32, cfg: &TuningConfig) -> SeqScores {
+/// distances × regions at `N = 5`): one probe per (sequence, test,
+/// distance, region), all run in one batch. Each sequence's pinned
+/// stress kernel is compiled once and re-pinned per probe, and each
+/// probe's seed depends only on its coordinates, so the scores are
+/// identical for every `cfg.parallelism`.
+pub fn score_sequences(chip: &Chip, patch_words: u32, cfg: &TuningConfig) -> Scores<AccessSeq> {
     let pad = cfg.scratchpad(chip);
-    let seqs = AccessSeq::enumerate(cfg.max_seq_len);
     let region_starts: Vec<u32> = (0..cfg.locations)
         .step_by(patch_words.max(1) as usize)
         .collect();
-    // Litmus instances depend only on (test, distance); share one per
-    // pair across all sequences and locations.
-    let insts: Vec<LitmusInstance> = Shape::TRIO
-        .iter()
-        .flat_map(|test| {
-            cfg.distances
-                .iter()
-                .map(|&d| test.instance(LitmusLayout::standard(d, pad.required_words())))
-        })
-        .collect();
-    // One job per (sequence, test, distance, location), in lexicographic
-    // order so aggregation below can address entries directly.
-    struct Job {
-        si: usize,
-        ti: usize,
-        inst: usize,
-        d: u32,
-        l: u32,
-    }
-    let mut jobs = Vec::new();
-    for si in 0..seqs.len() {
-        for ti in 0..Shape::TRIO.len() {
-            for (di, &d) in cfg.distances.iter().enumerate() {
-                for &l in &region_starts {
-                    jobs.push(Job {
-                        si,
-                        ti,
-                        inst: ti * cfg.distances.len() + di,
-                        d,
-                        l,
-                    });
+    let candidates = AccessSeq::enumerate(cfg.max_seq_len)
+        .into_iter()
+        .enumerate()
+        .map(|(si, seq)| {
+            let artifacts = StressArtifacts::pinned(pad, &seq, &[0], cfg.stress_iters);
+            let mut probes = Vec::new();
+            for (ti, &test) in Shape::TRIO.iter().enumerate() {
+                for &d in &cfg.distances {
+                    for &l in &region_starts {
+                        let at = ((si as u64 * 31 + ti as u64) * 1_000_003 + u64::from(d))
+                            * 1_000_003
+                            + u64::from(l);
+                        probes.push(Probe {
+                            stress: Arc::new(artifacts.with_locations(&[l])),
+                            test,
+                            distance: d,
+                            seed: mix_seed(cfg.base_seed ^ SEQ_STAGE_SALT, at),
+                        });
+                    }
                 }
             }
-        }
-    }
-    // One pinned stress kernel per sequence, compiled up front and
-    // re-pinned per job — not one kernel per (job × run).
-    let artifacts: Vec<StressArtifacts> = seqs
-        .iter()
-        .map(|seq| StressArtifacts::pinned(pad, seq, &[0], cfg.stress_iters))
-        .collect();
-    let workers = wmm_litmus::parallel::resolve_workers(cfg.parallelism, jobs.len());
-    let weaks = wmm_litmus::parallel::parallel_map(workers, jobs.len(), |k| {
-        let job = &jobs[k];
-        let l = job.l;
-        CampaignBuilder::new(chip)
-            .stress(artifacts[job.si].with_locations(&[l]))
-            .count(cfg.execs)
-            .base_seed(mix_seed(
-                cfg.base_seed ^ SEQ_STAGE_SALT,
-                ((job.si as u64 * 31 + job.ti as u64) * 1_000_003 + u64::from(job.d)) * 1_000_003
-                    + u64::from(l),
-            ))
-            .parallelism(1)
-            .build()
-            .run_litmus(&insts[job.inst])
-            .weak()
-    });
-    let mut entries: Vec<SeqScore> = seqs
-        .iter()
-        .map(|seq| SeqScore {
-            seq: seq.clone(),
-            scores: [0u64; 3],
+            (seq, probes)
         })
         .collect();
-    for (job, weak) in jobs.iter().zip(weaks) {
-        entries[job.si].scores[job.ti] += weak;
-    }
-    SeqScores {
-        entries,
-        executions: jobs.len() as u64 * u64::from(cfg.execs),
-    }
-}
-
-/// The maximally effective sequence per the paper's selection rule.
-///
-/// # Panics
-///
-/// Panics if `scores` is empty.
-pub fn most_effective(scores: &SeqScores) -> &SeqScore {
-    let vecs: Vec<[u64; 3]> = scores.entries.iter().map(|e| e.scores).collect();
-    &scores.entries[select_winner(&vecs)]
+    Scores::measure(chip, pad, candidates, cfg.execs, cfg.parallelism)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(s: &str, scores: [u64; 3]) -> SeqScore {
-        SeqScore {
-            seq: s.parse().unwrap(),
-            scores,
-        }
+    fn entry(s: &str, scores: [u64; 3]) -> (AccessSeq, [u64; 3]) {
+        (s.parse().unwrap(), scores)
     }
 
     #[test]
     fn winner_is_pareto_two_of_three() {
-        let scores = SeqScores {
+        let scores = Scores {
             entries: vec![
                 entry("ld", [10, 2, 3]),
                 entry("st", [1, 1, 1]),
@@ -179,12 +80,12 @@ mod tests {
             ],
             executions: 0,
         };
-        assert_eq!(most_effective(&scores).seq.to_string(), "ld st");
+        assert_eq!(scores.winner().to_string(), "ld st");
     }
 
     #[test]
     fn ranked_for_orders_descending() {
-        let scores = SeqScores {
+        let scores = Scores {
             entries: vec![
                 entry("ld", [1, 0, 0]),
                 entry("st", [5, 0, 0]),
@@ -193,7 +94,7 @@ mod tests {
             executions: 0,
         };
         let ranked = scores.ranked_for(Shape::Mp);
-        let names: Vec<String> = ranked.iter().map(|e| e.seq.to_string()).collect();
+        let names: Vec<String> = ranked.iter().map(|e| e.0.to_string()).collect();
         assert_eq!(names, vec!["st", "ld st", "ld"]);
     }
 }

@@ -5,38 +5,31 @@
 //! randomly chosen `m`-subset of the first locations of the `M`
 //! patch-sized scratchpad regions, with stressing threads distributed
 //! evenly over the chosen locations. The best spread is selected by the
-//! same Pareto rule as the sequence stage (the paper found 2 on every
-//! chip, with a U-shaped score curve — Fig. 4).
+//! same Pareto rule as the sequence stage ([`Scores::winner`]; the paper
+//! found 2 on every chip, with a U-shaped score curve — Fig. 4).
 
-use super::pareto::select_winner;
-use super::TuningConfig;
-use crate::campaign::CampaignBuilder;
+use super::{Probe, Scores, TuningConfig};
 use crate::stress::{StressArtifacts, StressStrategy, SystematicParams};
+use std::sync::Arc;
 use wmm_gen::Shape;
 use wmm_litmus::runner::mix_seed;
-use wmm_litmus::LitmusLayout;
 use wmm_sim::chip::Chip;
 use wmm_sim::seq::AccessSeq;
 
 /// Seed salt separating this stage's randomness from the other stages.
 const SPREAD_STAGE_SALT: u64 = 0x59ead;
 
-/// The spread stage's output.
-#[derive(Debug, Clone)]
-pub struct SpreadScores {
-    /// `(m, weak totals per test)` for each spread, in increasing `m`.
-    pub entries: Vec<(u32, [u64; 3])>,
-    /// Litmus executions spent.
-    pub executions: u64,
-}
-
-/// Score every spread `1..=M`.
+/// Score every spread `1..=M`: one probe per (spread, test, distance),
+/// all run in one batch. Each spread's systematic kernel is compiled once
+/// and shared by its probes (only the per-run location table is drawn
+/// from each run's RNG), and each probe's seed depends only on its
+/// coordinates, so the scores are identical for every `cfg.parallelism`.
 pub fn score_spreads(
     chip: &Chip,
     patch_words: u32,
     seq: &AccessSeq,
     cfg: &TuningConfig,
-) -> SpreadScores {
+) -> Scores<u32> {
     // The paper's scratchpad for this stage has exactly M regions.
     let mut pad = cfg.scratchpad(chip);
     pad.words = pad.words.min(patch_words * cfg.max_spread).max(patch_words);
@@ -49,69 +42,34 @@ pub fn score_spreads(
             distances.push(extra);
         }
     }
-    // One job per (spread, test, distance), flattened and spread across
-    // workers with sequential inner campaigns (see `score_sequences`).
-    // Per-job seeds depend only on the job's coordinates, so scores are
-    // identical for every `cfg.parallelism`.
-    let mut jobs = Vec::new();
-    for m in 1..=cfg.max_spread {
-        for ti in 0..Shape::TRIO.len() {
-            for &d in &distances {
-                jobs.push((m, ti, d));
-            }
-        }
-    }
-    // One compiled systematic kernel per spread, shared by all of that
-    // spread's jobs and runs (only the per-run location table is drawn
-    // from each run's RNG).
-    let artifacts: Vec<StressArtifacts> = (1..=cfg.max_spread)
+    let candidates = (1..=cfg.max_spread)
         .map(|m| {
             let strategy = StressStrategy::Systematic(SystematicParams {
                 patch_words,
                 seq: seq.clone(),
                 spread: m,
             });
-            StressArtifacts::for_strategy(chip, &strategy, pad, cfg.stress_iters)
+            let artifacts = StressArtifacts::for_strategy(chip, &strategy, pad, cfg.stress_iters);
+            let artifacts = Arc::new(artifacts);
+            let mut probes = Vec::new();
+            for (ti, &test) in Shape::TRIO.iter().enumerate() {
+                for &d in &distances {
+                    let at = (u64::from(m) * 31 + ti as u64) * 1_000_003 + u64::from(d);
+                    probes.push(Probe {
+                        stress: Arc::clone(&artifacts),
+                        test,
+                        distance: d,
+                        seed: mix_seed(cfg.base_seed ^ SPREAD_STAGE_SALT, at),
+                    });
+                }
+            }
+            (m, probes)
         })
         .collect();
-    let workers = wmm_litmus::parallel::resolve_workers(cfg.parallelism, jobs.len());
-    let weaks = wmm_litmus::parallel::parallel_map(workers, jobs.len(), |k| {
-        let (m, ti, d) = jobs[k];
-        let inst = Shape::TRIO[ti].instance(LitmusLayout::standard(d, pad.required_words()));
-        CampaignBuilder::new(chip)
-            .stress(artifacts[(m - 1) as usize].clone())
-            // This stage has far fewer configurations than the
-            // location/sequence sweeps (the paper compensates with its
-            // much denser distance grid), so spend more executions per
-            // spread for a stable curve.
-            .count(cfg.execs * 10)
-            .base_seed(mix_seed(
-                cfg.base_seed ^ SPREAD_STAGE_SALT,
-                (u64::from(m) * 31 + ti as u64) * 1_000_003 + u64::from(d),
-            ))
-            .parallelism(1)
-            .build()
-            .run_litmus(&inst)
-            .weak()
-    });
-    let mut entries: Vec<(u32, [u64; 3])> = (1..=cfg.max_spread).map(|m| (m, [0u64; 3])).collect();
-    for (&(m, ti, _), weak) in jobs.iter().zip(weaks) {
-        entries[(m - 1) as usize].1[ti] += weak;
-    }
-    SpreadScores {
-        entries,
-        executions: jobs.len() as u64 * u64::from(cfg.execs * 10),
-    }
-}
-
-/// The maximally effective spread per the paper's Pareto rule.
-///
-/// # Panics
-///
-/// Panics if `scores` is empty.
-pub fn best_spread(scores: &SpreadScores) -> u32 {
-    let vecs: Vec<[u64; 3]> = scores.entries.iter().map(|&(_, s)| s).collect();
-    scores.entries[select_winner(&vecs)].0
+    // This stage has far fewer configurations than the location/sequence
+    // sweeps (the paper compensates with its much denser distance grid),
+    // so spend more executions per spread for a stable curve.
+    Scores::measure(chip, pad, candidates, cfg.execs * 10, cfg.parallelism)
 }
 
 #[cfg(test)]
@@ -120,7 +78,7 @@ mod tests {
 
     #[test]
     fn best_spread_picks_pareto_winner() {
-        let scores = SpreadScores {
+        let scores = Scores {
             entries: vec![
                 (1, [5, 5, 5]),
                 (2, [9, 8, 9]),
@@ -129,13 +87,13 @@ mod tests {
             ],
             executions: 0,
         };
-        assert_eq!(best_spread(&scores), 2);
+        assert_eq!(*scores.winner(), 2);
     }
 
     #[test]
     fn u_shape_with_clear_peak() {
-        let scores = SpreadScores {
-            entries: (1..=8)
+        let scores = Scores {
+            entries: (1..=8u32)
                 .map(|m| {
                     let v = 10u64.saturating_sub((i64::from(m) - 2).unsigned_abs() * 2);
                     (m, [v, v, v])
@@ -143,6 +101,6 @@ mod tests {
                 .collect(),
             executions: 0,
         };
-        assert_eq!(best_spread(&scores), 2);
+        assert_eq!(*scores.winner(), 2);
     }
 }

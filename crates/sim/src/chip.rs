@@ -22,6 +22,13 @@
 use crate::seq::AccessSeq;
 use crate::topology::L1Params;
 
+/// Streaming multiprocessors on every chip (the ~50× scaling of
+/// [`Chip::max_concurrent_threads`]). A launched block's home SM, whose
+/// private L1 [`Chip::l1`] parameterises, is its launch index modulo
+/// `SMS`. More than one, so a two-block litmus test spans two L1s.
+pub const SMS: u32 = 8;
+const _: () = assert!(SMS > 1);
+
 /// The three NVIDIA architectures spanned by Tab. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
@@ -116,11 +123,6 @@ pub struct Chip {
     /// Number of memory channels; a line maps to channel
     /// `line % channels`. Contention is tracked per channel.
     pub channels: u32,
-    /// Number of streaming multiprocessors. Every launched block is
-    /// deterministically assigned a home SM, its launch index modulo
-    /// `sms` (round-robin over the launch order, wrapping past the last
-    /// SM); the home SM's private L1 is what [`Chip::l1`] parameterises.
-    pub sms: u32,
     /// Maximum concurrently-resident threads (scaled down ~50× from real
     /// occupancies so a run simulates in microseconds).
     pub max_concurrent_threads: u32,
@@ -333,8 +335,6 @@ fn base_chip(
         released,
         patch_words,
         channels: 8,
-        // Eight SMs: the same ~50× scaling as `max_concurrent_threads`.
-        sms: 8,
         max_concurrent_threads: 512,
         l2_scaled_words: match arch {
             Arch::Fermi => 1536,
@@ -622,16 +622,6 @@ mod tests {
         let c2075 = Chip::by_short("C2075").unwrap();
         let c2050 = Chip::by_short("C2050").unwrap();
         assert!(c2075.l1.stale_gain > c2050.l1.stale_gain);
-    }
-
-    #[test]
-    fn every_chip_has_more_than_one_sm() {
-        // Round-robin home-SM assignment puts consecutive launches on
-        // distinct SMs, so a two-block litmus test always spans two
-        // private L1s.
-        for c in Chip::all() {
-            assert!(c.sms > 1, "{}", c.short);
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! Orthogonal to the window, the chip's per-SM L1s
 //! ([`topology`](crate::topology)) add a *structural* weakness channel:
 //! every block is assigned a home SM at launch (its launch index modulo
-//! [`Chip::sms`]), and on chips with incoherent per-SM L1s
+//! [`SMS`]), and on chips with incoherent per-SM L1s
 //! ([`Chip::l1_weak`]) a completed global store leaves the pre-write
 //! value visible as a stale line to every **other** SM. A later global
 //! load may hit that stale line with a probability driven by cross-SM
@@ -81,7 +81,7 @@
 //!   and a completion reads its block's home SM only on chips with an
 //!   incoherent L1.
 
-use crate::chip::{Chip, ReorderKind};
+use crate::chip::{Chip, ReorderKind, SMS};
 use crate::ir::{BinOp, FenceLevel, Inst, Program, Reg, Space, SpecialReg};
 use crate::mem::{MemSystem, OobError, MAX_CHANNELS};
 use crate::topology::L1System;
@@ -378,7 +378,7 @@ struct BlockState {
     /// when this reaches its size.
     dead: u32,
     /// The SM this block is resident on: its launch index modulo
-    /// [`Chip::sms`], a deterministic round-robin over the launch order.
+    /// [`SMS`], a deterministic round-robin over the launch order.
     /// It selects which private L1 the block's global loads consult.
     home_sm: u32,
     /// Decaying read/write pressure on this block's shared memory — the
@@ -863,7 +863,6 @@ impl Gpu {
             chip.short,
             chip.channels
         );
-        assert!(chip.sms > 0, "{}: no SMs", chip.short);
         Gpu {
             chip,
             arena: Arena::default(),
@@ -1027,7 +1026,7 @@ impl<'a> Run<'a> {
                 blocks,
                 l1: chip
                     .l1_weak()
-                    .then(|| l1.unwrap_or_else(|| L1System::new(chip.sms, chip.l1))),
+                    .then(|| l1.unwrap_or_else(|| L1System::new(SMS, chip.l1))),
                 rng,
                 drain_below: drain_threshold(chip.drain_q),
                 turn: 0,
@@ -1177,7 +1176,7 @@ impl<'a> Run<'a> {
         let block_index = self.m.blocks.len() as u32;
         // Launch indices past the last SM wrap onto earlier SMs, so
         // later blocks share (and re-pollute) the same L1s.
-        let home_sm = block_index % self.m.chip.sms;
+        let home_sm = block_index % SMS;
         let lanes = &mut self.lanes;
         let t0 = lanes.threads.len() as u32;
         let w0 = self.warps.len() as u32;
@@ -3041,14 +3040,6 @@ mod tests {
     fn chips_with_an_empty_window_are_rejected() {
         let mut chip = Chip::by_short("Titan").unwrap();
         chip.window = 0;
-        Gpu::new(chip);
-    }
-
-    #[test]
-    #[should_panic(expected = "Titan: no SMs")]
-    fn chips_without_sms_are_rejected() {
-        let mut chip = Chip::by_short("Titan").unwrap();
-        chip.sms = 0;
         Gpu::new(chip);
     }
 

@@ -6,7 +6,7 @@
 //! read-read coherence (`CoRR`) is observably weak on the Tesla-class
 //! chips of Tab. 1.
 //!
-//! A chip has [`Chip::sms`](crate::chip::Chip::sms) SMs, and every
+//! A chip has [`SMS`](crate::chip::SMS) SMs, and every
 //! launched block is deterministically assigned a **home SM**: its
 //! launch index modulo the SM count (round-robin over the launch order,
 //! wrapping past the last SM). This module holds the per-SM L1s:

@@ -545,8 +545,8 @@ fn recompute_tuning() -> Vec<(String, u64)> {
             ),
         );
         let seqs = score_sequences(&chip, chip.patch_words, &cfg);
-        for e in &seqs.entries {
-            row(format!("tune {c} seq {}", e.seq), format!("{:?}", e.scores));
+        for (seq, scores) in &seqs.entries {
+            row(format!("tune {c} seq {seq}"), format!("{scores:?}"));
         }
         let spreads = score_spreads(&chip, chip.patch_words, &chip.preferred_seq, &cfg);
         for (m, scores) in &spreads.entries {

@@ -6,6 +6,10 @@
 
 use gpu_wmm::core::campaign::CampaignBuilder;
 use gpu_wmm::core::stress::{Scratchpad, StressArtifacts, StressStrategy};
+use gpu_wmm::core::tuning::patch::find_patch_size;
+use gpu_wmm::core::tuning::sequence::score_sequences;
+use gpu_wmm::core::tuning::spread::score_spreads;
+use gpu_wmm::core::tuning::TuningConfig;
 use gpu_wmm::gen::Shape;
 use gpu_wmm::litmus::{Histogram, LitmusInstance, LitmusLayout};
 use wmm_litmus::parallel::{parallel_fold, parallel_map};
@@ -350,6 +354,39 @@ fn channel_counters_vanish_when_every_channel_is_off() {
         );
         assert_eq!(h.provenance_total().l1_stale, 0);
     }
+}
+
+/// Sec. 3's tuning stages seed each probe from its coordinates alone:
+/// one worker and three report the same patch grids and sizes and the
+/// same sequence and spread scores (at the chip's preset patch and
+/// sequence).
+#[test]
+fn tuning_stages_are_worker_count_invariant() {
+    let chip = Chip::by_short("C2075").unwrap();
+    let stages = |parallelism| {
+        let cfg = TuningConfig {
+            execs: 2,
+            max_seq_len: 2,
+            max_spread: 2,
+            parallelism,
+            ..TuningConfig::quick()
+        };
+        let patch = find_patch_size(&chip, &cfg);
+        let grids: Vec<_> = patch
+            .grids
+            .into_iter()
+            .map(|g| (g.test, g.distance, g.counts))
+            .collect();
+        let seqs = score_sequences(&chip, chip.patch_words, &cfg).entries;
+        let spreads = score_spreads(&chip, chip.patch_words, &chip.preferred_seq, &cfg).entries;
+        (grids, patch.per_test, patch.critical, seqs, spreads)
+    };
+    let one = stages(1);
+    assert!(
+        one.3.iter().any(|(_, s)| s.iter().any(|&n| n > 0)),
+        "no weak run: vacuous"
+    );
+    assert_eq!(stages(3), one);
 }
 
 /// Different seeds must not produce identical streams (sanity check that
